@@ -13,7 +13,6 @@ import os
 import random
 import sys
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 
 from . import verify as verify_mod
 from .degeneration import degeneration_chain
@@ -117,6 +116,7 @@ def cmd_census(args):
     # how the index range is sharded across jobs
     counts = Counter()
     if args.jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
         bounds = [(args.samples * j // args.jobs, args.samples * (j + 1) // args.jobs)
                   for j in range(args.jobs)]
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:

@@ -11,11 +11,11 @@ orbit-stabilizer arithmetic at the group level.
 
 import itertools
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .matrix import GroupShape, WittMat
 from .snf import Cochar, divisor_type
+from .strata import subregular_cochar
 from .witt import witt_ring
 
 
@@ -98,13 +98,11 @@ def complete_intersection_check(i, n, r, generator_count=None):
     """Numeric shadow of the complete-intersection property: the ideal
     generator count nr+2i must equal the oracle codimension of the
     index-i subregular orbit closure."""
+    gamma = subregular_cochar(n, r, i)
     nr = n * r
-    if not 0 <= i <= nr // 2:
-        raise ValueError(f"index i must lie in [0, {nr // 2}]")
     if generator_count is None:
         generator_count = nr + 2 * i
     N = nr + 1
-    gamma = Cochar(n, (nr - i, i) + (0,) * (n - 2))
     codim = n * n * N - dim_matrix_orbit(gamma, N)
     return generator_count == codim
 
@@ -137,18 +135,19 @@ def dim_report(gamma, r):
     """All dimension quantities for one stratum, oracle-derived; the
     closed form is cross-checked when gamma is a subregular vector."""
     n = gamma.n
+    if n < 2 or r < 1:
+        raise ValueError("need n >= 2 and r >= 1")
     nr = n * r
     N = nr + 1
     stab = stabilizer_dim(gamma, (GroupShape.FULL, GroupShape.FULL), N)
-    orbit = dim_matrix_orbit(gamma, N)
+    orbit = 2 * shape_space_dim(GroupShape.FULL, n, N) - stab
     sources = {
         "dim_lattice_orbit": "closed-form",
         "dim_matrix_orbit": "linear-oracle",
         "stab_dim": "linear-oracle",
         "codim_in_mat": "linear-oracle",
     }
-    tail = (0,) * (n - 2)
-    if gamma.exponents[2:] == tail and gamma.exponents[1] <= nr // 2:
+    if not any(gamma.exponents[2:]) and gamma.exponents[1] <= nr // 2:
         i = gamma.exponents[1]
         closed = dim_matrix_orbit_closed_form(i, n, r)
         if closed != orbit:
@@ -226,6 +225,7 @@ def tiny_exhaustive_census(jobs=1):
     g_order = len(group)
 
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
         chunk = (len(mats) + jobs - 1) // jobs
         parts = [mats[k:k + chunk] for k in range(0, len(mats), chunk)]
         histogram = Counter()

@@ -116,24 +116,28 @@ class StrataPoset:
         }
 
 
-def enumerate_strata(n, r):
-    """All dominant exponent vectors summing to nr, with Hasse covers of
-    the dominance order (each cover is a single-unit transfer)."""
+def _ordered_strata(n, r):
+    """Dominant vectors summing to nr in stratum order, as _partitions yields them."""
     if n < 2 or r < 1:
         raise ValueError("need n >= 2 and r >= 1")
-    nr = n * r
-    strata = [Cochar(n, exps) for exps in _partitions(nr, n, nr)]
-    strata.sort(key=lambda c: (nr - c.exponents[0], tuple(-e for e in c.exponents)))
-    below = {}
-    for a, ca in enumerate(strata):
-        for b, cb in enumerate(strata):
-            if a != b and dominance_leq(ca, cb):
-                below.setdefault(b, set()).add(a)
+    return [Cochar(n, exps) for exps in _partitions(n * r, n, n * r)]
+
+
+def enumerate_strata(n, r):
+    """All dominant exponent vectors summing to nr, with the Hasse covers of
+    dominance from Brylawski's rule (Discrete Math. 6, 1973): lam covers mu iff
+    mu = lam - e_i + e_j, i < j, and j = i + 1 or lam_i = lam_j + 2.  Partitions
+    with at most n parts form an up-set, so these are the covers here too."""
+    strata = _ordered_strata(n, r)
+    index = {c.exponents: k for k, c in enumerate(strata)}
     hasse = []
-    for hi, los in sorted(below.items()):
-        for lo in sorted(los):
-            if not any(lo in below.get(mid, ()) for mid in los if mid != lo):
-                hasse.append((lo, hi))
+    for lam, hi in index.items():
+        for i in range(n - 1):
+            for j in range(i + 1, n):
+                if j == i + 1 or lam[i] == lam[j] + 2:
+                    mu = lam[:i] + (lam[i] - 1,) + lam[i + 1:j] + (lam[j] + 1,) + lam[j + 1:]
+                    if mu in index:
+                        hasse.append((index[mu], hi))
     return StrataPoset(n=n, r=r, strata=tuple(strata), hasse=tuple(sorted(hasse)))
 
 
@@ -208,7 +212,7 @@ def sample_cover(ring, n, r, seed):
     rng = _as_rng(seed)
     if ring.N != n * r + 1:
         raise ParameterMismatchError("ring length must be nr + 1")
-    strata = enumerate_strata(n, r).strata
+    strata = _ordered_strata(n, r)
     gamma = strata[rng.randrange(len(strata))]
     return sample_orbit(ring, gamma, rng)
 
@@ -254,18 +258,13 @@ def classify(A, r):
     member = div.total == nr
     val_b = A.corner_entry().valuation()
     val_c = A.corner_minor().valuation()
+    a = pred_i = deep_i = None
     if member:
         a = nr - div.exponents[0]
-        pred_i = None
-        deep_i = None
+        deep_i = min(a, nr // 2)
         for i in range(nr // 2 + 1):
-            if valuation_predicate(A, i):
+            if val_c >= i and val_b <= nr - i:
                 pred_i = i
-            if div.exponents[0] <= nr - i:
-                deep_i = i
-        return StratumReport(in_Xr=True, divisors=div, stratum_index=a,
-                             val_b=val_b, val_c=val_c,
-                             pred_val_i=pred_i, deepest_closure_i=deep_i)
-    return StratumReport(in_Xr=False, divisors=div, stratum_index=None,
+    return StratumReport(in_Xr=member, divisors=div, stratum_index=a,
                          val_b=val_b, val_c=val_c,
-                         pred_val_i=None, deepest_closure_i=None)
+                         pred_val_i=pred_i, deepest_closure_i=deep_i)

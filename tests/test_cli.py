@@ -131,6 +131,14 @@ def test_dims_by_type(capsys):
     assert code == 2
 
 
+def test_dims_rejects_zero_height(capsys):
+    for argv in (["dims", "--type", "0,0"], ["dims", "--n", "2", "--r", "0", "--i", "0"]):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith("error:")
+
+
 def test_verify_suites_pass(capsys):
     code, out = run(capsys, "verify", "--suite", "fac", "--p", "2")
     assert code == 0 and json.loads(out)["ok"] is True

@@ -128,6 +128,8 @@ def test_dim_report():
     rep2 = dim_report(Cochar(3, (2, 2, 2)), 2)
     assert rep2.dim_lattice_orbit == 0
     assert rep2.sources["dim_matrix_orbit"] == "linear-oracle"
+    with pytest.raises(ValueError):
+        dim_report(Cochar(2, (0, 0)), 0)  # r = 0
 
 
 def test_tiny_census_frozen_values():
@@ -149,3 +151,10 @@ def test_tiny_census_jobs_agree():
     a = tiny_exhaustive_census()
     b = tiny_exhaustive_census(jobs=2)
     assert a == b
+
+
+def test_dim_report_orbit_matches_oracle():
+    for n, r in [(4, 3), (5, 2)]:
+        N = n * r + 1
+        for gamma in enumerate_strata(n, r).strata:
+            assert dim_report(gamma, r).dim_matrix_orbit == dim_matrix_orbit(gamma, N)

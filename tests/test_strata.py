@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from sympy.utilities.iterables import partitions
 
 from wittlat.errors import NotInCoverError, ParameterMismatchError
 from wittlat.matrix import GroupShape, WittMat, identity, in_group, p_power_diagonal
@@ -113,6 +114,45 @@ def test_enumerate_strata_examples():
         assert {n * r - e[0] for e in exps} == set(range((n - 1) * r + 1))
 
 
+def _dominance_closure_poset(n, r):
+    """Independent oracle: partitions from sympy, every pair compared by
+    dominance, then a transitive reduction of the strict order."""
+    nr = n * r
+    strata = []
+    for part in partitions(nr, m=n):
+        exps = sorted((k for k, mult in part.items() for _ in range(mult)), reverse=True)
+        strata.append(Cochar(n, tuple(exps) + (0,) * (n - len(exps))))
+    strata.sort(key=lambda c: (nr - c.exponents[0], tuple(-e for e in c.exponents)))
+    below = {}
+    for a, ca in enumerate(strata):
+        for b, cb in enumerate(strata):
+            if a != b and dominance_leq(ca, cb):
+                below.setdefault(b, set()).add(a)
+    hasse = []
+    for hi, los in sorted(below.items()):
+        for lo in sorted(los):
+            if not any(lo in below.get(mid, ()) for mid in los if mid != lo):
+                hasse.append((lo, hi))
+    return {
+        "n": n,
+        "r": r,
+        "strata": [{"a": nr - c.exponents[0], "exponents": list(c.exponents)}
+                   for c in strata],
+        "hasse": [list(e) for e in sorted(hasse)],
+    }
+
+
+def test_enumerate_strata_matches_dominance_closure_oracle():
+    for n in range(2, 9):
+        for r in range(1, 16 // n + 1):
+            assert enumerate_strata(n, r).to_obj() == _dominance_closure_poset(n, r), (n, r)
+
+
+def test_enumerate_strata_large_counts():
+    poset = enumerate_strata(6, 4)
+    assert len(poset.strata) == 532 and len(poset.hasse) == 1252
+
+
 def test_hasse_edges_are_single_unit_transfers():
     for n, r in [(3, 2), (4, 2)]:
         poset = enumerate_strata(n, r)
@@ -200,3 +240,24 @@ def test_closure_invariance_under_group_action():
         h = sample_group(R, n, GroupShape.FULL, rng)
         for i in range(n * r // 2 + 1):
             assert in_orbit_closure(g * A * h, i) == in_orbit_closure(A, i)
+
+
+def test_classify_pred_matches_per_index_predicate():
+    for p, n, r in [(2, 2, 2), (2, 3, 1)]:
+        nr = n * r
+        R = witt_ring(p, nr + 1)
+        rng = random.Random(5)
+        mats = [sample_cover(R, n, r, rng) for _ in range(40)]
+        mats += [WittMat(R, [[R.random(rng) for _ in range(n)] for _ in range(n)])
+                 for _ in range(40)]
+        members = 0
+        for A in mats:
+            rep = classify(A, r)
+            want = None
+            if rep.in_Xr:
+                members += 1
+                for i in range(nr // 2 + 1):
+                    if valuation_predicate(A, i):
+                        want = i
+            assert rep.pred_val_i == want
+        assert 40 <= members < len(mats)
