@@ -306,9 +306,18 @@ def build_parser():
     return parser
 
 
+# lower bounds of the integer options, checked before any command runs
+_OPTION_MINIMA = {"samples": 0, "jobs": 1, "N": 1}
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    for name, lo in _OPTION_MINIMA.items():
+        value = getattr(args, name, None)
+        if value is not None and value < lo:
+            print(f"error: --{name} must be >= {lo}, got {value}", file=sys.stderr)
+            return EXIT_USAGE
     if getattr(args, "seed", None) is None and hasattr(args, "seed"):
         try:
             args.seed = _default_seed()

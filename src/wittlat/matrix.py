@@ -1,9 +1,10 @@
 """Square matrices over a truncated Witt ring.
 
-Provides exact determinants (cofactor expansion for n <= 4, elimination
-with minimal-valuation pivots otherwise), minors, the corner functions
-(the (0,0) entry and its complementary minor), inverses via the adjugate,
-and membership tests for the classical subgroup shapes of GL_n.
+Provides exact determinants (for m = 1, fraction-free Bareiss elimination
+over Z on the integer lifts; for m > 1, cofactor expansion for n <= 4 and
+elimination with minimal-valuation pivots otherwise), minors, the corner
+functions (the (0,0) entry and its complementary minor), inverses via the
+adjugate, and membership tests for the classical subgroup shapes of GL_n.
 """
 
 import enum
@@ -53,6 +54,12 @@ class WittMat:
         """Convenience constructor from integer entries (canonical map)."""
         return cls._make(ring, tuple(tuple(ring.from_int(c) for c in r) for r in rows))
 
+    @classmethod
+    def _from_lifts(cls, ring, rows):
+        """m = 1 matrix from integers already reduced mod p^N."""
+        make = WittElem._make
+        return cls._make(ring, tuple(tuple(make(ring, (c,)) for c in r) for r in rows))
+
     def __getitem__(self, ij):
         i, j = ij
         return self.rows[i][j]
@@ -81,22 +88,33 @@ class WittMat:
     # -- arithmetic -----------------------------------------------------------
 
     def __mul__(self, other):
+        """Product on raw values: each entry is accumulated unreduced over k
+        and reduced once (mod p^N for m = 1, mod the lifted modulus else)."""
         self._check_compatible(other)
-        n = self.n
-        a, b = self.rows, other.rows
-        cols = tuple(zip(*b))
+        ring = self.ring
+        pN = ring.pN
+        if ring.m == 1:
+            from operator import mul
+            a = [[e.coeffs[0] for e in r] for r in self.rows]
+            cols = [[e.coeffs[0] for e in c] for c in zip(*other.rows)]
+            return WittMat._from_lifts(
+                ring, [[sum(map(mul, ra, cb)) % pN for cb in cols] for ra in a])
+        a = [[e.coeffs for e in r] for r in self.rows]
+        cols = [[e.coeffs for e in c] for c in zip(*other.rows)]
+        span = 2 * ring.m - 1
         out = []
-        for i in range(n):
-            ra = a[i]
+        for ra in a:
             row = []
-            for j in range(n):
-                cb = cols[j]
-                acc = ra[0] * cb[0]
-                for k in range(1, n):
-                    acc = acc + ra[k] * cb[k]
-                row.append(acc)
+            for cb in cols:
+                acc = [0] * span
+                for x, y in zip(ra, cb):
+                    for s, xs in enumerate(x):
+                        if xs:
+                            for t, yt in enumerate(y):
+                                acc[s + t] += xs * yt
+                row.append(WittElem._make(ring, ring._reduce_poly([c % pN for c in acc])))
             out.append(tuple(row))
-        return WittMat._make(self.ring, tuple(out))
+        return WittMat._make(ring, tuple(out))
 
     def __add__(self, other):
         self._check_compatible(other)
@@ -120,8 +138,12 @@ class WittMat:
     # -- determinants -----------------------------------------------------------
 
     def det(self):
+        ring = self.ring
+        if ring.m == 1:
+            lifts = [[e.coeffs[0] for e in r] for r in self.rows]
+            return WittElem._make(ring, (_det_int(lifts, ring.pN),))
         if self.n <= 4:
-            return _det_cofactor(self.rows, self.ring)
+            return _det_cofactor(self.rows, ring)
         return self.det_elimination()
 
     def det_cofactor(self):
@@ -198,6 +220,33 @@ class WittMat:
         if self.n < 2:
             raise ShapeError("corner minor requires n >= 2")
         return self.minor(0, 0)
+
+
+def _det_int(rows, pN):
+    """det(rows) mod pN for an integer matrix, by fraction-free Bareiss
+    elimination over Z (Math. Comp. 22, 1968).  Exact for any n, since the
+    determinant is an integer polynomial in the entries."""
+    n = len(rows)
+    if n == 2:
+        (a, b), (c, d) = rows
+        return (a * d - b * c) % pN
+    M = [list(r) for r in rows]
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if not M[k][k]:
+            swap = next((i for i in range(k + 1, n) if M[i][k]), None)
+            if swap is None:
+                return 0  # zero column below the diagonal: det is 0 over Z
+            M[k], M[swap] = M[swap], M[k]
+            sign = -sign
+        rk = M[k]
+        piv = rk[k]
+        for ri in M[k + 1:]:
+            a = ri[k]
+            for j in range(k + 1, n):
+                ri[j] = (piv * ri[j] - a * rk[j]) // prev
+        prev = piv
+    return sign * M[n - 1][n - 1] % pN
 
 
 def _det_cofactor(rows, ring):
@@ -300,6 +349,8 @@ def mat_to_obj(A):
 
 def mat_from_obj(obj):
     p, m, N, n = int(obj["p"]), int(obj["m"]), int(obj["N"]), int(obj["n"])
+    if n < 1:
+        raise ValueError("matrix size n must be >= 1")
     ring = witt_ring(p, N, m)
     entries = obj["entries"]
     if len(entries) != n or any(len(r) != n for r in entries):

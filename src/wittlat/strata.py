@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import NotInCoverError, ParameterMismatchError
-from .matrix import GroupShape, WittMat, in_group, p_power_diagonal
+from .matrix import GroupShape, WittMat, _det_int, in_group, p_power_diagonal
 from .snf import Cochar, divisor_type
 
 
@@ -157,11 +157,19 @@ def sample_group(ring, n, shape, seed):
     """
     rng = _as_rng(seed)
     if shape is GroupShape.FULL:
+        pN = ring.pN
         for _ in range(10000):
-            A = WittMat._make(ring, tuple(
-                tuple(ring.random(rng) for _ in range(n)) for _ in range(n)))
-            if A.det().is_unit():
-                return A
+            if ring.m == 1:
+                # ring.random's draws, kept as bare lifts; only the accepted
+                # matrix is wrapped
+                rows = [[rng.randrange(pN) for _ in range(n)] for _ in range(n)]
+                if _det_int(rows, pN) % ring.p:
+                    return WittMat._from_lifts(ring, rows)
+            else:
+                A = WittMat._make(ring, tuple(
+                    tuple(ring.random(rng) for _ in range(n)) for _ in range(n)))
+                if A.det().is_unit():
+                    return A
         raise RuntimeError("unit-determinant rejection sampling did not converge")
     if shape in (GroupShape.B, GroupShape.B_MINUS):
         rows = []

@@ -13,11 +13,10 @@ from .dimension import (GroupShape, complete_intersection_check,
                         dim_lattice_orbit, dim_matrix_orbit,
                         dim_matrix_orbit_closed_form, stabilizer_dim,
                         tiny_exhaustive_census)
-from .matrix import mat_to_obj
+from .matrix import mat_to_obj, p_power_diagonal
 from .snf import divisor_type, minor_valuations, snf
-from .strata import (_ordered_strata, in_orbit_closure, sample_cover,
-                     sample_group, sample_orbit, subregular_cochar,
-                     valuation_predicate)
+from .strata import (_ordered_strata, sample_cover, sample_group,
+                     sample_orbit, subregular_cochar, valuation_predicate)
 from .witt import witt_ring
 
 DEFAULT_SEED = 1729
@@ -122,7 +121,9 @@ def suite_snf(p=2, m=1, n=2, r=1, samples=200, seed=DEFAULT_SEED):
         roundtrip.record(res.divisors == gamma,
                          {"gamma": list(gamma.exponents),
                           "got": list(res.divisors.exponents), "seed_index": k})
-        recon.record(True)  # snf() verifies reconstruction internally
+        recon.record(res.left * A * res.right
+                     == p_power_diagonal(ring, res.divisors.exponents),
+                     {"seed_index": k})
         sumrule.record(res.divisors.total == A.det().valuation(),
                        {"seed_index": k})
         if n <= 3:
@@ -144,8 +145,10 @@ def suite_fac(p=2, m=1, max_total=4):
             nonzero = [t for t in ring.field.elements() if any(t)]
             for b in range(rj + 1):
                 for t in nonzero:
-                    w = transfer_witness(ring, r1, rj, b, t)  # verifies product
-                    ident.record(True)
+                    w = transfer_witness(ring, r1, rj, b, t)
+                    f0, f1, f2, f3 = w.factors
+                    ident.record(f0 * f1 * f2 * f3 == w.target,
+                                 {"r1": r1, "rj": rj, "b": b, "t": list(t)})
                     got = divisor_type(w.target).exponents
                     want = tuple(sorted((r1 + b, rj - b), reverse=True))
                     divs.record(got == want,
@@ -170,7 +173,7 @@ def suite_strata(p=2, m=1, n=2, r=1, samples=300, seed=DEFAULT_SEED):
         grading.record(0 <= a <= (n - 1) * r, {"divisors": list(div.exponents)})
         for i in range(nr // 2 + 1):
             pred = valuation_predicate(A, i)
-            clo = in_orbit_closure(A, i)
+            clo = div.exponents[0] <= nr - i  # in_orbit_closure(A, i), reusing div
             if pred:
                 implication.record(clo, {
                     "i": i, "divisors": list(div.exponents),
@@ -180,11 +183,7 @@ def suite_strata(p=2, m=1, n=2, r=1, samples=300, seed=DEFAULT_SEED):
                 converse.record(pred, {"i": i, "seed": _child_seed(seed, 100 + k)})
         g = sample_group(ring, n, GroupShape.FULL, rng)
         h = sample_group(ring, n, GroupShape.FULL, rng)
-        B = g * A * h
-        invariance.record(
-            all(in_orbit_closure(B, i) == in_orbit_closure(A, i)
-                for i in range(nr // 2 + 1)),
-            {"seed_index": k})
+        invariance.record(divisor_type(g * A * h) == div, {"seed_index": k})
     s1 = sample_cover(ring, n, r, random.Random(_child_seed(seed, 999)))
     s2 = sample_cover(ring, n, r, random.Random(_child_seed(seed, 999)))
     determinism.record(s1 == s2)

@@ -20,6 +20,13 @@ def write_matrix(tmp_path, mat, name="m.json"):
     return str(path)
 
 
+def _assert_usage_error(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "", argv
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error:"), argv
+
+
 def test_classify_regular(tmp_path, capsys):
     R = witt_ring(2, 3)
     path = write_matrix(tmp_path, p_power_diagonal(R, (2, 0)))
@@ -133,10 +140,7 @@ def test_dims_by_type(capsys):
 
 def test_dims_rejects_zero_height(capsys):
     for argv in (["dims", "--type", "0,0"], ["dims", "--n", "2", "--r", "0", "--i", "0"]):
-        code = main(argv)
-        captured = capsys.readouterr()
-        assert code == 2 and captured.out == ""
-        assert captured.err.count("\n") == 1 and captured.err.startswith("error:")
+        _assert_usage_error(capsys, argv)
 
 
 def test_verify_suites_pass(capsys):
@@ -185,3 +189,21 @@ def test_byte_identical_reports(capsys):
     a = run(capsys, "verify", "--suite", "witt", "--samples", "25", "--seed", "7")
     b = run(capsys, "verify", "--suite", "witt", "--samples", "25", "--seed", "7")
     assert a == b
+
+
+def test_census_rejects_negative_samples(capsys):
+    _assert_usage_error(capsys, ["census", "--n", "2", "--r", "1", "--samples", "-5"])
+
+
+def test_census_rejects_zero_jobs(capsys):
+    _assert_usage_error(capsys, ["census", "--n", "2", "--r", "1", "--jobs", "0"])
+
+
+def test_verify_rejects_zero_length(capsys):
+    _assert_usage_error(capsys, ["verify", "--suite", "witt", "--N", "0"])
+
+
+def test_classify_rejects_empty_matrix(tmp_path, capsys):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"p": 2, "m": 1, "N": 3, "n": 0, "entries": []}))
+    _assert_usage_error(capsys, ["classify", "--input", str(path), "--r", "1"])

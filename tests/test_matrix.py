@@ -202,3 +202,106 @@ def test_json_header_mismatch():
     obj["entries"][0][0]["N"] = 4
     with pytest.raises(RingMismatchError):
         mat_from_obj(obj)
+
+
+# -- differential checks of the raw-value kernel ---------------------------------------
+
+class _CountingRandom(random.Random):
+    draws = 0
+
+    def randrange(self, *args, **kwargs):
+        self.draws += 1
+        return super().randrange(*args, **kwargs)
+
+
+def _structured_int_mats(p, N, n, rng):
+    """Integer matrices with zero, scaled, repeated or permuted structure."""
+    pN = p ** N
+
+    def rand():
+        return [[rng.randrange(pN) for _ in range(n)] for _ in range(n)]
+
+    out = [rand(), rand(), rand()]
+    A = rand()
+    A[rng.randrange(n)] = [0] * n
+    out.append(A)
+    A, j = rand(), rng.randrange(n)
+    for row in A:
+        row[j] = 0
+    out.append(A)
+    A, i = rand(), rng.randrange(n)
+    A[i] = [x * p ** rng.randrange(1, N + 1) % pN for x in A[i]]
+    out.append(A)
+    if n > 1:
+        A = rand()
+        i, j = rng.sample(range(n), 2)
+        A[j] = list(A[i])
+        out.append(A)
+    exps = [rng.randrange(N + 1) for _ in range(n)]
+    out.append([[p ** exps[i] % pN if i == j else 0 for j in range(n)] for i in range(n)])
+    perm = list(range(n))
+    rng.shuffle(perm)
+    out.append([[p ** exps[i] % pN if j == perm[i] else 0 for j in range(n)]
+                for i in range(n)])
+    return out
+
+
+@pytest.mark.parametrize("p,N", [(2, 6), (3, 4), (5, 3)])
+def test_det_kernel_against_oracles(p, N):
+    from sympy import Matrix
+    R = witt_ring(p, N)
+    rng = random.Random(40 + p)
+    for n in range(1, 8):
+        for rows in _structured_int_mats(p, N, n, rng):
+            A = WittMat.from_ints(R, rows)
+            d = A.det()
+            assert d == A.det_elimination(), (p, N, rows)
+            if n <= 5:
+                assert d == A.det_cofactor(), (p, N, rows)
+            assert d.to_int() == int(Matrix(rows).det()) % p ** N, (p, N, rows)
+
+
+def _mul_reference(A, B):
+    ring, n = A.ring, A.n
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            acc = ring.zero
+            for k in range(n):
+                acc = acc + A.rows[i][k] * B.rows[k][j]
+            row.append(acc)
+        out.append(row)
+    return WittMat(ring, out)
+
+
+@pytest.mark.parametrize("p,N,m", [(2, 4, 1), (5, 3, 1), (2, 3, 2), (3, 3, 2), (2, 3, 3)])
+def test_mul_kernel_against_entrywise_reference(p, N, m):
+    R = witt_ring(p, N, m)
+    rng = random.Random(50 + p + m)
+    for n in range(1, 5):
+        for _ in range(8):
+            A, B = _random_mat(R, n, rng), _random_mat(R, n, rng)
+            assert A * B == _mul_reference(A, B)
+        D = p_power_diagonal(R, [rng.randrange(N + 1) for _ in range(n)])
+        assert D * A == _mul_reference(D, A) and A * D == _mul_reference(A, D)
+
+
+def _full_sample_reference(ring, n, rng):
+    # the WittElem sampler: uniform entries until the determinant is a unit
+    while True:
+        A = WittMat(ring, [[ring.random(rng) for _ in range(n)] for _ in range(n)])
+        if A.det_elimination().is_unit():
+            return A
+
+
+@pytest.mark.parametrize("p,N,m", [(2, 3, 1), (3, 4, 1), (5, 2, 1), (2, 3, 2)])
+def test_full_sampler_matches_reference_stream(p, N, m):
+    R = witt_ring(p, N, m)
+    for n in range(1, 6):
+        for seed in range(6):
+            fast, ref = _CountingRandom(seed), _CountingRandom(seed)
+            A = sample_group(R, n, GroupShape.FULL, fast)
+            assert A == _full_sample_reference(R, n, ref)
+            assert fast.draws == ref.draws and fast.draws % (n * n * m) == 0
+            assert fast.random() == ref.random()

@@ -115,3 +115,37 @@ def test_mu_r_orbit():
     for _ in range(30):
         A = sample_orbit(ring, mu, rng)
         assert divisor_type(A) == mu
+
+
+def _vp_capped(x, p, cap):
+    x = abs(int(x))
+    v = 0
+    while x and x % p == 0 and v < cap:
+        x //= p
+        v += 1
+    return v if x else cap
+
+
+@pytest.mark.parametrize("p,N", [(2, 5), (3, 3), (5, 2)])
+def test_divisor_type_against_integer_smith_form(p, N):
+    # over Z/p^N the exponents are min(v_p(d_k), N) for the invariant factors
+    # d_k of the integer lift; this oracle has no ceiling on n
+    from sympy import ZZ, Matrix
+    from sympy.matrices.normalforms import smith_normal_form
+    ring = witt_ring(p, N)
+    pN = p ** N
+    rng = random.Random(16 + p)
+    for n in range(5, 8):
+        for k in range(12):
+            rows = [[rng.randrange(pN) for _ in range(n)] for _ in range(n)]
+            if k % 3 == 1:
+                rows[rng.randrange(n)] = [x * p ** rng.randrange(1, N + 1) % pN
+                                          for x in rows[0]]
+            elif k % 3 == 2:
+                for _ in range(n * n // 2):
+                    i, j = rng.randrange(n), rng.randrange(n)
+                    rows[i][j] = rows[i][j] * p ** rng.randrange(1, N + 1) % pN
+            S = smith_normal_form(Matrix(rows), domain=ZZ)
+            want = sorted((_vp_capped(S[i, i], p, N) for i in range(n)), reverse=True)
+            assert divisor_type(WittMat.from_ints(ring, rows)).exponents == tuple(want), \
+                (p, N, rows)
