@@ -112,6 +112,8 @@ def _census_count(args, lo, hi):
 
 
 def cmd_census(args):
+    if args.n < 2 or args.r < 1:
+        raise UsageError("need n >= 2 and r >= 1")
     # samples are seeded individually, so the histogram is independent of
     # how the index range is sharded across jobs
     counts = Counter()
@@ -318,6 +320,10 @@ def main(argv=None):
         if value is not None and value < lo:
             print(f"error: --{name} must be >= {lo}, got {value}", file=sys.stderr)
             return EXIT_USAGE
+    jobs, cpus = getattr(args, "jobs", None), os.cpu_count() or 1
+    if jobs is not None and jobs > cpus:
+        print(f"error: --jobs must be <= {cpus} (the CPU count), got {jobs}", file=sys.stderr)
+        return EXIT_USAGE
     if getattr(args, "seed", None) is None and hasattr(args, "seed"):
         try:
             args.seed = _default_seed()

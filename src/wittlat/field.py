@@ -140,6 +140,45 @@ def default_modulus(p, m):
     raise RuntimeError(f"no irreducible polynomial of degree {m} over F_{p}")
 
 
+# -- fixed-degree residues in (Z/mod)[x]/(f), f monic of degree m ---------
+# Shared by F_{p^m} (mod = p, f the field modulus) and by the Witt ring
+# (mod = p^k, f the lifted modulus).  Elements are m-tuples, f lists all
+# m + 1 coefficients; intermediate sums stay unreduced until the end.
+
+def _reduce_mod(out, f, mod):
+    """The residue of a coefficient list of length 2m - 1 (consumed)."""
+    m = len(f) - 1
+    for k in range(len(out) - 1, m - 1, -1):
+        c = out[k] % mod
+        if c:
+            base = k - m
+            for j in range(m):
+                out[base + j] -= c * f[j]
+    return tuple([c % mod for c in out[:m]])
+
+
+def _mulmod(a, b, f, mod):
+    out = [0] * (2 * len(a) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for k, bj in enumerate(b, i):
+                out[k] += ai * bj
+    return _reduce_mod(out, f, mod)
+
+
+def _powmod(a, e, f, mod):
+    """a^e for e >= 0 and a tuple reduced mod `mod`, with no squaring or
+    product by 1 wasted (the short Teichmueller lifts need few steps)."""
+    result = None
+    while e:
+        if e & 1:
+            result = a if result is None else _mulmod(result, a, f, mod)
+        e >>= 1
+        if e:
+            a = _mulmod(a, a, f, mod)
+    return (1,) + (0,) * (len(a) - 1) if result is None else result
+
+
 class FieldDescriptor:
     """The finite field F_{p^m} with a fixed irreducible modulus."""
 
@@ -223,36 +262,16 @@ class FieldDescriptor:
         return tuple((-x) % p for x in a)
 
     def mul(self, a, b):
-        p, m = self.p, self.m
-        if m == 1:
-            return ((a[0] * b[0]) % p,)
-        out = [0] * (2 * m - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    out[i + j] = (out[i + j] + ai * bj) % p
-        f = self.modulus
-        for k in range(2 * m - 2, m - 1, -1):
-            c = out[k]
-            if c:
-                for j in range(m):
-                    out[k - m + j] = (out[k - m + j] - c * f[j]) % p
-                out[k] = 0
-        return tuple(out[:m])
+        if self.m == 1:
+            return ((a[0] * b[0]) % self.p,)
+        return _mulmod(a, b, self.modulus, self.p)
 
     def pow(self, a, e):
         if e < 0:
             return self.pow(self.inv(a), -e)
         if self.m == 1:
             return (pow(a[0], e, self.p),)
-        result = self.one
-        acc = a
-        while e:
-            if e & 1:
-                result = self.mul(result, acc)
-            acc = self.mul(acc, acc)
-            e >>= 1
-        return result
+        return _powmod(a, e, self.modulus, self.p)
 
     def inv(self, a):
         if not any(a):

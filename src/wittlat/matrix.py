@@ -10,6 +10,7 @@ adjugate, and membership tests for the classical subgroup shapes of GL_n.
 import enum
 
 from .errors import NotAUnitError, RingMismatchError, ShapeError
+from .field import _reduce_mod
 from .witt import WittElem, elem_from_obj, elem_to_obj, witt_ring
 
 
@@ -112,7 +113,7 @@ class WittMat:
                         if xs:
                             for t, yt in enumerate(y):
                                 acc[s + t] += xs * yt
-                row.append(WittElem._make(ring, ring._reduce_poly([c % pN for c in acc])))
+                row.append(WittElem._make(ring, _reduce_mod(acc, ring.phi, pN)))
             out.append(tuple(row))
         return WittMat._make(ring, tuple(out))
 

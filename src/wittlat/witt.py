@@ -3,20 +3,26 @@
 Elements are stored as residues in the unramified extension
 (Z/p^N)[x]/(Phi), where Phi is the Teichmueller lift of the field modulus
 (the unique monic lift dividing x^{p^m} - x mod p^N).  With that modulus
-the Frobenius automorphism is simply x -> x^p, and the Teichmueller lift
-of a residue is computed by q^(N-1)-power stabilization.
+the Frobenius automorphism sigma is simply x -> x^p, and the Teichmueller
+lift of a residue is computed by q^(N-1)-power stabilization.  For m > 1 a
+unit u is inverted through its norm: Norm(u) = u * prod_{k=1}^{m-1}
+sigma^k(u) is sigma-fixed, hence a scalar n of Z/p^N, and
+u^-1 = n^-1 * prod_{k=1}^{m-1} sigma^k(u).
 
 The standard Witt digit view is computed on demand.  An element decomposes
 as sum_i p^i xi(b_i) with b_i in F_{p^m}; the stored digits are the Witt
 coordinates a_i = b_i^(p^i), so that the element equals
-sum_i xi(a_i)^(p^-i) p^i.  For m = 1 the two views coincide and the whole
-ring is Z/p^N under the integer codec.
+sum_i xi(a_i)^(p^-i) p^i.  Both digit codecs need the lift of digit i only
+mod p^(N-i): it is multiplied by p^i, or the remainder is divided by p
+after it.  So it is a q^(N-i-1)-th power mod p^(N-i), not a q^(N-1)-th
+power mod p^N.  For m = 1 the two views coincide and the whole ring is
+Z/p^N under the integer codec.
 """
 
 import threading
 
 from .errors import CodecUnsupportedError, NotAUnitError, RingMismatchError
-from .field import FieldDescriptor
+from .field import FieldDescriptor, _mulmod, _powmod
 
 _RING_CACHE = {}
 _RING_LOCK = threading.Lock()
@@ -86,36 +92,13 @@ class WittRing:
         """Phi = prod over the Frobenius orbit of (X - tau), tau the
         Teichmueller lift of the field generator in a scratch quotient."""
         p, m, N, pN = self.p, self.m, self.N, self.pN
-        f0 = tuple(int(c) for c in self.field.modulus)  # naive monic lift
-
-        def mul0(a, b):
-            out = [0] * (2 * m - 1)
-            for i, ai in enumerate(a):
-                if ai:
-                    for j, bj in enumerate(b):
-                        out[i + j] = (out[i + j] + ai * bj) % pN
-            for k in range(2 * m - 2, m - 1, -1):
-                c = out[k]
-                if c:
-                    for j in range(m):
-                        out[k - m + j] = (out[k - m + j] - c * f0[j]) % pN
-                    out[k] = 0
-            return tuple(out[:m])
-
-        def pow0(a, e):
-            result = (1,) + (0,) * (m - 1)
-            while e:
-                if e & 1:
-                    result = mul0(result, a)
-                a = mul0(a, a)
-                e >>= 1
-            return result
+        f0 = self.field.modulus  # naive monic lift
 
         gen = (0, 1) + (0,) * (m - 2)
-        tau = pow0(gen, self.field.q ** (N - 1))
+        tau = _powmod(gen, self.field.q ** (N - 1), f0, pN)
         roots = [tau]
         for _ in range(m - 1):
-            roots.append(pow0(roots[-1], p))
+            roots.append(_powmod(roots[-1], p, f0, pN))
         # expand prod (X - root) with coefficients in the scratch quotient
         zero0 = (0,) * m
         poly = [(1,) + (0,) * (m - 1)]
@@ -124,7 +107,7 @@ class WittRing:
             new = [zero0] * (len(poly) + 1)
             for k, co in enumerate(poly):
                 new[k + 1] = tuple((new[k + 1][j] + co[j]) % pN for j in range(m))
-                prod = mul0(co, neg_rt)
+                prod = _mulmod(co, neg_rt, f0, pN)
                 new[k] = tuple((new[k][j] + prod[j]) % pN for j in range(m))
             poly = new
         phi = []
@@ -136,32 +119,13 @@ class WittRing:
             raise RuntimeError("modulus lift does not reduce to the field modulus")
         return tuple(phi)
 
-    def _reduce_poly(self, out):
-        # out: coefficient list of length 2m-1, reduced mod the lifted modulus
-        m, pN, phi = self.m, self.pN, self.phi
-        for k in range(2 * m - 2, m - 1, -1):
-            c = out[k]
-            if c:
-                for j in range(m):
-                    out[k - m + j] = (out[k - m + j] - c * phi[j]) % pN
-                out[k] = 0
-        return tuple(out[:m])
-
-    def _poly_mul(self, a, b):
-        m, pN = self.m, self.pN
-        out = [0] * (2 * m - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    out[i + j] = (out[i + j] + ai * bj) % pN
-        return self._reduce_poly(out)
-
     def _frobenius_basis(self):
         """Images of the power basis under x -> x^p."""
-        xp = self._poly_pow((0, 1) + (0,) * (self.m - 2), self.p)
+        phi, pN = self.phi, self.pN
+        xp = _powmod((0, 1) + (0,) * (self.m - 2), self.p, phi, pN)
         images = [(1,) + (0,) * (self.m - 1)]
         for _ in range(self.m - 1):
-            images.append(self._poly_mul(images[-1], xp))
+            images.append(_mulmod(images[-1], xp, phi, pN))
         return tuple(images)
 
     def _frobenius_inv_basis(self):
@@ -181,14 +145,16 @@ class WittRing:
                     out[j] = (out[j] + c * img[j]) % pN
         return tuple(out)
 
-    def _poly_pow(self, a, e):
-        result = (1,) + (0,) * (self.m - 1)
-        while e:
-            if e & 1:
-                result = self._poly_mul(result, a)
-            a = self._poly_mul(a, a)
-            e >>= 1
-        return result
+    def _teichmuller_lift(self, a, k):
+        """Coefficients mod p^k of teichmuller(a) mod p^k, for a residue a.
+
+        Any lift x of a has x^(q^(k-1)) = xi(a) mod p^k, so the digit codecs,
+        which need digit i only mod p^(N-i), pay for fewer powers of q.
+        """
+        pk = self.p ** k
+        if self.m == 1:
+            return (pow(a[0], self.p ** (k - 1), pk),)
+        return _powmod(a, self.field.q ** (k - 1), self.phi, pk)
 
     # -- element construction --------------------------------------------------
 
@@ -211,29 +177,24 @@ class WittRing:
 
     def teichmuller(self, a):
         """The multiplicative representative of a field element."""
-        a = self.field.elem(a)
-        if self.m == 1:
-            return WittElem._make(self, (pow(a[0], self.p ** (self.N - 1), self.pN),))
-        lift = tuple(a)
-        return WittElem._make(self, self._poly_pow(lift, self.field.q ** (self.N - 1)))
+        return WittElem._make(self, self._teichmuller_lift(self.field.elem(a), self.N))
 
     def from_digits(self, digits):
         """Inverse of WittElem.digits(): sum_i xi(a_i)^(p^-i) p^i."""
         digits = [self.field.elem(d) for d in digits]
         if len(digits) != self.N:
             raise ValueError(f"expected {self.N} digits")
-        fld = self.field
-        acc = self.zero
+        fld, p, N, pN = self.field, self.p, self.N, self.pN
+        acc = [0] * self.m
         for i, a in enumerate(digits):
             if not any(a):
                 continue
             b = a
-            for _ in range(i % self.m if self.m > 1 else 0):
+            for _ in range(i % self.m):
                 b = fld.frobenius_inv(b)
-            term = self.teichmuller(b)
-            pe = self.p_power(i)
-            acc = acc + term * pe
-        return acc
+            pe = p ** i
+            acc = [x + pe * t for x, t in zip(acc, self._teichmuller_lift(b, N - i))]
+        return WittElem._make(self, tuple(x % pN for x in acc))
 
     def random(self, rng):
         return WittElem._make(self, tuple(rng.randrange(self.pN) for _ in range(self.m)))
@@ -323,7 +284,7 @@ class WittElem:
         ring = self._common_ring(other)
         if ring.m == 1:
             return WittElem._make(ring, ((self.coeffs[0] * other.coeffs[0]) % ring.pN,))
-        return WittElem._make(ring, ring._poly_mul(self.coeffs, other.coeffs))
+        return WittElem._make(ring, _mulmod(self.coeffs, other.coeffs, ring.phi, ring.pN))
 
     def __pow__(self, e):
         if e < 0:
@@ -331,14 +292,7 @@ class WittElem:
         ring = self.ring
         if ring.m == 1:
             return WittElem._make(ring, (pow(self.coeffs[0], e, ring.pN),))
-        result = ring.one
-        acc = self
-        while e:
-            if e & 1:
-                result = result * acc
-            acc = acc * acc
-            e >>= 1
-        return result
+        return WittElem._make(ring, _powmod(self.coeffs, e, ring.phi, ring.pN))
 
     def inverse(self):
         ring = self.ring
@@ -346,15 +300,19 @@ class WittElem:
             raise NotAUnitError(f"{self!r} is not a unit")
         if ring.m == 1:
             return WittElem._make(ring, (pow(self.coeffs[0], -1, ring.pN),))
-        # Newton lift of the residue-field inverse
-        fld = ring.field
-        y = ring.from_coeffs(fld.inv(self.residue()))
-        two = ring.from_int(2)
-        steps = max(1, (ring.N - 1).bit_length() + 1)
-        for _ in range(steps):
-            y = y * (two - self * y)
-        if (self * y) != ring.one:
-            raise RuntimeError("inverse lift failed to converge")
+        # u^-1 = Norm(u)^-1 * conj, conj = prod_{k=1}^{m-1} sigma^k(u)
+        phi, pN, images = ring.phi, ring.pN, ring._frob_images
+        conj = s = ring._apply_linear(self.coeffs, images)
+        for _ in range(ring.m - 2):
+            s = ring._apply_linear(s, images)
+            conj = _mulmod(conj, s, phi, pN)
+        norm = _mulmod(self.coeffs, conj, phi, pN)
+        if any(norm[1:]):
+            raise RuntimeError("norm of a unit is not a scalar")
+        n_inv = pow(norm[0], -1, pN)
+        y = WittElem._make(ring, tuple(c * n_inv % pN for c in conj))
+        if self * y != ring.one:
+            raise RuntimeError("norm inverse failed its check")
         return y
 
     def __eq__(self, other):
@@ -425,13 +383,14 @@ class WittElem:
                 out.append((b,))
                 c //= p
             return tuple(out)
-        z = self
+        z = self.coeffs
         out = []
-        for _ in range(N):
-            b = z.residue()
+        for k in range(N, 0, -1):
+            b = tuple(c % p for c in z)
             if any(b):
-                z = z - ring.teichmuller(b)
-            z = WittElem._make(ring, tuple(c // p for c in z.coeffs))
+                pk = p ** k
+                z = tuple((c - t) % pk for c, t in zip(z, ring._teichmuller_lift(b, k)))
+            z = tuple(c // p for c in z)
             out.append(b)
         return tuple(out)
 

@@ -1,4 +1,6 @@
+import concurrent.futures
 import json
+import os
 
 import pytest
 
@@ -197,6 +199,26 @@ def test_census_rejects_negative_samples(capsys):
 
 def test_census_rejects_zero_jobs(capsys):
     _assert_usage_error(capsys, ["census", "--n", "2", "--r", "1", "--jobs", "0"])
+
+
+def test_census_rejects_n_below_two(capsys):
+    _assert_usage_error(capsys, ["census", "--n", "1", "--r", "1", "--samples", "3"])
+
+
+def test_census_rejects_zero_height(capsys):
+    _assert_usage_error(capsys, ["census", "--n", "2", "--r", "0", "--samples", "3"])
+
+
+def test_jobs_above_cpu_count_rejected(capsys, monkeypatch):
+    # rejected in main, before any pool exists; a pool fails the test instead
+    # of starting workers.  The first value above the CPU count comes first,
+    # so a missing bound fails there, before the huge value is tried.
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was created")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    for jobs in ((os.cpu_count() or 1) + 1, 10 ** 9):
+        _assert_usage_error(capsys, ["census", "--n", "2", "--r", "1", "--jobs", str(jobs)])
 
 
 def test_verify_rejects_zero_length(capsys):

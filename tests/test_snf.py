@@ -149,3 +149,36 @@ def test_divisor_type_against_integer_smith_form(p, N):
             want = sorted((_vp_capped(S[i, i], p, N) for i in range(n)), reverse=True)
             assert divisor_type(WittMat.from_ints(ring, rows)).exponents == tuple(want), \
                 (p, N, rows)
+
+
+def _restrict_scalars(A):
+    """The nm x nm matrix over Z/p^N of A over W_N(F_{p^m}): entry A_ij
+    becomes the matrix of multiplication by A_ij on the basis 1, x, ..., x^(m-1)."""
+    R = A.ring
+    basis = [R.from_coeffs([int(s == t) for s in range(R.m)]) for t in range(R.m)]
+    return WittMat.from_ints(witt_ring(R.p, R.N), [
+        [(e * b).coeffs[s] for e in row for b in basis]
+        for row in A.rows for s in range(R.m)])
+
+
+@pytest.mark.parametrize("p,m", [(2, 2), (3, 2), (2, 3)])
+def test_divisor_type_extension_against_restriction_of_scalars(p, m):
+    # W_N(F_{p^m}) is free of rank m over Z/p^N and unramified, so over
+    # Z/p^N every exponent of A appears m times: the first oracle for m > 1
+    rng = random.Random(17 + 10 * p + m)
+    for n in range(2, 5):
+        N = n + 1
+        ring = witt_ring(p, N, m)
+        strata = enumerate_strata(n, 1).strata
+        for k in range(16):
+            rows = [[ring.random(rng) for _ in range(n)] for _ in range(n)]
+            if k % 4 == 1:
+                rows[rng.randrange(n)] = [ring.zero] * n
+            elif k % 4 == 2:
+                rows[rng.randrange(n)] = [x * ring.p_power(rng.randrange(1, N + 1))
+                                          for x in rows[0]]
+            elif k % 4 == 3:
+                rows = sample_orbit(ring, strata[rng.randrange(len(strata))], rng).rows
+            A = WittMat(ring, rows)
+            want = tuple(e for e in divisor_type(A).exponents for _ in range(m))
+            assert divisor_type(_restrict_scalars(A)).exponents == want, (p, m, A)

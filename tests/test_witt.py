@@ -91,6 +91,73 @@ def test_teichmuller_multiplicative():
             assert R.teichmuller(a).residue() == a
 
 
+# the norm inverse and the graded Teichmueller lifts, over the extension grid
+EXT_GRID = [(p, m) for p in (2, 3, 5) for m in (2, 3, 4)]
+
+
+@pytest.mark.parametrize("p,m", EXT_GRID)
+def test_norm_inverse(p, m):
+    for N in range(1, 8):
+        R = witt_ring(p, N, m)
+        rng = random.Random(20 + N)
+        for _ in range(15):
+            u = R.random_unit(rng)
+            assert u * u.inverse() == R.one
+            with pytest.raises(NotAUnitError):
+                R.random_multiple_of_p(rng).inverse()
+
+
+@pytest.mark.parametrize("p,m", EXT_GRID)
+def test_teichmuller_is_fixed_by_q_power(p, m):
+    for N in range(1, 8):
+        R = witt_ring(p, N, m)
+        rng = random.Random(21 + N)
+        for _ in range(8):
+            a = R.field.random(rng)
+            t = R.teichmuller(a)
+            assert t ** R.field.q == t and t.residue() == a
+
+
+def _full_lift(R, b):
+    # xi(b) at full precision p^N, from WittElem powers alone
+    return R.from_coeffs(b) ** (R.field.q ** (R.N - 1))
+
+
+def _reference_teichmuller_digits(x):
+    R = x.ring
+    out = []
+    for _ in range(R.N):
+        b = x.residue()
+        x = x - _full_lift(R, b)
+        x = R.from_coeffs([c // R.p for c in x.coeffs])
+        out.append(b)
+    return tuple(out)
+
+
+def _reference_from_digits(R, digits):
+    # sum_i xi(a_i^(p^-i)) p^i, with p^-i read as p^(mN - i) on F_{p^m}
+    F, acc = R.field, R.zero
+    for i, a in enumerate(digits):
+        b = F.pow(a, R.p ** (R.m * R.N - i))
+        acc = acc + _full_lift(R, b) * R.from_int(R.p ** i)
+    return acc
+
+
+@pytest.mark.parametrize("p,m", [(p, m) for p in (2, 3, 5) for m in (1, 2, 3)])
+def test_digit_codecs_match_full_precision_reference(p, m):
+    for N in range(1, 8):
+        R = witt_ring(p, N, m)
+        F = R.field
+        rng = random.Random(22 + N)
+        for _ in range(10):
+            x = R.random(rng)
+            tdig = _reference_teichmuller_digits(x)
+            assert x.teichmuller_digits() == tdig
+            assert x.digits() == tuple(F.pow(b, p ** i) for i, b in enumerate(tdig))
+            digits = [F.random(rng) for _ in range(N)]
+            assert R.from_digits(digits) == _reference_from_digits(R, digits)
+
+
 def test_valuation_examples():
     R = witt_ring(5, 3)
     assert R.from_digits([(0,), (0,), (3,)]).valuation() == 2
