@@ -15,23 +15,32 @@ from .snf import Cochar
 from .strata import dominance_leq
 
 
+def _nonzero_parameter(ring, t):
+    t = ring.field.elem(t)
+    if not any(t):
+        raise ValueError("parameter t must be nonzero")
+    return t
+
+
+def _deformation(ring, exponents, j, b, xi, i):
+    rows = [list(r) for r in p_power_diagonal(ring, exponents).rows]
+    rows[j][i] = ring.p_power(exponents[j] - b) * xi
+    return WittMat._make(ring, tuple(tuple(r) for r in rows))
+
+
 def deformation_matrix(ring, exponents, j, b, t, i=0):
     """diag(p^{e_0}, ..., p^{e_{n-1}}) plus the entry p^{e_j - b} xi(t) at (j, i).
 
     Requires t != 0 and 0 <= b <= e_j.  Dominance of the exponent vector is
     the caller's responsibility.
     """
-    t = ring.field.elem(t)
-    if not any(t):
-        raise ValueError("parameter t must be nonzero")
+    t = _nonzero_parameter(ring, t)
     n = len(exponents)
     if not 0 <= i < j < n:
         raise ValueError("need 0 <= i < j < n")
     if not 0 <= b <= exponents[j]:
         raise ValueError("need 0 <= b <= exponents[j]")
-    rows = [list(r) for r in p_power_diagonal(ring, exponents).rows]
-    rows[j][i] = ring.p_power(exponents[j] - b) * ring.teichmuller(t)
-    return WittMat._make(ring, tuple(tuple(r) for r in rows))
+    return _deformation(ring, exponents, j, b, ring.teichmuller(t), i)
 
 
 @dataclass(frozen=True)
@@ -61,17 +70,19 @@ def transfer_witness(ring, r1, rj, b, t):
     Preconditions: t != 0, 0 <= b <= rj, and r1 + b >= rj so the first
     factor's entry lies in the ring.
     """
-    t = ring.field.elem(t)
-    if not any(t):
-        raise ValueError("parameter t must be nonzero")
+    t = _nonzero_parameter(ring, t)
     if r1 < 0 or rj < 0:
         raise ValueError("exponents must be nonnegative")
     if not 0 <= b <= rj:
         raise ValueError("need 0 <= b <= rj")
     if r1 + b - rj < 0:
         raise ValueError("need r1 + b >= rj")
-    xi = ring.teichmuller(t)
-    xi_inv = ring.teichmuller(ring.field.inv(t))
+    return _transfer(ring, r1, rj, b, t, ring.teichmuller(t),
+                     ring.teichmuller(ring.field.inv(t)))
+
+
+def _transfer(ring, r1, rj, b, t, xi, xi_inv):
+    """transfer_witness on checked parameters, with xi(t) and xi(t^-1) given."""
     one, zero = ring.one, ring.zero
     pb_minus_1 = ring.p_power(b) - one
     f0 = WittMat._make(ring, (
@@ -80,7 +91,7 @@ def transfer_witness(ring, r1, rj, b, t):
     f1 = p_power_diagonal(ring, (r1 + b, rj - b))
     f2 = WittMat._make(ring, ((one, zero), (xi, one)))
     f3 = WittMat._make(ring, ((one, pb_minus_1 * xi_inv), (zero, one)))
-    target = deformation_matrix(ring, (r1, rj), 1, b, t)
+    target = _deformation(ring, (r1, rj), 1, b, xi, 0)
     product = f0 * f1 * f2 * f3
     if product != target:
         raise RuntimeError("four-factor product identity failed")
@@ -111,13 +122,19 @@ def embed_witness(w, n, j, ambient, i=0):
         raise ValueError("need 0 <= i < j < n")
     if ambient[i] != w.r1 or ambient[j] != w.rj:
         raise ValueError("ambient slots must carry the witness exponents")
+    return _embed(w, n, j, ambient, i, deformation_matrix(ring, ambient, j, w.b, w.t, i))
+
+
+def _embed(w, n, j, ambient, i, eta):
+    """embed_witness on checked slots, with the embedded deformation eta given."""
+    ring = w.target.ring
     upper = list(ambient)
     upper[i], upper[j] = w.r1 + w.b, w.rj - w.b
     x = _embed2(ring, w.factors[0], n, i, j)
     eta_prime = p_power_diagonal(ring, upper)
-    y_inv = _embed2(ring, w.factors[2] * w.factors[3], n, i, j)
-    y = _embed2(ring, (w.factors[2] * w.factors[3]).inverse(), n, i, j)
-    eta = deformation_matrix(ring, ambient, j, w.b, w.t, i)
+    g = w.factors[2] * w.factors[3]
+    y_inv = _embed2(ring, g, n, i, j)
+    y = _embed2(ring, g.inverse(), n, i, j)
     if x * eta_prime * y_inv != eta:
         raise RuntimeError("embedded witness product check failed")
     if y * y_inv != identity(ring, n):
@@ -156,14 +173,16 @@ def degeneration_chain(ring, src, dst, t=None):
 
     Requires dominance_leq(src, dst) and equal totals; the empty list is
     returned iff src == dst.  Every step carries a verified embedded
-    witness at parameter t (default 1).
+    witness at parameter t (default 1).  xi(t) and xi(t^-1) are lifted once
+    per chain; each step's deformed matrix is the eta its embedding checks.
     """
+    t = ring.field.one if t is None else _nonzero_parameter(ring, t)
     if not dominance_leq(src, dst):
         raise ValueError("source must be dominated by destination")
     if ring.N < dst.total + 1:
         raise ValueError("ring length must exceed the exponent total")
-    if t is None:
-        t = ring.field.one
+    xi = ring.teichmuller(t)
+    xi_inv = ring.teichmuller(ring.field.inv(t))
     n = src.n
     steps = []
     cur = list(dst.exponents)
@@ -173,11 +192,14 @@ def degeneration_chain(ring, src, dst, t=None):
         lower = list(cur)
         lower[i] -= 1
         lower[j] += 1
-        w = transfer_witness(ring, lower[i], lower[j], 1, t)
-        x, eta_prime, y = embed_witness(w, n, j, tuple(lower), i)
+        # cur[i] > cur[j], so the slots meet the preconditions of
+        # transfer_witness and embed_witness
+        w = _transfer(ring, lower[i], lower[j], 1, t, xi, xi_inv)
+        deformed = _deformation(ring, lower, j, 1, xi, i)
+        x, eta_prime, y = _embed(w, n, j, tuple(lower), i, deformed)
         steps.append(ChainStep(
             upper=Cochar(n, tuple(cur)), lower=Cochar(n, tuple(lower)),
             i=i, j=j, b=1, witness=w, x=x, eta_prime=eta_prime, y=y,
-            deformed=deformation_matrix(ring, tuple(lower), j, 1, t, i)))
+            deformed=deformed))
         cur = lower
     return steps

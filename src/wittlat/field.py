@@ -277,10 +277,3 @@ class FieldDescriptor:
         if not any(a):
             raise ZeroDivisionError("inverse of zero field element")
         return self.pow(a, self.q - 2)
-
-    def frobenius(self, a):
-        return self.pow(a, self.p)
-
-    def frobenius_inv(self, a):
-        # Frobenius has order m, so its inverse is the (m-1)-st power.
-        return self.pow(a, self.p ** (self.m - 1))

@@ -172,11 +172,11 @@ class WittMat:
             if piv_i != k:
                 M[k], M[piv_i] = M[piv_i], M[k]
                 sign = -sign
-            piv = M[k][k]
+            divide = ring.divider(M[k][k])
             for i in range(k + 1, n):
                 if M[i][k].is_zero():
                     continue
-                q = ring.divide_exact(M[i][k], piv)
+                q = divide(M[i][k])
                 M[i] = [x - q * y for x, y in zip(M[i], M[k])]
         acc = M[0][0]
         for k in range(1, n):

@@ -101,19 +101,19 @@ def _eliminate(A, with_transforms):
             if with_transforms:
                 for row in R:
                     row[k], row[pj] = row[pj], row[k]
-        piv = M[k][k]
         exps.append(v)
+        divide = ring.divider(M[k][k]) if k + 1 < n else None  # last: nothing to clear
         for i in range(k + 1, n):
             if M[i][k].is_zero():
                 continue
-            q = ring.divide_exact(M[i][k], piv)
+            q = divide(M[i][k])
             M[i] = [x - q * y for x, y in zip(M[i], M[k])]
             if with_transforms:
                 L[i] = [x - q * y for x, y in zip(L[i], L[k])]
         for j in range(k + 1, n):
             if M[k][j].is_zero():
                 continue
-            q = ring.divide_exact(M[k][j], piv)
+            q = divide(M[k][j])
             for row in M:
                 row[j] = row[j] - q * row[k]
             if with_transforms:
@@ -125,9 +125,8 @@ def _eliminate(A, with_transforms):
     for k in range(n):
         if exps[k] >= N:
             continue
-        u = ring.divide_exact(M[k][k], ring.p_power(exps[k]))
-        if u != ring.one:
-            w = u.inverse()
+        w = ring.divider(M[k][k])(ring.p_power(exps[k]))  # inverse of the unit part
+        if w != ring.one:
             for row in M:
                 row[k] = row[k] * w
             for row in R:

@@ -3,20 +3,20 @@
 Elements are stored as residues in the unramified extension
 (Z/p^N)[x]/(Phi), where Phi is the Teichmueller lift of the field modulus
 (the unique monic lift dividing x^{p^m} - x mod p^N).  With that modulus
-the Frobenius automorphism sigma is simply x -> x^p, and the Teichmueller
-lift of a residue is computed by q^(N-1)-power stabilization.  For m > 1 a
-unit u is inverted through its norm: Norm(u) = u * prod_{k=1}^{m-1}
-sigma^k(u) is sigma-fixed, hence a scalar n of Z/p^N, and
-u^-1 = n^-1 * prod_{k=1}^{m-1} sigma^k(u).
+the Frobenius sigma is x -> x^p, a linear map on the power basis; sigma^j
+for j = 0..m-1 is tabulated once per ring.  Any lift y of a residue a is
+xi(a) mod p, so y^(p^(k-1)) = sigma^(k-1)(xi(a)) mod p^k and the
+Teichmueller lift is xi(a) = sigma^-(k-1)(y^(p^(k-1))) mod p^k.  For m > 1
+a unit u is inverted through its norm: Norm(u) = u * prod_{k=1}^{m-1}
+sigma^k(u) is a scalar n of Z/p^N, and u^-1 = n^-1 * prod_{k=1}^{m-1}
+sigma^k(u).
 
-The standard Witt digit view is computed on demand.  An element decomposes
-as sum_i p^i xi(b_i) with b_i in F_{p^m}; the stored digits are the Witt
-coordinates a_i = b_i^(p^i), so that the element equals
-sum_i xi(a_i)^(p^-i) p^i.  Both digit codecs need the lift of digit i only
-mod p^(N-i): it is multiplied by p^i, or the remainder is divided by p
-after it.  So it is a q^(N-i-1)-th power mod p^(N-i), not a q^(N-1)-th
-power mod p^N.  For m = 1 the two views coincide and the whole ring is
-Z/p^N under the integer codec.
+The Witt digits a_i = b_i^(p^i) of sum_i p^i xi(b_i) are computed on
+demand.  Both codecs need the lift of digit i only mod p^(N-i), the
+precision it contributes at, and from_digits folds the twists into one
+map: sum_i p^i sigma^-i(xi(a_i)) = sigma^-(N-1)(sum_i p^i w_i), with
+w_i = a_i^(p^(N-1-i)) mod p^(N-i).  For m = 1 sigma is the identity and
+the whole ring is Z/p^N under the integer codec.
 """
 
 import threading
@@ -54,8 +54,7 @@ def _int_val(c, p, N):
 class WittRing:
     """Descriptor and operation table for W_N(F_{p^m})."""
 
-    __slots__ = ("field", "p", "m", "N", "pN", "key", "phi",
-                 "_frob_images", "_frob_inv_images", "zero", "one")
+    __slots__ = ("field", "p", "m", "N", "pN", "key", "phi", "_sigma", "zero", "one")
 
     def __init__(self, p, N, m=1, modulus=None):
         if N < 1:
@@ -66,14 +65,8 @@ class WittRing:
         self.N = N
         self.pN = p ** N
         self.key = (p, m, N, self.field.modulus)
-        if m == 1:
-            self.phi = None
-            self._frob_images = None
-            self._frob_inv_images = None
-        else:
-            self.phi = self._lift_modulus()
-            self._frob_images = self._frobenius_basis()
-            self._frob_inv_images = self._frobenius_inv_basis()
+        self.phi = self._lift_modulus() if m > 1 else None
+        self._sigma = self._sigma_powers() if m > 1 else None
         self.zero = WittElem._make(self, (0,) * m)
         self.one = WittElem._make(self, (1,) + (0,) * (m - 1))
 
@@ -119,42 +112,46 @@ class WittRing:
             raise RuntimeError("modulus lift does not reduce to the field modulus")
         return tuple(phi)
 
-    def _frobenius_basis(self):
-        """Images of the power basis under x -> x^p."""
-        phi, pN = self.phi, self.pN
-        xp = _powmod((0, 1) + (0,) * (self.m - 2), self.p, phi, pN)
-        images = [(1,) + (0,) * (self.m - 1)]
-        for _ in range(self.m - 1):
-            images.append(_mulmod(images[-1], xp, phi, pN))
-        return tuple(images)
+    def _sigma_powers(self):
+        """Entry j lists sigma^j(x^i) for i = 0..m-1, for j = 0..m-1."""
+        m, phi, pN = self.m, self.phi, self.pN
+        gen = (0, 1) + (0,) * (m - 2)
+        table, xs = [], gen
+        for _ in range(m):
+            images = [(1,) + (0,) * (m - 1)]
+            for _ in range(m - 1):
+                images.append(_mulmod(images[-1], xs, phi, pN))
+            table.append(tuple(images))
+            xs = _powmod(xs, self.p, phi, pN)
+        if xs != gen:
+            raise RuntimeError("Frobenius on the lifted modulus does not have order m")
+        return tuple(table)
 
-    def _frobenius_inv_basis(self):
-        m = self.m
-        images = [tuple(int(i == k) for i in range(m)) for k in range(m)]
-        for _ in range(m - 1):
-            images = [self._apply_linear(img, self._frob_images) for img in images]
-        return tuple(images)
+    def _p_power(self, a, e, mod):
+        """a^(p^e) mod `mod`, for a coefficient tuple a."""
+        if self.m == 1:
+            return (pow(a[0], self.p ** e, mod),)
+        return _powmod(a, self.p ** e, self.phi, mod)
 
-    def _apply_linear(self, coeffs, images):
-        m, pN = self.m, self.pN
+    def _sigma_apply(self, coeffs, j, mod):
+        """sigma^j(coeffs) mod `mod`, for any integer j (sigma has order m)."""
+        j %= self.m
+        if j == 0:
+            return tuple([c % mod for c in coeffs])
+        images, m = self._sigma[j], self.m
         out = [0] * m
         for k, c in enumerate(coeffs):
             if c:
                 img = images[k]
-                for j in range(m):
-                    out[j] = (out[j] + c * img[j]) % pN
+                for i in range(m):
+                    out[i] = (out[i] + c * img[i]) % mod
         return tuple(out)
 
     def _teichmuller_lift(self, a, k):
-        """Coefficients mod p^k of teichmuller(a) mod p^k, for a residue a.
-
-        Any lift x of a has x^(q^(k-1)) = xi(a) mod p^k, so the digit codecs,
-        which need digit i only mod p^(N-i), pay for fewer powers of q.
-        """
+        """Coefficients of teichmuller(a) mod p^k, for a residue a: a itself
+        lifts xi(a) mod p, so xi(a) = sigma^-(k-1)(a^(p^(k-1))) mod p^k."""
         pk = self.p ** k
-        if self.m == 1:
-            return (pow(a[0], self.p ** (k - 1), pk),)
-        return _powmod(a, self.field.q ** (k - 1), self.phi, pk)
+        return self._sigma_apply(self._p_power(a, k - 1, pk), 1 - k, pk)
 
     # -- element construction --------------------------------------------------
 
@@ -184,17 +181,15 @@ class WittRing:
         digits = [self.field.elem(d) for d in digits]
         if len(digits) != self.N:
             raise ValueError(f"expected {self.N} digits")
-        fld, p, N, pN = self.field, self.p, self.N, self.pN
+        p, N, pN = self.p, self.N, self.pN
+        # sum_i p^i sigma^-i(xi(a_i)) = sigma^-(N-1)(sum_i p^i a_i^(p^(N-1-i)))
         acc = [0] * self.m
         for i, a in enumerate(digits):
-            if not any(a):
-                continue
-            b = a
-            for _ in range(i % self.m):
-                b = fld.frobenius_inv(b)
-            pe = p ** i
-            acc = [x + pe * t for x, t in zip(acc, self._teichmuller_lift(b, N - i))]
-        return WittElem._make(self, tuple(x % pN for x in acc))
+            if any(a):
+                pe = p ** i
+                w = self._p_power(a, N - 1 - i, pN // pe)
+                acc = [x + pe * c for x, c in zip(acc, w)]
+        return WittElem._make(self, self._sigma_apply(acc, 1 - N, pN))
 
     def random(self, rng):
         return WittElem._make(self, tuple(rng.randrange(self.pN) for _ in range(self.m)))
@@ -211,21 +206,24 @@ class WittRing:
         return WittElem._make(
             self, tuple(p * rng.randrange(self.pN // p) % self.pN for _ in range(self.m)))
 
-    def divide_exact(self, a, b):
-        """Some q with q*b == a, assuming valuation(a) >= valuation(b) > -1.
+    def divider(self, b):
+        """The map a -> some q with q*b == a, for valuation(a) >= valuation(b).
 
-        Quotients are only defined up to the annihilator of b; any solution
-        is returned, which is all elimination algorithms need.
+        b's unit part is inverted once, so one divider clears a whole pivot
+        row and column.  Quotients are only defined up to the annihilator of
+        b; any solution is returned, which is all elimination algorithms need.
         """
         v = b.valuation()
         if v >= self.N:
             raise ZeroDivisionError("division by zero in W_N")
-        if a.valuation() < v:
-            raise ValueError("exact division requires valuation(a) >= valuation(b)")
         pv = self.p ** v
-        unit = WittElem._make(self, tuple(c // pv for c in b.coeffs))
-        shifted = WittElem._make(self, tuple(c // pv for c in a.coeffs))
-        return shifted * unit.inverse()
+        unit_inv = WittElem._make(self, tuple(c // pv for c in b.coeffs)).inverse()
+
+        def divide(a):
+            if a.valuation() < v:
+                raise ValueError("exact division requires valuation(a) >= valuation(b)")
+            return WittElem._make(self, tuple(c // pv for c in a.coeffs)) * unit_inv
+        return divide
 
 
 class WittElem:
@@ -301,11 +299,10 @@ class WittElem:
         if ring.m == 1:
             return WittElem._make(ring, (pow(self.coeffs[0], -1, ring.pN),))
         # u^-1 = Norm(u)^-1 * conj, conj = prod_{k=1}^{m-1} sigma^k(u)
-        phi, pN, images = ring.phi, ring.pN, ring._frob_images
-        conj = s = ring._apply_linear(self.coeffs, images)
-        for _ in range(ring.m - 2):
-            s = ring._apply_linear(s, images)
-            conj = _mulmod(conj, s, phi, pN)
+        phi, pN = ring.phi, ring.pN
+        conj = ring._sigma_apply(self.coeffs, 1, pN)
+        for k in range(2, ring.m):
+            conj = _mulmod(conj, ring._sigma_apply(self.coeffs, k, pN), phi, pN)
         norm = _mulmod(self.coeffs, conj, phi, pN)
         if any(norm[1:]):
             raise RuntimeError("norm of a unit is not a scalar")
@@ -355,18 +352,13 @@ class WittElem:
     def frobenius(self):
         """The lift of the field Frobenius; raises each digit to the p-th power."""
         ring = self.ring
-        if ring.m == 1:
-            return self
-        return WittElem._make(ring, ring._apply_linear(self.coeffs, ring._frob_images))
+        return WittElem._make(ring, ring._sigma_apply(self.coeffs, 1, ring.pN))
 
     def verschiebung(self):
         """Digit right-shift; equals p * frobenius^{-1}."""
         ring = self.ring
-        if ring.m == 1:
-            return WittElem._make(ring, ((self.coeffs[0] * ring.p) % ring.pN,))
-        shifted = ring._apply_linear(self.coeffs, ring._frob_inv_images)
-        p, pN = ring.p, ring.pN
-        return WittElem._make(ring, tuple((c * p) % pN for c in shifted))
+        return WittElem._make(
+            ring, ring._sigma_apply([ring.p * c for c in self.coeffs], -1, ring.pN))
 
     def teichmuller_digits(self):
         """Digits (b_0, ..., b_{N-1}) of the plain expansion sum p^i xi(b_i)."""
@@ -400,14 +392,8 @@ class WittElem:
         raw = self.teichmuller_digits()
         if ring.m == 1:
             return raw
-        fld = ring.field
-        out = []
-        for i, b in enumerate(raw):
-            a = b
-            for _ in range(i % ring.m):
-                a = fld.frobenius(a)
-            out.append(a)
-        return tuple(out)
+        fld, p, m = ring.field, ring.p, ring.m
+        return tuple(fld.pow(b, p ** (i % m)) for i, b in enumerate(raw))
 
     def to_int(self):
         """Integer codec W_N(F_p) = Z/p^N; only defined for m = 1."""

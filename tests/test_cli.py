@@ -121,6 +121,10 @@ def test_degenerate_incomparable(capsys):
     assert code == 2
 
 
+def test_degenerate_rejects_zero_t_on_empty_chain(capsys):
+    _assert_usage_error(capsys, ["degenerate", "--from", "2,0", "--to", "2,0", "--t", "0"])
+
+
 def test_dims_subregular(capsys):
     code, out = run(capsys, "dims", "--n", "2", "--r", "1", "--i", "1")
     assert code == 0

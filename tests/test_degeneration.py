@@ -125,6 +125,34 @@ def test_chain_empty():
     assert degeneration_chain(R, g, g) == []
 
 
+def test_chain_rejects_zero_t_even_when_empty():
+    R = witt_ring(2, 3)
+    g = Cochar(2, (2, 0))
+    with pytest.raises(ValueError, match="parameter t must be nonzero"):
+        degeneration_chain(R, g, g, t=(0,))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_chain_steps_match_public_witnesses(m):
+    # a chain lifts xi(t) and xi(t^-1) once; each step must still equal the
+    # per-call public constructions at the same parameters
+    for p in (2, 3, 5):
+        F = witt_ring(p, 1, m).field
+        ts = [t for t in F.elements() if any(t)][:3]
+        for n, r in [(2, 2), (3, 1), (4, 1)]:
+            ring = witt_ring(p, n * r + 1, m)
+            src, dst = Cochar(n, (r,) * n), Cochar(n, (n * r,) + (0,) * (n - 1))
+            for t in ts:
+                steps = degeneration_chain(ring, src, dst, t)
+                assert steps
+                for s in steps:
+                    lower = s.lower.exponents
+                    w = transfer_witness(ring, lower[s.i], lower[s.j], s.b, t)
+                    assert s.witness == w
+                    assert (s.x, s.eta_prime, s.y) == embed_witness(w, n, s.j, lower, s.i)
+                    assert s.deformed == deformation_matrix(ring, lower, s.j, s.b, t, s.i)
+
+
 def test_chain_two_steps():
     R = witt_ring(2, 7)
     steps = degeneration_chain(R, Cochar(3, (2, 2, 2)), Cochar(3, (4, 2, 0)))

@@ -56,7 +56,6 @@ def test_inverse_and_frobenius(p, m):
         assert F.pow(a, p ** m) == a
         if any(a):
             assert F.mul(a, F.inv(a)) == F.one
-            assert F.frobenius(F.frobenius_inv(a)) == a
     with pytest.raises(ZeroDivisionError):
         F.inv(F.zero)
 

@@ -123,6 +123,20 @@ def _full_lift(R, b):
     return R.from_coeffs(b) ** (R.field.q ** (R.N - 1))
 
 
+@pytest.mark.parametrize("p,m", [(p, m) for p in (2, 3, 5) for m in (1, 2, 3, 4)])
+def test_teichmuller_lift_matches_q_power_reference(p, m):
+    # sigma^-(k-1)(a^(p^(k-1))) against a^(q^(N-1)), at every precision k <= N
+    for N in range(1, 8):
+        R = witt_ring(p, N, m)
+        rng = random.Random(23 + N)
+        for _ in range(6):
+            a = R.field.random(rng)
+            full = _full_lift(R, a)
+            assert R.teichmuller(a) == full
+            for k in range(1, N + 1):
+                assert R._teichmuller_lift(a, k) == tuple(c % p ** k for c in full.coeffs)
+
+
 def _reference_teichmuller_digits(x):
     R = x.ring
     out = []
@@ -158,6 +172,26 @@ def test_digit_codecs_match_full_precision_reference(p, m):
             assert R.from_digits(digits) == _reference_from_digits(R, digits)
 
 
+def test_divider():
+    for p, m, N in PARAMS:
+        R = witt_ring(p, N, m)
+        rng = random.Random(12)
+        for _ in range(20):
+            b = R.random(rng) * R.p_power(rng.randrange(N))
+            if b.is_zero():
+                with pytest.raises(ZeroDivisionError):
+                    R.divider(b)
+                continue
+            divide, v = R.divider(b), b.valuation()
+            for _ in range(5):
+                a = R.random(rng) * R.p_power(v)
+                assert divide(a) * b == a
+            if v:
+                # the valuation guard holds for every entry, not once per divisor
+                with pytest.raises(ValueError):
+                    divide(R.one)
+
+
 def test_valuation_examples():
     R = witt_ring(5, 3)
     assert R.from_digits([(0,), (0,), (3,)]).valuation() == 2
@@ -189,7 +223,7 @@ def test_verschiebung_and_frobenius():
             assert x.verschiebung().digits() == (R.field.zero,) + x.digits()[:-1]
             assert x.verschiebung().frobenius() == pe * x
             # Frobenius raises digits to the p-th power and has order m
-            fd = tuple(R.field.frobenius(d) for d in x.digits())
+            fd = tuple(R.field.pow(d, p) for d in x.digits())
             assert x.frobenius().digits() == fd
             y = x
             for _ in range(m):
