@@ -84,7 +84,7 @@ def _eliminate(A, with_transforms):
         one, zero = ring.one, ring.zero
         L = [[one if i == j else zero for j in range(n)] for i in range(n)]
         R = [[one if i == j else zero for j in range(n)] for i in range(n)]
-    exps = []
+    exps, dividers = [], []
     for k in range(n):
         found = _find_pivot(M, k, n, N)
         if found is None:
@@ -102,7 +102,10 @@ def _eliminate(A, with_transforms):
                 for row in R:
                     row[k], row[pj] = row[pj], row[k]
         exps.append(v)
-        divide = ring.divider(M[k][k]) if k + 1 < n else None  # last: nothing to clear
+        # kept for the unit normalization (M[k][k] is final from here on);
+        # without transforms the last pivot, which clears nothing, needs none
+        divide = ring.divider(M[k][k]) if with_transforms or k + 1 < n else None
+        dividers.append(divide)
         for i in range(k + 1, n):
             if M[i][k].is_zero():
                 continue
@@ -122,10 +125,8 @@ def _eliminate(A, with_transforms):
     if not with_transforms:
         return exps, None, None
     # normalize units into the right transform: diag entry p^v * u -> p^v
-    for k in range(n):
-        if exps[k] >= N:
-            continue
-        w = ring.divider(M[k][k])(ring.p_power(exps[k]))  # inverse of the unit part
+    for k, divide in enumerate(dividers):
+        w = divide(ring.p_power(exps[k]))  # inverse of the unit part
         if w != ring.one:
             for row in M:
                 row[k] = row[k] * w

@@ -4,19 +4,19 @@ Elements are stored as residues in the unramified extension
 (Z/p^N)[x]/(Phi), where Phi is the Teichmueller lift of the field modulus
 (the unique monic lift dividing x^{p^m} - x mod p^N).  With that modulus
 the Frobenius sigma is x -> x^p, a linear map on the power basis; sigma^j
-for j = 0..m-1 is tabulated once per ring.  Any lift y of a residue a is
-xi(a) mod p, so y^(p^(k-1)) = sigma^(k-1)(xi(a)) mod p^k and the
-Teichmueller lift is xi(a) = sigma^-(k-1)(y^(p^(k-1))) mod p^k.  For m > 1
-a unit u is inverted through its norm: Norm(u) = u * prod_{k=1}^{m-1}
-sigma^k(u) is a scalar n of Z/p^N, and u^-1 = n^-1 * prod_{k=1}^{m-1}
-sigma^k(u).
+for j = 0..m-1 is tabulated once per ring, and mod p the same table
+applies the field Frobenius F^j.  For m > 1 a unit u is inverted through
+its norm: Norm(u) = u * prod_{k=1}^{m-1} sigma^k(u) is a scalar n of
+Z/p^N, and u^-1 = n^-1 * prod_{k=1}^{m-1} sigma^k(u).
 
-The Witt digits a_i = b_i^(p^i) of sum_i p^i xi(b_i) are computed on
-demand.  Both codecs need the lift of digit i only mod p^(N-i), the
-precision it contributes at, and from_digits folds the twists into one
-map: sum_i p^i sigma^-i(xi(a_i)) = sigma^-(N-1)(sum_i p^i w_i), with
-w_i = a_i^(p^(N-1-i)) mod p^(N-i).  For m = 1 sigma is the identity and
-the whole ring is Z/p^N under the integer codec.
+Each ring memoises the Teichmueller lifts xi(b) mod p^N, keyed by the
+residue b: at most q entries, each filled on first use.  Any lift y of b
+is xi(b) mod p, so y^(p^(N-1)) = sigma^(N-1)(xi(b)) mod p^N and
+xi(b) = sigma^-(N-1)(b^(p^(N-1))).  The digit codecs are then lookups and
+sigma-table maps: the Witt digits a_i = F^i(b_i) of sum_i p^i xi(b_i),
+and from_digits sums p^i xi(F^-i(a_i)), since sigma^-i(xi(a)) =
+xi(F^-i(a)).  For m = 1 sigma is the identity and the whole ring is
+Z/p^N under the integer codec.
 """
 
 import threading
@@ -54,7 +54,8 @@ def _int_val(c, p, N):
 class WittRing:
     """Descriptor and operation table for W_N(F_{p^m})."""
 
-    __slots__ = ("field", "p", "m", "N", "pN", "key", "phi", "_sigma", "zero", "one")
+    __slots__ = ("field", "p", "m", "N", "pN", "key", "phi", "_sigma", "_teich",
+                 "zero", "one")
 
     def __init__(self, p, N, m=1, modulus=None):
         if N < 1:
@@ -67,6 +68,7 @@ class WittRing:
         self.key = (p, m, N, self.field.modulus)
         self.phi = self._lift_modulus() if m > 1 else None
         self._sigma = self._sigma_powers() if m > 1 else None
+        self._teich = {}
         self.zero = WittElem._make(self, (0,) * m)
         self.one = WittElem._make(self, (1,) + (0,) * (m - 1))
 
@@ -127,12 +129,6 @@ class WittRing:
             raise RuntimeError("Frobenius on the lifted modulus does not have order m")
         return tuple(table)
 
-    def _p_power(self, a, e, mod):
-        """a^(p^e) mod `mod`, for a coefficient tuple a."""
-        if self.m == 1:
-            return (pow(a[0], self.p ** e, mod),)
-        return _powmod(a, self.p ** e, self.phi, mod)
-
     def _sigma_apply(self, coeffs, j, mod):
         """sigma^j(coeffs) mod `mod`, for any integer j (sigma has order m)."""
         j %= self.m
@@ -147,11 +143,15 @@ class WittRing:
                     out[i] = (out[i] + c * img[i]) % mod
         return tuple(out)
 
-    def _teichmuller_lift(self, a, k):
-        """Coefficients of teichmuller(a) mod p^k, for a residue a: a itself
-        lifts xi(a) mod p, so xi(a) = sigma^-(k-1)(a^(p^(k-1))) mod p^k."""
-        pk = self.p ** k
-        return self._sigma_apply(self._p_power(a, k - 1, pk), 1 - k, pk)
+    def _teichmuller_lift(self, a):
+        """Coefficients of xi(a) mod p^N for a canonical residue a, from the
+        memo; a missing entry is sigma^-(N-1)(a^(p^(N-1)))."""
+        xi = self._teich.get(a)
+        if xi is None:
+            N, pN, e = self.N, self.pN, self.p ** (self.N - 1)
+            y = (pow(a[0], e, pN),) if self.m == 1 else _powmod(a, e, self.phi, pN)
+            xi = self._teich[a] = self._sigma_apply(y, 1 - N, pN)
+        return xi
 
     # -- element construction --------------------------------------------------
 
@@ -174,22 +174,22 @@ class WittRing:
 
     def teichmuller(self, a):
         """The multiplicative representative of a field element."""
-        return WittElem._make(self, self._teichmuller_lift(self.field.elem(a), self.N))
+        return WittElem._make(self, self._teichmuller_lift(self.field.elem(a)))
 
     def from_digits(self, digits):
-        """Inverse of WittElem.digits(): sum_i xi(a_i)^(p^-i) p^i."""
+        """Inverse of WittElem.digits(): sum_i p^i xi(F^-i(a_i))."""
         digits = [self.field.elem(d) for d in digits]
         if len(digits) != self.N:
             raise ValueError(f"expected {self.N} digits")
-        p, N, pN = self.p, self.N, self.pN
-        # sum_i p^i sigma^-i(xi(a_i)) = sigma^-(N-1)(sum_i p^i a_i^(p^(N-1-i)))
-        acc = [0] * self.m
+        p, m, pN = self.p, self.m, self.pN
+        acc, pe = [0] * m, 1
         for i, a in enumerate(digits):
             if any(a):
-                pe = p ** i
-                w = self._p_power(a, N - 1 - i, pN // pe)
-                acc = [x + pe * c for x, c in zip(acc, w)]
-        return WittElem._make(self, self._sigma_apply(acc, 1 - N, pN))
+                if m > 1:
+                    a = self._sigma_apply(a, -i, p)
+                acc = [x + pe * c for x, c in zip(acc, self._teichmuller_lift(a))]
+            pe *= p
+        return WittElem._make(self, tuple([x % pN for x in acc]))
 
     def random(self, rng):
         return WittElem._make(self, tuple(rng.randrange(self.pN) for _ in range(self.m)))
@@ -375,14 +375,10 @@ class WittElem:
                 out.append((b,))
                 c //= p
             return tuple(out)
-        z = self.coeffs
-        out = []
+        z, out = self.coeffs, []
         for k in range(N, 0, -1):
-            b = tuple(c % p for c in z)
-            if any(b):
-                pk = p ** k
-                z = tuple((c - t) % pk for c, t in zip(z, ring._teichmuller_lift(b, k)))
-            z = tuple(c // p for c in z)
+            b, pk = tuple(c % p for c in z), p ** k
+            z = tuple((c - t) % pk // p for c, t in zip(z, ring._teichmuller_lift(b)))
             out.append(b)
         return tuple(out)
 
@@ -392,8 +388,7 @@ class WittElem:
         raw = self.teichmuller_digits()
         if ring.m == 1:
             return raw
-        fld, p, m = ring.field, ring.p, ring.m
-        return tuple(fld.pow(b, p ** (i % m)) for i, b in enumerate(raw))
+        return tuple(ring._sigma_apply(b, i, ring.p) for i, b in enumerate(raw))
 
     def to_int(self):
         """Integer codec W_N(F_p) = Z/p^N; only defined for m = 1."""
@@ -418,6 +413,9 @@ def elem_to_obj(a):
 def elem_from_obj(obj):
     ring = witt_ring(int(obj["p"]), int(obj["N"]), int(obj["m"]))
     digits = obj["digits"]
-    if len(digits) != ring.N:
-        raise ValueError(f"expected {ring.N} digits")
+    if not isinstance(digits, list) or len(digits) != ring.N:
+        raise ValueError(f"expected a list of {ring.N} digits")
+    for d in digits:  # type() also rejects bool, an int subclass
+        if not isinstance(d, list) or len(d) != ring.m or any(type(c) is not int for c in d):
+            raise ValueError(f"each digit must be a list of {ring.m} integers, got {d!r}")
     return ring.from_digits(digits)

@@ -229,6 +229,27 @@ def test_verify_rejects_zero_length(capsys):
     _assert_usage_error(capsys, ["verify", "--suite", "witt", "--N", "0"])
 
 
+def _classify_with_digits(tmp_path, capsys, digits):
+    # one entry of diag(4, 1) over Z/8 carries the given "digits" value
+    obj = mat_to_obj(p_power_diagonal(witt_ring(2, 3), (2, 0)))
+    obj["entries"][0][1]["digits"] = digits
+    path = tmp_path / "digits.json"
+    path.write_text(json.dumps(obj))
+    _assert_usage_error(capsys, ["classify", "--input", str(path), "--r", "1"])
+
+
+def test_classify_rejects_digit_string(tmp_path, capsys):
+    _classify_with_digits(tmp_path, capsys, "101")
+
+
+def test_classify_rejects_string_digits(tmp_path, capsys):
+    _classify_with_digits(tmp_path, capsys, ["1", "0", "1"])
+
+
+def test_classify_rejects_boolean_digit(tmp_path, capsys):
+    _classify_with_digits(tmp_path, capsys, [[True], [0], [1]])
+
+
 def test_classify_rejects_empty_matrix(tmp_path, capsys):
     path = tmp_path / "empty.json"
     path.write_text(json.dumps({"p": 2, "m": 1, "N": 3, "n": 0, "entries": []}))

@@ -5,7 +5,7 @@ import pytest
 from wittlat.matrix import GroupShape, WittMat, p_power_diagonal, zeros
 from wittlat.snf import Cochar, divisor_type, minor_valuations, snf
 from wittlat.strata import enumerate_strata, sample_group, sample_orbit
-from wittlat.witt import witt_ring
+from wittlat.witt import WittElem, witt_ring
 
 
 def test_cochar_validation():
@@ -57,6 +57,22 @@ def test_zero_row_and_column():
     res = snf(A)
     assert res.divisors.exponents == (3, 0)
     assert res.left * A * res.right == p_power_diagonal(R, (3, 0))
+
+
+def test_snf_inverts_each_pivot_unit_once(monkeypatch):
+    # one unit inverse per nonzero pivot, shared by elimination and the
+    # unit normalization; zero diagonal entries need none
+    calls = []
+    inverse = WittElem.inverse
+    monkeypatch.setattr(WittElem, "inverse", lambda self: calls.append(1) or inverse(self))
+    R = witt_ring(3, 4, 2)
+    rng = random.Random(17)
+    for n in (2, 3, 4):
+        for gamma in ((1,) + (0,) * (n - 1), (4,) + (0,) * (n - 1), (2,) * n):
+            A = sample_orbit(R, Cochar(n, gamma), rng)
+            calls.clear()
+            assert snf(A).divisors.exponents == gamma
+            assert len(calls) == sum(e < R.N for e in gamma)
 
 
 def test_roundtrip_oracle():

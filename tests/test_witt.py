@@ -125,16 +125,23 @@ def _full_lift(R, b):
 
 @pytest.mark.parametrize("p,m", [(p, m) for p in (2, 3, 5) for m in (1, 2, 3, 4)])
 def test_teichmuller_lift_matches_q_power_reference(p, m):
-    # sigma^-(k-1)(a^(p^(k-1))) against a^(q^(N-1)), at every precision k <= N
+    # the memo entry sigma^-(N-1)(a^(p^(N-1))) against a^(q^(N-1)), for every
+    # residue when q <= 125; the memo holds at most one entry per residue
     for N in range(1, 8):
         R = witt_ring(p, N, m)
+        F = R.field
         rng = random.Random(23 + N)
-        for _ in range(6):
-            a = R.field.random(rng)
+        residues = list(F.elements()) if F.q <= 125 else [F.random(rng) for _ in range(6)]
+        for a in residues:
             full = _full_lift(R, a)
+            assert R._teichmuller_lift(a) == full.coeffs
             assert R.teichmuller(a) == full
-            for k in range(1, N + 1):
-                assert R._teichmuller_lift(a, k) == tuple(c % p ** k for c in full.coeffs)
+        for _ in range(20):
+            x = R.random(rng)
+            assert R.from_digits(x.digits()) == x
+        assert len(R._teich) <= F.q
+        if F.q <= 125:
+            assert len(R._teich) == F.q
 
 
 def _reference_teichmuller_digits(x):
@@ -157,7 +164,7 @@ def _reference_from_digits(R, digits):
     return acc
 
 
-@pytest.mark.parametrize("p,m", [(p, m) for p in (2, 3, 5) for m in (1, 2, 3)])
+@pytest.mark.parametrize("p,m", [(p, m) for p in (2, 3, 5) for m in (1, 2, 3, 4)])
 def test_digit_codecs_match_full_precision_reference(p, m):
     for N in range(1, 8):
         R = witt_ring(p, N, m)
