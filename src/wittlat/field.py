@@ -2,9 +2,12 @@
 
 Field elements are tuples of m integers in [0, p): little-endian
 coefficients with respect to the generator of F_p[x]/(modulus).  For m = 1
-the modulus is irrelevant and elements are 1-tuples.
+the modulus is irrelevant and elements are 1-tuples.  For m > 1 products use
+a straight-line kernel compiled once per degree m, bound to the modulus f
+by the table red[k] = x^(m+k) mod f (the Witt ring binds it to Phi mod p^N).
 """
 
+import functools
 import itertools
 
 
@@ -142,47 +145,64 @@ def default_modulus(p, m):
 
 # -- fixed-degree residues in (Z/mod)[x]/(f), f monic of degree m ---------
 # Shared by F_{p^m} (mod = p, f the field modulus) and by the Witt ring
-# (mod = p^k, f the lifted modulus).  Elements are m-tuples, f lists all
-# m + 1 coefficients; intermediate sums stay unreduced until the end.
+# (mod = p^k, f the lifted modulus) through straight-line kernels built
+# once per m; f enters only through red[k] = x^(m+k) mod f, k = 0..m-2.
 
-def _reduce_mod(out, f, mod):
-    """The residue of a coefficient list of length 2m - 1 (consumed)."""
+@functools.cache
+def _mulmod_factory(m):
+    """make(red, mod) -> (mul, dot) for degree m > 1: mul(a, b) = a*b and
+    dot(ra, cb) = sum_k ra[k]*cb[k], each output coefficient reduced once."""
+    idx, hi = range(m), range(m - 1)
+    a, b = ", ".join(f"a{i}" for i in idx), ", ".join(f"b{i}" for i in idx)
+    conv = [" + ".join(f"a{i}*b{k - i}" for i in idx if 0 <= k - i < m)
+            for k in range(2 * m - 1)]
+    out = ", ".join(f"(c{j}" + "".join(f" + c{m + k}*r{k}_{j}" for k in hi) + ") % mod"
+                    for j in idx)
+    red = ", ".join("(" + ", ".join(f"r{k}_{j}" for j in idx) + ")" for k in hi)
+    src = "\n".join([
+        "def make(red, mod):",
+        f"    [{red}] = red",
+        "    def mul(a, b):",
+        f"        ({a}), ({b}) = a, b",
+        *(f"        c{k} = {c}" for k, c in enumerate(conv)),
+        f"        return ({out})",
+        "    def dot(ra, cb):",
+        "        " + " = ".join(f"c{k}" for k in range(2 * m - 1)) + " = 0",
+        f"        for ({a}), ({b}) in zip(ra, cb):",
+        *(f"            c{k} += {c}" for k, c in enumerate(conv)),
+        f"        return ({out})",
+        "    return mul, dot"])
+    ns = {}
+    exec(compile(src, f"<mulmod m={m}>", "exec"), ns)
+    return ns["make"]
+
+
+def _kernels(f, mod):
+    """(mul, dot) on residues mod the monic f of degree m > 1 and mod `mod`."""
     m = len(f) - 1
-    for k in range(len(out) - 1, m - 1, -1):
-        c = out[k] % mod
-        if c:
-            base = k - m
-            for j in range(m):
-                out[base + j] -= c * f[j]
-    return tuple([c % mod for c in out[:m]])
+    red = [[-c % mod for c in f[:m]]]  # x^m mod f; then x^(m+k+1) = x * x^(m+k)
+    while len(red) < m - 1:
+        r = red[-1]
+        red.append([-r[-1] * f[0] % mod] + [(r[j - 1] - r[-1] * f[j]) % mod for j in range(1, m)])
+    return _mulmod_factory(m)(red, mod)
 
 
-def _mulmod(a, b, f, mod):
-    out = [0] * (2 * len(a) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for k, bj in enumerate(b, i):
-                out[k] += ai * bj
-    return _reduce_mod(out, f, mod)
-
-
-def _powmod(a, e, f, mod):
-    """a^e for e >= 0 and a tuple reduced mod `mod`, with no squaring or
-    product by 1 wasted (the short Teichmueller lifts need few steps)."""
+def _powmod(a, e, mul):
+    """a^e for e >= 0 and a reduced tuple, wasting no squaring or product by 1."""
     result = None
     while e:
         if e & 1:
-            result = a if result is None else _mulmod(result, a, f, mod)
+            result = a if result is None else mul(result, a)
         e >>= 1
         if e:
-            a = _mulmod(a, a, f, mod)
+            a = mul(a, a)
     return (1,) + (0,) * (len(a) - 1) if result is None else result
 
 
 class FieldDescriptor:
     """The finite field F_{p^m} with a fixed irreducible modulus."""
 
-    __slots__ = ("p", "m", "q", "modulus", "key")
+    __slots__ = ("p", "m", "q", "modulus", "key", "_mul")
 
     def __init__(self, p, m=1, modulus=None):
         if not is_prime(p):
@@ -204,12 +224,16 @@ class FieldDescriptor:
                 raise ValueError("modulus is not irreducible over Z/p")
         self.modulus = modulus
         self.key = (p, m, modulus)
+        self._mul = _kernels(modulus, p)[0] if m > 1 else None
 
     def __eq__(self, other):
         return isinstance(other, FieldDescriptor) and self.key == other.key
 
     def __hash__(self):
         return hash(self.key)
+
+    def __reduce__(self):  # the kernel is a closure: rebuild, do not pickle
+        return FieldDescriptor, (self.p, self.m, self.modulus)
 
     def __repr__(self):
         return f"FieldDescriptor(p={self.p}, m={self.m})"
@@ -264,14 +288,14 @@ class FieldDescriptor:
     def mul(self, a, b):
         if self.m == 1:
             return ((a[0] * b[0]) % self.p,)
-        return _mulmod(a, b, self.modulus, self.p)
+        return self._mul(a, b)
 
     def pow(self, a, e):
         if e < 0:
             return self.pow(self.inv(a), -e)
         if self.m == 1:
             return (pow(a[0], e, self.p),)
-        return _powmod(a, e, self.modulus, self.p)
+        return _powmod(a, e, self._mul)
 
     def inv(self, a):
         if not any(a):

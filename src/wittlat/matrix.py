@@ -10,8 +10,7 @@ adjugate, and membership tests for the classical subgroup shapes of GL_n.
 import enum
 
 from .errors import NotAUnitError, RingMismatchError, ShapeError
-from .field import _reduce_mod
-from .witt import WittElem, elem_from_obj, elem_to_obj, witt_ring
+from .witt import WittElem, _int_fields, elem_from_obj, elem_to_obj, witt_ring
 
 
 class GroupShape(enum.Enum):
@@ -90,7 +89,7 @@ class WittMat:
 
     def __mul__(self, other):
         """Product on raw values: each entry is accumulated unreduced over k
-        and reduced once (mod p^N for m = 1, mod the lifted modulus else)."""
+        and reduced once (mod p^N for m = 1, by the ring's dot kernel else)."""
         self._check_compatible(other)
         ring = self.ring
         pN = ring.pN
@@ -102,20 +101,9 @@ class WittMat:
                 ring, [[sum(map(mul, ra, cb)) % pN for cb in cols] for ra in a])
         a = [[e.coeffs for e in r] for r in self.rows]
         cols = [[e.coeffs for e in c] for c in zip(*other.rows)]
-        span = 2 * ring.m - 1
-        out = []
-        for ra in a:
-            row = []
-            for cb in cols:
-                acc = [0] * span
-                for x, y in zip(ra, cb):
-                    for s, xs in enumerate(x):
-                        if xs:
-                            for t, yt in enumerate(y):
-                                acc[s + t] += xs * yt
-                row.append(WittElem._make(ring, _reduce_mod(acc, ring.phi, pN)))
-            out.append(tuple(row))
-        return WittMat._make(ring, tuple(out))
+        make, dot = WittElem._make, ring._dot
+        return WittMat._make(ring, tuple(
+            tuple([make(ring, dot(ra, cb)) for cb in cols]) for ra in a))
 
     def __add__(self, other):
         self._check_compatible(other)
@@ -349,7 +337,7 @@ def mat_to_obj(A):
 
 
 def mat_from_obj(obj):
-    p, m, N, n = int(obj["p"]), int(obj["m"]), int(obj["N"]), int(obj["n"])
+    p, m, N, n = _int_fields(obj, ("p", "m", "N", "n"))
     if n < 1:
         raise ValueError("matrix size n must be >= 1")
     ring = witt_ring(p, N, m)
@@ -360,7 +348,7 @@ def mat_from_obj(obj):
     for row in entries:
         out = []
         for eobj in row:
-            if (int(eobj["p"]), int(eobj["m"]), int(eobj["N"])) != (p, m, N):
+            if _int_fields(eobj, ("p", "m", "N")) != (p, m, N):
                 raise RingMismatchError("entry ring parameters differ from matrix header")
             out.append(elem_from_obj(eobj))
         rows.append(tuple(out))

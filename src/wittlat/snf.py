@@ -166,7 +166,7 @@ def minor_valuations(A):
     """Independent oracle: for k = 1..n, the minimal valuation over all
     k x k minors.  Equals min(N, r_n + ... + r_{n-k+1}) for divisor type r.
 
-    Brute force over all minors; intended for n <= 3.
+    Brute force over all minors, so limited to n <= 4.
     """
     n = A.n
     if n > 4:

@@ -5,9 +5,11 @@ Elements are stored as residues in the unramified extension
 (the unique monic lift dividing x^{p^m} - x mod p^N).  With that modulus
 the Frobenius sigma is x -> x^p, a linear map on the power basis; sigma^j
 for j = 0..m-1 is tabulated once per ring, and mod p the same table
-applies the field Frobenius F^j.  For m > 1 a unit u is inverted through
-its norm: Norm(u) = u * prod_{k=1}^{m-1} sigma^k(u) is a scalar n of
-Z/p^N, and u^-1 = n^-1 * prod_{k=1}^{m-1} sigma^k(u).
+applies the field Frobenius F^j.  Products use the ring's (mul, dot)
+kernels, generated once per m in field.py and bound to Phi mod p^N at
+construction.  For m > 1 a unit u is inverted through its norm:
+Norm(u) = u * prod_{k=1}^{m-1} sigma^k(u) is a scalar n of Z/p^N, and
+u^-1 = n^-1 * prod_{k=1}^{m-1} sigma^k(u).
 
 Each ring memoises the Teichmueller lifts xi(b) mod p^N, keyed by the
 residue b: at most q entries, each filled on first use.  Any lift y of b
@@ -22,7 +24,7 @@ Z/p^N under the integer codec.
 import threading
 
 from .errors import CodecUnsupportedError, NotAUnitError, RingMismatchError
-from .field import FieldDescriptor, _mulmod, _powmod
+from .field import FieldDescriptor, _kernels, _powmod
 
 _RING_CACHE = {}
 _RING_LOCK = threading.Lock()
@@ -54,8 +56,8 @@ def _int_val(c, p, N):
 class WittRing:
     """Descriptor and operation table for W_N(F_{p^m})."""
 
-    __slots__ = ("field", "p", "m", "N", "pN", "key", "phi", "_sigma", "_teich",
-                 "zero", "one")
+    __slots__ = ("field", "p", "m", "N", "pN", "key", "phi", "_mul", "_dot", "_sigma",
+                 "_teich", "zero", "one")
 
     def __init__(self, p, N, m=1, modulus=None):
         if N < 1:
@@ -67,6 +69,7 @@ class WittRing:
         self.pN = p ** N
         self.key = (p, m, N, self.field.modulus)
         self.phi = self._lift_modulus() if m > 1 else None
+        self._mul, self._dot = _kernels(self.phi, self.pN) if m > 1 else (None, None)
         self._sigma = self._sigma_powers() if m > 1 else None
         self._teich = {}
         self.zero = WittElem._make(self, (0,) * m)
@@ -78,6 +81,9 @@ class WittRing:
     def __hash__(self):
         return hash(self.key)
 
+    def __reduce__(self):  # the kernels are closures: rebuild, do not pickle
+        return witt_ring, (self.p, self.N, self.m, self.field.modulus)
+
     def __repr__(self):
         return f"WittRing(p={self.p}, m={self.m}, N={self.N})"
 
@@ -87,13 +93,12 @@ class WittRing:
         """Phi = prod over the Frobenius orbit of (X - tau), tau the
         Teichmueller lift of the field generator in a scratch quotient."""
         p, m, N, pN = self.p, self.m, self.N, self.pN
-        f0 = self.field.modulus  # naive monic lift
+        mul0 = _kernels(self.field.modulus, pN)[0]  # naive monic lift f0
 
         gen = (0, 1) + (0,) * (m - 2)
-        tau = _powmod(gen, self.field.q ** (N - 1), f0, pN)
-        roots = [tau]
+        roots = [_powmod(gen, self.field.q ** (N - 1), mul0)]  # tau
         for _ in range(m - 1):
-            roots.append(_powmod(roots[-1], p, f0, pN))
+            roots.append(_powmod(roots[-1], p, mul0))
         # expand prod (X - root) with coefficients in the scratch quotient
         zero0 = (0,) * m
         poly = [(1,) + (0,) * (m - 1)]
@@ -102,8 +107,7 @@ class WittRing:
             new = [zero0] * (len(poly) + 1)
             for k, co in enumerate(poly):
                 new[k + 1] = tuple((new[k + 1][j] + co[j]) % pN for j in range(m))
-                prod = _mulmod(co, neg_rt, f0, pN)
-                new[k] = tuple((new[k][j] + prod[j]) % pN for j in range(m))
+                new[k] = tuple((x + y) % pN for x, y in zip(new[k], mul0(co, neg_rt)))
             poly = new
         phi = []
         for co in poly:
@@ -116,15 +120,15 @@ class WittRing:
 
     def _sigma_powers(self):
         """Entry j lists sigma^j(x^i) for i = 0..m-1, for j = 0..m-1."""
-        m, phi, pN = self.m, self.phi, self.pN
+        m, mul = self.m, self._mul
         gen = (0, 1) + (0,) * (m - 2)
         table, xs = [], gen
         for _ in range(m):
             images = [(1,) + (0,) * (m - 1)]
             for _ in range(m - 1):
-                images.append(_mulmod(images[-1], xs, phi, pN))
+                images.append(mul(images[-1], xs))
             table.append(tuple(images))
-            xs = _powmod(xs, self.p, phi, pN)
+            xs = _powmod(xs, self.p, mul)
         if xs != gen:
             raise RuntimeError("Frobenius on the lifted modulus does not have order m")
         return tuple(table)
@@ -149,7 +153,7 @@ class WittRing:
         xi = self._teich.get(a)
         if xi is None:
             N, pN, e = self.N, self.pN, self.p ** (self.N - 1)
-            y = (pow(a[0], e, pN),) if self.m == 1 else _powmod(a, e, self.phi, pN)
+            y = (pow(a[0], e, pN),) if self.m == 1 else _powmod(a, e, self._mul)
             xi = self._teich[a] = self._sigma_apply(y, 1 - N, pN)
         return xi
 
@@ -263,7 +267,7 @@ class WittElem:
             return WittElem._make(ring, ((self.coeffs[0] + other.coeffs[0]) % ring.pN,))
         pN = ring.pN
         return WittElem._make(
-            ring, tuple((x + y) % pN for x, y in zip(self.coeffs, other.coeffs)))
+            ring, tuple([(x + y) % pN for x, y in zip(self.coeffs, other.coeffs)]))
 
     def __sub__(self, other):
         ring = self._common_ring(other)
@@ -271,18 +275,18 @@ class WittElem:
             return WittElem._make(ring, ((self.coeffs[0] - other.coeffs[0]) % ring.pN,))
         pN = ring.pN
         return WittElem._make(
-            ring, tuple((x - y) % pN for x, y in zip(self.coeffs, other.coeffs)))
+            ring, tuple([(x - y) % pN for x, y in zip(self.coeffs, other.coeffs)]))
 
     def __neg__(self):
         ring = self.ring
         pN = ring.pN
-        return WittElem._make(ring, tuple((-x) % pN for x in self.coeffs))
+        return WittElem._make(ring, tuple([(-x) % pN for x in self.coeffs]))
 
     def __mul__(self, other):
         ring = self._common_ring(other)
         if ring.m == 1:
             return WittElem._make(ring, ((self.coeffs[0] * other.coeffs[0]) % ring.pN,))
-        return WittElem._make(ring, _mulmod(self.coeffs, other.coeffs, ring.phi, ring.pN))
+        return WittElem._make(ring, ring._mul(self.coeffs, other.coeffs))
 
     def __pow__(self, e):
         if e < 0:
@@ -290,7 +294,7 @@ class WittElem:
         ring = self.ring
         if ring.m == 1:
             return WittElem._make(ring, (pow(self.coeffs[0], e, ring.pN),))
-        return WittElem._make(ring, _powmod(self.coeffs, e, ring.phi, ring.pN))
+        return WittElem._make(ring, _powmod(self.coeffs, e, ring._mul))
 
     def inverse(self):
         ring = self.ring
@@ -299,11 +303,11 @@ class WittElem:
         if ring.m == 1:
             return WittElem._make(ring, (pow(self.coeffs[0], -1, ring.pN),))
         # u^-1 = Norm(u)^-1 * conj, conj = prod_{k=1}^{m-1} sigma^k(u)
-        phi, pN = ring.phi, ring.pN
+        mul, pN = ring._mul, ring.pN
         conj = ring._sigma_apply(self.coeffs, 1, pN)
         for k in range(2, ring.m):
-            conj = _mulmod(conj, ring._sigma_apply(self.coeffs, k, pN), phi, pN)
-        norm = _mulmod(self.coeffs, conj, phi, pN)
+            conj = mul(conj, ring._sigma_apply(self.coeffs, k, pN))
+        norm = mul(self.coeffs, conj)
         if any(norm[1:]):
             raise RuntimeError("norm of a unit is not a scalar")
         n_inv = pow(norm[0], -1, pN)
@@ -410,8 +414,17 @@ def elem_to_obj(a):
     }
 
 
+def _int_fields(obj, keys):
+    """The values of `keys` in a JSON object, each an exact int (not bool)."""
+    vals = tuple(obj[k] for k in keys)
+    if any(type(v) is not int for v in vals):
+        raise ValueError(f"{', '.join(keys)} must be integers, got {vals!r}")
+    return vals
+
+
 def elem_from_obj(obj):
-    ring = witt_ring(int(obj["p"]), int(obj["N"]), int(obj["m"]))
+    p, m, N = _int_fields(obj, ("p", "m", "N"))
+    ring = witt_ring(p, N, m)
     digits = obj["digits"]
     if not isinstance(digits, list) or len(digits) != ring.N:
         raise ValueError(f"expected a list of {ring.N} digits")

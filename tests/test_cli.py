@@ -250,6 +250,36 @@ def test_classify_rejects_boolean_digit(tmp_path, capsys):
     _classify_with_digits(tmp_path, capsys, [[True], [0], [1]])
 
 
+def _classify_rejects(tmp_path, capsys, obj):
+    path = tmp_path / "fields.json"
+    path.write_text(json.dumps(obj))
+    _assert_usage_error(capsys, ["classify", "--input", str(path), "--r", "1"])
+
+
+def test_classify_rejects_float_header(tmp_path, capsys):
+    obj = mat_to_obj(p_power_diagonal(witt_ring(2, 3), (2, 0)))
+    obj["p"] = 2.9
+    _classify_rejects(tmp_path, capsys, obj)
+
+
+def test_classify_rejects_string_entry_fields(tmp_path, capsys):
+    obj = mat_to_obj(p_power_diagonal(witt_ring(2, 3), (2, 0)))
+    for row in obj["entries"]:
+        for e in row:
+            e.update(p="2", m="1", N="3")
+    _classify_rejects(tmp_path, capsys, obj)
+
+
+def test_classify_rejects_boolean_size(tmp_path, capsys):
+    # int(True) would read a 1 x 1 matrix, which classify rejects anyway,
+    # so the parser itself must refuse the header
+    obj = mat_to_obj(p_power_diagonal(witt_ring(2, 2), (1,)))
+    obj["n"] = True
+    with pytest.raises(ValueError, match="must be integers"):
+        mat_from_obj(obj)
+    _classify_rejects(tmp_path, capsys, obj)
+
+
 def test_classify_rejects_empty_matrix(tmp_path, capsys):
     path = tmp_path / "empty.json"
     path.write_text(json.dumps({"p": 2, "m": 1, "N": 3, "n": 0, "entries": []}))

@@ -1,0 +1,150 @@
+"""The generated mul-mod kernels against the schoolbook reference.
+
+`_reduce_mod` and `_mulmod` below are the generic loops the kernels
+replaced: they fold the high coefficients of a product one at a time,
+reducing as they go, so they share no code or evaluation order with the
+straight-line kernels.
+"""
+
+import os
+import pickle
+import random
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from wittlat import field
+from wittlat.field import FieldDescriptor
+from wittlat.matrix import WittMat
+from wittlat.witt import WittRing, witt_ring
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _reduce_mod(out, f, mod):
+    """The residue of a coefficient list of length 2m - 1 (consumed)."""
+    m = len(f) - 1
+    for k in range(len(out) - 1, m - 1, -1):
+        c = out[k] % mod
+        if c:
+            base = k - m
+            for j in range(m):
+                out[base + j] -= c * f[j]
+    return tuple([c % mod for c in out[:m]])
+
+
+def _mulmod(a, b, f, mod):
+    out = [0] * (2 * len(a) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for k, bj in enumerate(b, i):
+                out[k] += ai * bj
+    return _reduce_mod(out, f, mod)
+
+
+def _powmod(a, e, f, mod):
+    result = (1,) + (0,) * (len(a) - 1)
+    for bit in bin(e)[2:]:
+        result = _mulmod(result, result, f, mod)
+        if bit == "1":
+            result = _mulmod(result, a, f, mod)
+    return result
+
+
+def _inputs(rng, m, mod, p):
+    """Random, zero, unit, p-multiple and all-(mod - 1) coefficient tuples;
+    the last gives the largest unreduced sums."""
+    out = [(0,) * m, (1,) + (0,) * (m - 1), (mod - 1,) * m]
+    out += [tuple(rng.randrange(mod) for _ in range(m)) for _ in range(4)]
+    out.append(tuple(p * rng.randrange(mod) % mod for _ in range(m)))
+    return out
+
+
+GRID = [(p, m, N) for p in (2, 3, 5) for m in (2, 3, 4, 5) for N in range(1, 8)]
+
+
+@pytest.mark.parametrize("p,m,N", GRID)
+def test_ring_kernels_match_schoolbook(p, m, N):
+    R = witt_ring(p, N, m)
+    phi, pN = R.phi, R.pN
+    rng = random.Random(p * 100 + m * 10 + N)
+    vals = _inputs(rng, m, pN, p)
+    # the unit group of W_N(F_q) has order (q - 1) q^(N-1)
+    order = (R.field.q - 1) * R.field.q ** (N - 1)
+    for a in vals:
+        x = R.from_coeffs(a)
+        for b in vals:
+            assert (x * R.from_coeffs(b)).coeffs == _mulmod(a, b, phi, pN)
+        e = rng.randrange(2 * order)
+        assert (x ** e).coeffs == _powmod(a, e, phi, pN)
+        if x.is_unit():
+            assert x.inverse().coeffs == _powmod(a, order - 1, phi, pN)
+            assert (x ** -3).coeffs == _powmod(a, 3 * order - 3, phi, pN)
+    rows = [vals[:3], vals[3:6], [vals[6], vals[7], vals[2]]]
+    A = WittMat._make(R, tuple(tuple(R.from_coeffs(c) for c in r) for r in rows))
+    B = A.transpose()
+    want = []
+    for ra in rows:
+        row = []
+        for cb in rows:  # the columns of B = A^T are the rows of A
+            acc = [0] * m
+            for x, y in zip(ra, cb):
+                acc = [s + t for s, t in zip(acc, _mulmod(x, y, phi, pN))]
+            row.append(tuple(s % pN for s in acc))
+        want.append(row)
+    assert [[e.coeffs for e in r] for r in (A * B).rows] == want
+
+
+@pytest.mark.parametrize("p,m", [(p, m) for p in (2, 3, 5) for m in (2, 3, 4, 5)])
+def test_field_kernels_match_schoolbook(p, m):
+    F = FieldDescriptor(p, m)
+    f, q = F.modulus, F.q
+    vals = _inputs(random.Random(p * 10 + m), m, p, p)
+    for a in vals:
+        for b in vals:
+            assert F.mul(a, b) == _mulmod(a, b, f, p)
+        for e in (0, 1, 2, p, q - 1, q + 5, 3 * q - 2):
+            assert F.pow(a, e) == _powmod(a, e, f, p)
+        if any(a):
+            assert F.inv(a) == _powmod(a, q - 2, f, p)
+            assert F.pow(a, -2) == _powmod(a, 2 * q - 4, f, p)
+
+
+def test_factory_compiles_once_per_degree(monkeypatch):
+    compiled = []
+
+    def counting_compile(source, *args, **kwargs):
+        compiled.append(source)
+        return compile(source, *args, **kwargs)
+
+    monkeypatch.setattr(field, "compile", counting_compile, raising=False)
+    field._mulmod_factory.cache_clear()
+    for p, N in ((2, 1), (2, 4), (3, 2), (5, 3)):
+        WittRing(p, N, 3)
+    FieldDescriptor(7, 3)
+    assert len(compiled) == 1
+    WittRing(2, 3, 2)
+    assert len(compiled) == 2
+
+
+def test_pickled_rings_rebuild_their_kernels():
+    R = witt_ring(3, 4, 2)
+    A = WittMat._make(R, ((R.teichmuller((1, 2)), R.one), (R.zero, R.from_int(5))))
+    B = pickle.loads(pickle.dumps(A))
+    assert B == A and B.ring == R and B * B == A * A
+    F = pickle.loads(pickle.dumps(R.field))
+    assert F == R.field and F.mul((1, 2), (2, 2)) == R.field.mul((1, 2), (2, 2))
+
+
+def test_import_loads_no_pool_and_compiles_no_kernel():
+    code = ("import sys, wittlat\n"
+            "from wittlat.field import _mulmod_factory\n"
+            "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)),"
+            " _mulmod_factory.cache_info().misses)")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["[]", "0"]
