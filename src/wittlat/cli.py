@@ -192,6 +192,8 @@ def cmd_dims(args):
         if args.n is None or args.r is None or args.i is None:
             raise UsageError("dims requires either --type or all of --n --r --i")
         n, r = args.n, args.r
+        if n < 2 or r < 1:
+            raise UsageError("need n >= 2 and r >= 1")
         nr = n * r
         if not 0 <= args.i <= nr // 2:
             raise ParameterMismatchError(f"--i must lie in [0, {nr // 2}]")

@@ -5,8 +5,8 @@ oracle: for gamma = diag(p^{s_1}, ..., p^{s_n}), the stabilizer condition
 X gamma = gamma Y decouples into one equation p^{s_j} x = p^{s_i} y per
 entry, whose solution space has a computable k-dimension even under the
 per-entry constraints (zero, or valuation >= 1) imposed by the subgroup
-shapes.  A tiny exhaustive census over W_3(F_2) validates the
-orbit-stabilizer arithmetic at the group level.
+shapes; dim_report sums these per-entry dimensions grouped by max(i, j).  A
+tiny exhaustive census over W_3(F_2) validates the orbit-stabilizer arithmetic.
 """
 
 import itertools
@@ -132,15 +132,18 @@ class DimReport:
 
 
 def dim_report(gamma, r):
-    """All dimension quantities for one stratum, oracle-derived; the
-    closed form is cross-checked when gamma is a subregular vector."""
+    """All dimension quantities for one stratum.  stab is stabilizer_dim's
+    per-entry count for (FULL, FULL), grouped by max(i, j): n^2 N + sum_k
+    (2k+1) s_k.  The closed form is cross-checked on subregular vectors."""
     n = gamma.n
     if n < 2 or r < 1:
         raise ValueError("need n >= 2 and r >= 1")
     nr = n * r
     N = nr + 1
-    stab = stabilizer_dim(gamma, (GroupShape.FULL, GroupShape.FULL), N)
-    orbit = 2 * shape_space_dim(GroupShape.FULL, n, N) - stab
+    if gamma.exponents[0] > N:  # the largest, as exponents decrease
+        raise ValueError("exponents must lie in [0, N]")
+    stab = n * n * N + sum((2 * k + 1) * e for k, e in enumerate(gamma.exponents))
+    orbit = 2 * n * n * N - stab
     sources = {
         "dim_lattice_orbit": "closed-form",
         "dim_matrix_orbit": "linear-oracle",

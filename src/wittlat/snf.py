@@ -30,6 +30,13 @@ class Cochar:
         if any(exps[i] < exps[i + 1] for i in range(self.n - 1)):
             raise ValueError("exponents must be weakly decreasing")
 
+    @classmethod
+    def _make(cls, n, exponents):
+        self = object.__new__(cls)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "exponents", exponents)
+        return self
+
     def __iter__(self):
         return iter(self.exponents)
 

@@ -120,24 +120,26 @@ def _ordered_strata(n, r):
     """Dominant vectors summing to nr in stratum order, as _partitions yields them."""
     if n < 2 or r < 1:
         raise ValueError("need n >= 2 and r >= 1")
-    return [Cochar(n, exps) for exps in _partitions(n * r, n, n * r)]
+    return [Cochar._make(n, exps) for exps in _partitions(n * r, n, n * r)]
 
 
 def enumerate_strata(n, r):
     """All dominant exponent vectors summing to nr, with the Hasse covers of
     dominance from Brylawski's rule (Discrete Math. 6, 1973): lam covers mu iff
     mu = lam - e_i + e_j, i < j, and j = i + 1 or lam_i = lam_j + 2.  Partitions
-    with at most n parts form an up-set, so these are the covers here too."""
+    with at most n parts form an up-set, so these are the covers here too.  As mu
+    must decrease weakly, only i last and j first in blocks of equal parts are tried."""
     strata = _ordered_strata(n, r)
     index = {c.exponents: k for k, c in enumerate(strata)}
     hasse = []
     for lam, hi in index.items():
-        for i in range(n - 1):
-            for j in range(i + 1, n):
-                if j == i + 1 or lam[i] == lam[j] + 2:
-                    mu = lam[:i] + (lam[i] - 1,) + lam[i + 1:j] + (lam[j] + 1,) + lam[j + 1:]
-                    if mu in index:
-                        hasse.append((index[mu], hi))
+        starts = [k for k in range(1, n) if lam[k - 1] > lam[k]]  # block starts
+        for b, k in enumerate(starts):  # i = k - 1 ends a block
+            for j in starts[b:]:
+                if j == k or lam[k - 1] == lam[j] + 2:
+                    mu = lam[:k - 1] + (lam[k - 1] - 1,) + lam[k:j] + (lam[j] + 1,) + lam[j + 1:]
+                    if (lo := index.get(mu)) is not None:
+                        hasse.append((lo, hi))
     return StrataPoset(n=n, r=r, strata=tuple(strata), hasse=tuple(sorted(hasse)))
 
 

@@ -149,6 +149,14 @@ def test_dims_rejects_zero_height(capsys):
         _assert_usage_error(capsys, argv)
 
 
+def test_dims_rejects_small_n_or_r_before_building_gamma(capsys):
+    for argv in (["--n", "1", "--r", "1", "--i", "0"], ["--n", "0", "--r", "1", "--i", "0"],
+                 ["--n", "-2", "--r", "-1", "--i", "0"], ["--n", "2", "--r", "0", "--i", "0"]):
+        assert main(["dims", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: need n >= 2 and r >= 1\n", argv
+
+
 def test_verify_suites_pass(capsys):
     code, out = run(capsys, "verify", "--suite", "fac", "--p", "2")
     assert code == 0 and json.loads(out)["ok"] is True

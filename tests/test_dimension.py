@@ -154,7 +154,24 @@ def test_tiny_census_jobs_agree():
 
 
 def test_dim_report_orbit_matches_oracle():
-    for n, r in [(4, 3), (5, 2)]:
-        N = n * r + 1
-        for gamma in enumerate_strata(n, r).strata:
-            assert dim_report(gamma, r).dim_matrix_orbit == dim_matrix_orbit(gamma, N)
+    # dim_report groups the per-entry counts by max(i, j); the oracle sums them
+    # entry by entry, for every stratum with n = 2..8 and nr <= 24
+    for n in range(2, 9):
+        for r in range(1, 24 // n + 1):
+            N = n * r + 1
+            for gamma in enumerate_strata(n, r).strata:
+                rep = dim_report(gamma, r)
+                orbit = dim_matrix_orbit(gamma, N)
+                assert rep.stab_dim == stabilizer_dim(gamma, FULL2, N), gamma
+                assert rep.dim_matrix_orbit == orbit, gamma
+                assert rep.codim_in_mat == shape_space_dim(GroupShape.FULL, n, N) - orbit, gamma
+
+
+def test_dim_report_rejects_exponent_above_N():
+    # (5, 0) at r = 1 has N = 3: the same error as the oracle's, before the
+    # total is checked
+    gamma = Cochar(2, (5, 0))
+    with pytest.raises(ValueError, match=r"exponents must lie in \[0, N\]"):
+        stabilizer_dim(gamma, FULL2, 3)
+    with pytest.raises(ValueError, match=r"exponents must lie in \[0, N\]"):
+        dim_report(gamma, 1)

@@ -148,6 +148,31 @@ def test_enumerate_strata_matches_dominance_closure_oracle():
             assert enumerate_strata(n, r).to_obj() == _dominance_closure_poset(n, r), (n, r)
 
 
+def _brylawski_all_pairs(poset):
+    """Oracle: Brylawski's cover rule tried on every pair i < j of every stratum."""
+    n = poset.n
+    index = {c.exponents: k for k, c in enumerate(poset.strata)}
+    hasse = []
+    for lam, hi in index.items():
+        for i in range(n - 1):
+            for j in range(i + 1, n):
+                if j == i + 1 or lam[i] == lam[j] + 2:
+                    mu = lam[:i] + (lam[i] - 1,) + lam[i + 1:j] + (lam[j] + 1,) + lam[j + 1:]
+                    if mu in index:
+                        hasse.append((index[mu], hi))
+    return tuple(sorted(hasse))
+
+
+def test_enumerate_strata_block_covers_match_all_pairs():
+    for n in range(2, 9):
+        for r in range(1, 24 // n + 1):
+            poset = enumerate_strata(n, r)
+            assert poset.hasse == _brylawski_all_pairs(poset), (n, r)
+            for c in poset.strata:
+                checked = Cochar(n, c.exponents)
+                assert c == checked and hash(c) == hash(checked), c
+
+
 def test_enumerate_strata_large_counts():
     poset = enumerate_strata(6, 4)
     assert len(poset.strata) == 532 and len(poset.hasse) == 1252
