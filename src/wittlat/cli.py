@@ -79,6 +79,8 @@ def _load_matrix(path):
 
 def cmd_classify(args):
     A = _load_matrix(args.input)
+    if A.n < 2 or args.r < 1:
+        raise UsageError("need n >= 2 and r >= 1")
     report = classify(A, args.r)
     _emit(report.to_obj(), args.pretty)
     return EXIT_OK

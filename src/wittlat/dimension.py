@@ -12,6 +12,7 @@ tiny exhaustive census over W_3(F_2) validates the orbit-stabilizer arithmetic.
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import mul
 
 from .matrix import GroupShape, WittMat
 from .snf import Cochar, divisor_type
@@ -132,17 +133,22 @@ class DimReport:
 
 
 def dim_report(gamma, r):
-    """All dimension quantities for one stratum.  stab is stabilizer_dim's
-    per-entry count for (FULL, FULL), grouped by max(i, j): n^2 N + sum_k
-    (2k+1) s_k.  The closed form is cross-checked on subregular vectors."""
+    """All dimension quantities for one stratum, from s0 = sum_k s_k and
+    s1 = sum_k k s_k.  stab is stabilizer_dim's per-entry count for (FULL,
+    FULL), grouped by max(i, j): n^2 N + sum_k (2k+1) s_k = n^2 N + 2 s1 + s0.
+    dim_lattice_orbit's -2 sum_k k (s_k - r) is r n(n-1) - 2 s1.  The closed
+    form is cross-checked on subregular vectors."""
     n = gamma.n
     if n < 2 or r < 1:
         raise ValueError("need n >= 2 and r >= 1")
     nr = n * r
     N = nr + 1
-    if gamma.exponents[0] > N:  # the largest, as exponents decrease
+    exps = gamma.exponents
+    if exps[0] > N:  # the largest, as exponents decrease
         raise ValueError("exponents must lie in [0, N]")
-    stab = n * n * N + sum((2 * k + 1) * e for k, e in enumerate(gamma.exponents))
+    s0 = sum(exps)
+    s1 = sum(map(mul, range(n), exps))
+    stab = n * n * N + 2 * s1 + s0
     orbit = 2 * n * n * N - stab
     sources = {
         "dim_lattice_orbit": "closed-form",
@@ -150,15 +156,20 @@ def dim_report(gamma, r):
         "stab_dim": "linear-oracle",
         "codim_in_mat": "linear-oracle",
     }
-    if not any(gamma.exponents[2:]) and gamma.exponents[1] <= nr // 2:
-        i = gamma.exponents[1]
+    if not any(exps[2:]) and exps[1] <= nr // 2:
+        i = exps[1]
         closed = dim_matrix_orbit_closed_form(i, n, r)
         if closed != orbit:
             raise RuntimeError("oracle disagrees with the closed form")
         sources["dim_matrix_orbit"] = "closed-form+linear-oracle"
+    # dim_lattice_orbit's checks, in its order
+    if s0 != nr:
+        raise ValueError("exponents must sum to nr")
+    if exps[0] > nr:
+        raise ValueError("leading exponent exceeds nr")
     return DimReport(
         gamma=gamma, n=n, r=r,
-        dim_lattice_orbit=dim_lattice_orbit(gamma, r),
+        dim_lattice_orbit=r * n * (n - 1) - 2 * s1,
         dim_matrix_orbit=orbit,
         stab_dim=stab,
         codim_in_mat=n * n * N - orbit,

@@ -22,9 +22,14 @@ class GroupShape(enum.Enum):
 
 
 class WittMat:
-    """Immutable n x n matrix over one WittRing."""
+    """Immutable n x n matrix over one WittRing.
 
-    __slots__ = ("ring", "n", "rows")
+    `_divisors` memoises the matrix's divisor type: `snf.divisor_type` fills
+    it on first use, so every later caller shares one elimination.  It is
+    not part of the value: `==` and `hash` ignore it.
+    """
+
+    __slots__ = ("ring", "n", "rows", "_divisors")
 
     def __init__(self, ring, rows):
         rows = tuple(tuple(r) for r in rows)
@@ -40,6 +45,7 @@ class WittMat:
         self.ring = ring
         self.n = n
         self.rows = rows
+        self._divisors = None
 
     @classmethod
     def _make(cls, ring, rows):
@@ -47,6 +53,7 @@ class WittMat:
         self.ring = ring
         self.n = len(rows)
         self.rows = rows
+        self._divisors = None
         return self
 
     @classmethod

@@ -164,9 +164,14 @@ def snf(A):
 
 
 def divisor_type(A):
-    """Elementary-divisor exponents, sorted descending (exponent N = zero)."""
-    exps, _, _ = _eliminate(A, with_transforms=False)
-    return Cochar(A.n, tuple(sorted(exps, reverse=True)))
+    """Elementary-divisor exponents, sorted descending (exponent N = zero).
+
+    Computed once per matrix object and memoised on it (A is immutable)."""
+    div = A._divisors
+    if div is None:
+        exps, _, _ = _eliminate(A, with_transforms=False)
+        div = A._divisors = Cochar(A.n, tuple(sorted(exps, reverse=True)))
+    return div
 
 
 def minor_valuations(A):

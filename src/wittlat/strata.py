@@ -88,15 +88,30 @@ def dominance_leq(eta, gamma):
 
 
 def _partitions(total, parts, cap):
-    if parts == 1:
-        if total <= cap:
-            yield (total,)
+    """Weakly decreasing `parts`-tuples over [0, cap] summing to `total`, in
+    reverse lexicographic order.  Each step lowers by one the last entry k
+    whose tail can still hold the remainder (sum(a[k:]) <= (parts - k) *
+    (a[k] - 1)), then refills the tail greedily, largest entries first."""
+    if total > parts * cap:
         return
-    for first in range(min(total, cap), -1, -1):
-        if first * parts < total:
-            break
-        for rest in _partitions(total - first, parts - 1, first):
-            yield (first,) + rest
+    a = [0] * parts
+    k, s, top = 0, total, cap
+    while True:
+        for j in range(k, parts):
+            top = a[j] = min(s, top)
+            s -= top
+        yield tuple(a)
+        s = a[-1]
+        for k in range(parts - 2, -1, -1):
+            s += a[k]
+            top = a[k] - 1
+            if s <= (parts - k) * top:
+                break
+        else:
+            return
+        a[k] = top
+        s -= top
+        k += 1
 
 
 @dataclass(frozen=True)

@@ -15,8 +15,8 @@ from .dimension import (GroupShape, complete_intersection_check,
                         tiny_exhaustive_census)
 from .matrix import mat_to_obj, p_power_diagonal
 from .snf import divisor_type, minor_valuations, snf
-from .strata import (_ordered_strata, classify, sample_cover, sample_group,
-                     sample_orbit, subregular_cochar)
+from .strata import (_ordered_strata, classify, in_orbit_closure, sample_cover,
+                     sample_group, sample_orbit, subregular_cochar)
 from .witt import witt_ring
 
 DEFAULT_SEED = 1729
@@ -175,7 +175,7 @@ def suite_strata(p=2, m=1, n=2, r=1, samples=300, seed=DEFAULT_SEED):
         grading.record(0 <= a <= (n - 1) * r, {"divisors": list(div.exponents)})
         for i in range(nr // 2 + 1):
             pred = rep.val_c >= i and rep.val_b <= nr - i  # valuation_predicate(A, i)
-            clo = div.exponents[0] <= nr - i  # in_orbit_closure(A, i), reusing div
+            clo = in_orbit_closure(A, i)  # reuses the divisor type classify memoised
             if pred:
                 implication.record(clo, {
                     "i": i, "divisors": list(div.exponents),

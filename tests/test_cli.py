@@ -54,6 +54,16 @@ def test_classify_param_mismatch(tmp_path, capsys):
     assert code == 3
 
 
+def test_classify_rejects_small_n_or_r_before_ring_length(tmp_path, capsys):
+    # each would fail the ring-length check (exit 3) if it came first
+    square = write_matrix(tmp_path, identity(witt_ring(2, 3), 2))
+    single = write_matrix(tmp_path, identity(witt_ring(2, 3), 1), name="one.json")
+    for path, r in ((square, "0"), (square, "-1"), (single, "1")):
+        assert main(["classify", "--input", path, "--r", r]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: need n >= 2 and r >= 1\n", r
+
+
 def test_classify_malformed(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{not json")

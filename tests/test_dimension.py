@@ -165,6 +165,7 @@ def test_dim_report_orbit_matches_oracle():
                 assert rep.stab_dim == stabilizer_dim(gamma, FULL2, N), gamma
                 assert rep.dim_matrix_orbit == orbit, gamma
                 assert rep.codim_in_mat == shape_space_dim(GroupShape.FULL, n, N) - orbit, gamma
+                assert rep.dim_lattice_orbit == dim_lattice_orbit(gamma, r), gamma
 
 
 def test_dim_report_rejects_exponent_above_N():
@@ -175,3 +176,15 @@ def test_dim_report_rejects_exponent_above_N():
         stabilizer_dim(gamma, FULL2, 3)
     with pytest.raises(ValueError, match=r"exponents must lie in \[0, N\]"):
         dim_report(gamma, 1)
+
+
+def test_dim_report_raises_lattice_orbit_errors_after_closed_form():
+    # dim_report computes the lattice-orbit dimension itself but keeps
+    # dim_lattice_orbit's errors, after the closed-form cross-check
+    for gamma, r in ((Cochar(3, (1, 1, 1)), 2), (Cochar._make(3, (4, 0, -1)), 1)):
+        with pytest.raises(ValueError) as want:
+            dim_lattice_orbit(gamma, r)
+        with pytest.raises(ValueError, match=str(want.value)):
+            dim_report(gamma, r)
+    with pytest.raises(RuntimeError, match="closed form"):
+        dim_report(Cochar(2, (1, 0)), 1)  # total 1, not nr = 2

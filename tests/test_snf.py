@@ -1,10 +1,12 @@
+import pickle
 import random
 
 import pytest
 
 from wittlat.matrix import GroupShape, WittMat, p_power_diagonal, zeros
 from wittlat.snf import Cochar, divisor_type, minor_valuations, snf
-from wittlat.strata import enumerate_strata, sample_group, sample_orbit
+from wittlat.strata import (classify, enumerate_strata, in_orbit_closure,
+                            sample_cover, sample_group, sample_orbit)
 from wittlat.witt import WittElem, witt_ring
 
 
@@ -198,3 +200,56 @@ def test_divisor_type_extension_against_restriction_of_scalars(p, m):
             A = WittMat(ring, rows)
             want = tuple(e for e in divisor_type(A).exponents for _ in range(m))
             assert divisor_type(_restrict_scalars(A)).exponents == want, (p, m, A)
+
+
+def _memo_matrices(ring, n, rng):
+    """Random matrices over W_{n+1}, with a zero row, a row times p^k, and
+    (n >= 2) a cover sample at r = 1."""
+    N = ring.N
+    for k in range(4):
+        rows = [[ring.random(rng) for _ in range(n)] for _ in range(n)]
+        if k == 1:
+            rows[rng.randrange(n)] = [ring.zero] * n
+        elif k == 2:
+            rows[rng.randrange(n)] = [x * ring.p_power(rng.randrange(1, N + 1))
+                                      for x in rows[0]]
+        elif k == 3:
+            if n < 2:
+                continue
+            rows = sample_cover(ring, n, 1, rng).rows
+        yield WittMat(ring, rows)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except ValueError as exc:  # NotInCoverError and ShapeError among them
+        return type(exc)
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 2), (3, 2)])
+def test_divisor_type_memo(p, m):
+    # divisor_type memoises its result on the (immutable) matrix object; the
+    # memo must not change any result, nor ==, hash or pickling
+    rng = random.Random(31 + 10 * p + m)
+    for n in range(1, 6):
+        ring = witt_ring(p, n + 1, m)
+        for A in _memo_matrices(ring, n, rng):
+            div = divisor_type(A)
+            assert divisor_type(A) is div
+
+            def fresh():
+                return WittMat._make(A.ring, A.rows)
+            assert divisor_type(fresh()) == div
+            B = fresh()
+            assert snf(B).divisors == div
+            assert B._divisors is None  # snf leaves the memo to divisor_type
+            assert _outcome(classify, A, 1) == _outcome(classify, fresh(), 1)
+            for i in range(n // 2 + 1):
+                assert (_outcome(in_orbit_closure, A, i)
+                        == _outcome(in_orbit_closure, fresh(), i)), (A, i)
+            assert A == fresh() and fresh() == A and hash(A) == hash(fresh())
+            for C in (A, fresh()):
+                D = pickle.loads(pickle.dumps(C))
+                assert D == A and hash(D) == hash(A)
+                assert divisor_type(D) == div

@@ -6,7 +6,7 @@ from sympy.utilities.iterables import partitions
 from wittlat.errors import NotInCoverError, ParameterMismatchError
 from wittlat.matrix import GroupShape, WittMat, identity, in_group, p_power_diagonal
 from wittlat.snf import Cochar, divisor_type
-from wittlat.strata import (classify, dominance_leq, enumerate_strata,
+from wittlat.strata import (_partitions, classify, dominance_leq, enumerate_strata,
                             in_cover, in_orbit_closure, regular_cochar,
                             sample_cover, sample_group, sample_orbit,
                             subregular_cochar, valuation_predicate)
@@ -171,6 +171,31 @@ def test_enumerate_strata_block_covers_match_all_pairs():
             for c in poset.strata:
                 checked = Cochar(n, c.exponents)
                 assert c == checked and hash(c) == hash(checked), c
+
+
+def _partitions_recursive(total, parts, cap):
+    """Oracle: the first entry from the largest down, then the tail recursively."""
+    if parts == 1:
+        if total <= cap:
+            yield (total,)
+        return
+    for first in range(min(total, cap), -1, -1):
+        if first * parts < total:
+            break
+        for rest in _partitions_recursive(total - first, parts - 1, first):
+            yield (first,) + rest
+
+
+def test_partitions_match_recursive_oracle():
+    # the oracle's output under a cap is its uncapped output restricted to the
+    # tuples whose first (largest) entry fits the cap, so it runs once per
+    # (total, parts)
+    for total in range(30):
+        for parts in range(1, 10):
+            full = list(_partitions_recursive(total, parts, total))
+            for cap in range(32):
+                want = [t for t in full if t[0] <= cap]
+                assert list(_partitions(total, parts, cap)) == want, (total, parts, cap)
 
 
 def test_enumerate_strata_large_counts():
