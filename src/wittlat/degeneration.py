@@ -78,11 +78,12 @@ def transfer_witness(ring, r1, rj, b, t):
     if r1 + b - rj < 0:
         raise ValueError("need r1 + b >= rj")
     return _transfer(ring, r1, rj, b, t, ring.teichmuller(t),
-                     ring.teichmuller(ring.field.inv(t)))
+                     ring.teichmuller(ring.field.inv(t)))[0]
 
 
 def _transfer(ring, r1, rj, b, t, xi, xi_inv):
-    """transfer_witness on checked parameters, with xi(t) and xi(t^-1) given."""
+    """transfer_witness on checked parameters, with xi(t) and xi(t^-1) given;
+    returns the witness and g = factors[2] * factors[3], which _embed takes."""
     one, zero = ring.one, ring.zero
     pb_minus_1 = ring.p_power(b) - one
     f0 = WittMat._make(ring, (
@@ -92,11 +93,11 @@ def _transfer(ring, r1, rj, b, t, xi, xi_inv):
     f2 = WittMat._make(ring, ((one, zero), (xi, one)))
     f3 = WittMat._make(ring, ((one, pb_minus_1 * xi_inv), (zero, one)))
     target = _deformation(ring, (r1, rj), 1, b, xi, 0)
-    product = f0 * f1 * f2 * f3
-    if product != target:
+    g = f2 * f3
+    if f0 * f1 * g != target:
         raise RuntimeError("four-factor product identity failed")
     return TransferWitness(r1=r1, rj=rj, b=b, t=t,
-                           factors=(f0, f1, f2, f3), target=target)
+                           factors=(f0, f1, f2, f3), target=target), g
 
 
 def _embed2(ring, block, n, i, j):
@@ -122,17 +123,18 @@ def embed_witness(w, n, j, ambient, i=0):
         raise ValueError("need 0 <= i < j < n")
     if ambient[i] != w.r1 or ambient[j] != w.rj:
         raise ValueError("ambient slots must carry the witness exponents")
-    return _embed(w, n, j, ambient, i, deformation_matrix(ring, ambient, j, w.b, w.t, i))
+    eta = deformation_matrix(ring, ambient, j, w.b, w.t, i)
+    return _embed(w, n, j, ambient, i, eta, w.factors[2] * w.factors[3])
 
 
-def _embed(w, n, j, ambient, i, eta):
-    """embed_witness on checked slots, with the embedded deformation eta given."""
+def _embed(w, n, j, ambient, i, eta, g):
+    """embed_witness on checked slots, with the embedded deformation eta and
+    g = factors[2] * factors[3] given."""
     ring = w.target.ring
     upper = list(ambient)
     upper[i], upper[j] = w.r1 + w.b, w.rj - w.b
     x = _embed2(ring, w.factors[0], n, i, j)
     eta_prime = p_power_diagonal(ring, upper)
-    g = w.factors[2] * w.factors[3]
     y_inv = _embed2(ring, g, n, i, j)
     y = _embed2(ring, g.inverse(), n, i, j)
     if x * eta_prime * y_inv != eta:
@@ -194,9 +196,9 @@ def degeneration_chain(ring, src, dst, t=None):
         lower[j] += 1
         # cur[i] > cur[j], so the slots meet the preconditions of
         # transfer_witness and embed_witness
-        w = _transfer(ring, lower[i], lower[j], 1, t, xi, xi_inv)
+        w, g = _transfer(ring, lower[i], lower[j], 1, t, xi, xi_inv)
         deformed = _deformation(ring, lower, j, 1, xi, i)
-        x, eta_prime, y = _embed(w, n, j, tuple(lower), i, deformed)
+        x, eta_prime, y = _embed(w, n, j, tuple(lower), i, deformed, g)
         steps.append(ChainStep(
             upper=Cochar(n, tuple(cur)), lower=Cochar(n, tuple(lower)),
             i=i, j=j, b=1, witness=w, x=x, eta_prime=eta_prime, y=y,

@@ -2,9 +2,10 @@
 
 Field elements are tuples of m integers in [0, p): little-endian
 coefficients with respect to the generator of F_p[x]/(modulus).  For m = 1
-the modulus is irrelevant and elements are 1-tuples.  For m > 1 products use
-a straight-line kernel compiled once per degree m, bound to the modulus f
-by the table red[k] = x^(m+k) mod f (the Witt ring binds it to Phi mod p^N).
+the modulus is irrelevant and elements are 1-tuples.  For m > 1 products,
+differences and linear maps (the Witt ring's sigma^j) use straight-line
+kernels compiled once per degree m, bound to the modulus f by the table
+red[k] = x^(m+k) mod f (the Witt ring binds them to Phi mod p^N).
 """
 
 import functools
@@ -150,8 +151,10 @@ def default_modulus(p, m):
 
 @functools.cache
 def _mulmod_factory(m):
-    """make(red, mod) -> (mul, dot) for degree m > 1: mul(a, b) = a*b and
-    dot(ra, cb) = sum_k ra[k]*cb[k], each output coefficient reduced once."""
+    """make(red, mod) -> (mul, dot, sub, linear) for degree m > 1: mul(a, b) =
+    a*b, dot(ra, cb) = sum_k ra[k]*cb[k], sub(a, b) = a - b, and linear(img, k)
+    binds the map a -> sum_i a_i*img[i] mod k (img[i] the image of x^i); each
+    output coefficient is reduced once."""
     idx, hi = range(m), range(m - 1)
     a, b = ", ".join(f"a{i}" for i in idx), ", ".join(f"b{i}" for i in idx)
     conv = [" + ".join(f"a{i}*b{k - i}" for i in idx if 0 <= k - i < m)
@@ -159,6 +162,8 @@ def _mulmod_factory(m):
     out = ", ".join(f"(c{j}" + "".join(f" + c{m + k}*r{k}_{j}" for k in hi) + ") % mod"
                     for j in idx)
     red = ", ".join("(" + ", ".join(f"r{k}_{j}" for j in idx) + ")" for k in hi)
+    img = ", ".join("(" + ", ".join(f"s{i}_{j}" for j in idx) + ")" for i in idx)
+    lin = ", ".join("(" + " + ".join(f"a{i}*s{i}_{j}" for i in idx) + ") % k" for j in idx)
     src = "\n".join([
         "def make(red, mod):",
         f"    [{red}] = red",
@@ -171,14 +176,24 @@ def _mulmod_factory(m):
         f"        for ({a}), ({b}) in zip(ra, cb):",
         *(f"            c{k} += {c}" for k, c in enumerate(conv)),
         f"        return ({out})",
-        "    return mul, dot"])
+        "    def sub(a, b):",
+        f"        ({a}), ({b}) = a, b",
+        "        return (" + ", ".join(f"(a{i} - b{i}) % mod" for i in idx) + ")",
+        "    def linear(img, k):",
+        f"        [{img}] = img",
+        "        def apply(a):",
+        f"            ({a}) = a",
+        f"            return ({lin})",
+        "        return apply",
+        "    return mul, dot, sub, linear"])
     ns = {}
     exec(compile(src, f"<mulmod m={m}>", "exec"), ns)
     return ns["make"]
 
 
 def _kernels(f, mod):
-    """(mul, dot) on residues mod the monic f of degree m > 1 and mod `mod`."""
+    """(mul, dot, sub, linear) on residues mod the monic f of degree m > 1 and
+    mod `mod`."""
     m = len(f) - 1
     red = [[-c % mod for c in f[:m]]]  # x^m mod f; then x^(m+k+1) = x * x^(m+k)
     while len(red) < m - 1:
@@ -249,6 +264,9 @@ class FieldDescriptor:
         return (1,) + (0,) * (self.m - 1)
 
     def elem(self, coeffs):
+        if (type(coeffs) is tuple and len(coeffs) == self.m
+                and all(type(c) is int and 0 <= c < self.p for c in coeffs)):
+            return coeffs  # already canonical, as the ring's own digits are
         if isinstance(coeffs, int):
             coeffs = (coeffs,) if self.m == 1 else (coeffs,) + (0,) * (self.m - 1)
         coeffs = tuple(int(c) for c in coeffs)

@@ -1,8 +1,9 @@
 """Square matrices over a truncated Witt ring.
 
 Provides exact determinants (for m = 1, fraction-free Bareiss elimination
-over Z on the integer lifts; for m > 1, cofactor expansion for n <= 4 and
-elimination with minimal-valuation pivots otherwise), minors, the corner
+over Z on the integer lifts; for m > 1, cofactor expansion on bare
+coefficient tuples with the ring's kernels for n <= 4 and elimination with
+minimal-valuation pivots otherwise), minors, the corner
 functions (the (0,0) entry and its complementary minor), inverses via the
 adjugate, and membership tests for the classical subgroup shapes of GL_n.
 """
@@ -66,6 +67,12 @@ class WittMat:
         """m = 1 matrix from integers already reduced mod p^N."""
         make = WittElem._make
         return cls._make(ring, tuple(tuple(make(ring, (c,)) for c in r) for r in rows))
+
+    @classmethod
+    def _from_coeffs(cls, ring, rows):
+        """Matrix from coefficient tuples already reduced mod p^N."""
+        make = WittElem._make
+        return cls._make(ring, tuple(tuple(make(ring, c) for c in r) for r in rows))
 
     def __getitem__(self, ij):
         i, j = ij
@@ -138,12 +145,7 @@ class WittMat:
         if ring.m == 1:
             lifts = [[e.coeffs[0] for e in r] for r in self.rows]
             return WittElem._make(ring, (_det_int(lifts, ring.pN),))
-        if self.n <= 4:
-            return _det_cofactor(self.rows, ring)
-        return self.det_elimination()
-
-    def det_cofactor(self):
-        return _det_cofactor(self.rows, self.ring)
+        return WittElem._make(ring, _det_coeffs([[e.coeffs for e in r] for r in self.rows], ring))
 
     def det_elimination(self):
         """Determinant by row elimination with minimal-valuation pivots.
@@ -245,23 +247,26 @@ def _det_int(rows, pN):
     return sign * M[n - 1][n - 1] % pN
 
 
-def _det_cofactor(rows, ring):
+def _det_coeffs(rows, ring):
+    """det, as a coefficient tuple, of an m > 1 matrix given by rows of
+    reduced coefficient tuples.  For n <= 4 it is the expansion along row 0,
+    one dot product with the signed minors, the sign (-1)^j being a swap of
+    the minor's first two rows; above, det_elimination."""
     n = len(rows)
     if n == 1:
         return rows[0][0]
     if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    acc = None
+        (a, b), (c, d) = rows
+        return ring._sub(ring._mul(a, d), ring._mul(b, c))
+    if n > 4:
+        return WittMat._from_coeffs(ring, rows).det_elimination().coeffs
+    cofactors = []
     for j in range(n):
-        a = rows[0][j]
-        if a.is_zero():
-            continue
-        sub = tuple(r[:j] + r[j + 1:] for r in rows[1:])
-        term = a * _det_cofactor(sub, ring)
+        minor = [r[:j] + r[j + 1:] for r in rows[1:]]
         if j % 2:
-            term = -term
-        acc = term if acc is None else acc + term
-    return ring.zero if acc is None else acc
+            minor[0], minor[1] = minor[1], minor[0]
+        cofactors.append(_det_coeffs(minor, ring))
+    return ring._dot(rows[0], cofactors)
 
 
 # -- constructors ---------------------------------------------------------------

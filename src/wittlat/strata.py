@@ -12,7 +12,8 @@ import random
 from dataclasses import dataclass
 
 from .errors import NotInCoverError, ParameterMismatchError
-from .matrix import GroupShape, WittMat, _det_int, in_group, p_power_diagonal
+from .matrix import (GroupShape, WittMat, _det_coeffs, _det_int, in_group,
+                     p_power_diagonal)
 from .snf import Cochar, divisor_type
 
 
@@ -183,10 +184,11 @@ def sample_group(ring, n, shape, seed):
                 if _det_int(rows, pN) % ring.p:
                     return WittMat._from_lifts(ring, rows)
             else:
-                A = WittMat._make(ring, tuple(
-                    tuple(ring.random(rng) for _ in range(n)) for _ in range(n)))
-                if A.det().is_unit():
-                    return A
+                # the same draws as coefficient tuples
+                rows = [[tuple([rng.randrange(pN) for _ in range(ring.m)]) for _ in range(n)]
+                        for _ in range(n)]
+                if any(c % ring.p for c in _det_coeffs(rows, ring)):
+                    return WittMat._from_coeffs(ring, rows)
         raise RuntimeError("unit-determinant rejection sampling did not converge")
     if shape in (GroupShape.B, GroupShape.B_MINUS):
         rows = []

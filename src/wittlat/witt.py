@@ -4,10 +4,11 @@ Elements are stored as residues in the unramified extension
 (Z/p^N)[x]/(Phi), where Phi is the Teichmueller lift of the field modulus
 (the unique monic lift dividing x^{p^m} - x mod p^N).  With that modulus
 the Frobenius sigma is x -> x^p, a linear map on the power basis; sigma^j
-for j = 0..m-1 is tabulated once per ring, and mod p the same table
-applies the field Frobenius F^j.  Products use the ring's (mul, dot)
-kernels, generated once per m in field.py and bound to Phi mod p^N at
-construction.  For m > 1 a unit u is inverted through its norm:
+for j = 0..m-1 is bound once per ring as a straight-line map mod p^N and
+one mod p, which applies the field Frobenius F^j.  Those maps, products
+and differences are the kernels generated once per m in field.py, bound
+to Phi mod p^N at construction.  For m > 1 a unit u is inverted through
+its norm:
 Norm(u) = u * prod_{k=1}^{m-1} sigma^k(u) is a scalar n of Z/p^N, and
 u^-1 = n^-1 * prod_{k=1}^{m-1} sigma^k(u).
 
@@ -21,10 +22,11 @@ xi(F^-i(a)).  For m = 1 sigma is the identity and the whole ring is
 Z/p^N under the integer codec.
 """
 
+import math
 import threading
 
 from .errors import CodecUnsupportedError, NotAUnitError, RingMismatchError
-from .field import FieldDescriptor, _kernels, _powmod
+from .field import FieldDescriptor, _kernels, _powmod, default_modulus
 
 _RING_CACHE = {}
 _RING_LOCK = threading.Lock()
@@ -56,8 +58,8 @@ def _int_val(c, p, N):
 class WittRing:
     """Descriptor and operation table for W_N(F_{p^m})."""
 
-    __slots__ = ("field", "p", "m", "N", "pN", "key", "phi", "_mul", "_dot", "_sigma",
-                 "_teich", "zero", "one")
+    __slots__ = ("field", "p", "m", "N", "pN", "key", "phi", "_mul", "_dot", "_sub",
+                 "_sigma_p", "_sigma_N", "_teich", "_p_powers", "zero", "one")
 
     def __init__(self, p, N, m=1, modulus=None):
         if N < 1:
@@ -69,11 +71,18 @@ class WittRing:
         self.pN = p ** N
         self.key = (p, m, N, self.field.modulus)
         self.phi = self._lift_modulus() if m > 1 else None
-        self._mul, self._dot = _kernels(self.phi, self.pN) if m > 1 else (None, None)
-        self._sigma = self._sigma_powers() if m > 1 else None
+        self._mul = self._dot = self._sub = self._sigma_p = self._sigma_N = None
+        if m > 1:
+            self._mul, self._dot, self._sub, linear = _kernels(self.phi, self.pN)
+            sigma = self._sigma_powers()
+            # entry j applies sigma^j, so entry -j applies sigma^-j
+            self._sigma_p = tuple(linear(images, p) for images in sigma)
+            self._sigma_N = tuple(linear(images, self.pN) for images in sigma)
         self._teich = {}
+        self._p_powers = tuple(WittElem._make(self, (p ** e,) + (0,) * (m - 1))
+                               for e in range(N))
         self.zero = WittElem._make(self, (0,) * m)
-        self.one = WittElem._make(self, (1,) + (0,) * (m - 1))
+        self.one = self._p_powers[0]
 
     def __eq__(self, other):
         return isinstance(other, WittRing) and self.key == other.key
@@ -81,8 +90,13 @@ class WittRing:
     def __hash__(self):
         return hash(self.key)
 
-    def __reduce__(self):  # the kernels are closures: rebuild, do not pickle
-        return witt_ring, (self.p, self.N, self.m, self.field.modulus)
+    def __reduce__(self):
+        # the kernels are closures: rebuild through the shared-instance cache,
+        # under the key the default modulus has there
+        modulus = self.field.modulus
+        if modulus == default_modulus(self.p, self.m):
+            modulus = None
+        return witt_ring, (self.p, self.N, self.m, modulus)
 
     def __repr__(self):
         return f"WittRing(p={self.p}, m={self.m}, N={self.N})"
@@ -133,28 +147,17 @@ class WittRing:
             raise RuntimeError("Frobenius on the lifted modulus does not have order m")
         return tuple(table)
 
-    def _sigma_apply(self, coeffs, j, mod):
-        """sigma^j(coeffs) mod `mod`, for any integer j (sigma has order m)."""
-        j %= self.m
-        if j == 0:
-            return tuple([c % mod for c in coeffs])
-        images, m = self._sigma[j], self.m
-        out = [0] * m
-        for k, c in enumerate(coeffs):
-            if c:
-                img = images[k]
-                for i in range(m):
-                    out[i] = (out[i] + c * img[i]) % mod
-        return tuple(out)
-
     def _teichmuller_lift(self, a):
         """Coefficients of xi(a) mod p^N for a canonical residue a, from the
         memo; a missing entry is sigma^-(N-1)(a^(p^(N-1)))."""
         xi = self._teich.get(a)
         if xi is None:
             N, pN, e = self.N, self.pN, self.p ** (self.N - 1)
-            y = (pow(a[0], e, pN),) if self.m == 1 else _powmod(a, e, self._mul)
-            xi = self._teich[a] = self._sigma_apply(y, 1 - N, pN)
+            if self.m == 1:
+                xi = (pow(a[0], e, pN),)
+            else:
+                xi = self._sigma_N[(1 - N) % self.m](_powmod(a, e, self._mul))
+            self._teich[a] = xi
         return xi
 
     # -- element construction --------------------------------------------------
@@ -174,7 +177,7 @@ class WittRing:
     def p_power(self, e):
         if e < 0:
             raise ValueError("negative p-power exponent")
-        return self.from_int(pow(self.p, e)) if e < self.N else self.zero
+        return self._p_powers[e] if e < self.N else self.zero
 
     def teichmuller(self, a):
         """The multiplicative representative of a field element."""
@@ -190,7 +193,7 @@ class WittRing:
         for i, a in enumerate(digits):
             if any(a):
                 if m > 1:
-                    a = self._sigma_apply(a, -i, p)
+                    a = self._sigma_p[-i % m](a)
                 acc = [x + pe * c for x, c in zip(acc, self._teichmuller_lift(a))]
             pe *= p
         return WittElem._make(self, tuple([x % pN for x in acc]))
@@ -273,9 +276,7 @@ class WittElem:
         ring = self._common_ring(other)
         if ring.m == 1:
             return WittElem._make(ring, ((self.coeffs[0] - other.coeffs[0]) % ring.pN,))
-        pN = ring.pN
-        return WittElem._make(
-            ring, tuple([(x - y) % pN for x, y in zip(self.coeffs, other.coeffs)]))
+        return WittElem._make(ring, ring._sub(self.coeffs, other.coeffs))
 
     def __neg__(self):
         ring = self.ring
@@ -303,10 +304,10 @@ class WittElem:
         if ring.m == 1:
             return WittElem._make(ring, (pow(self.coeffs[0], -1, ring.pN),))
         # u^-1 = Norm(u)^-1 * conj, conj = prod_{k=1}^{m-1} sigma^k(u)
-        mul, pN = ring._mul, ring.pN
-        conj = ring._sigma_apply(self.coeffs, 1, pN)
+        mul, pN, sigma = ring._mul, ring.pN, ring._sigma_N
+        conj = sigma[1](self.coeffs)
         for k in range(2, ring.m):
-            conj = mul(conj, ring._sigma_apply(self.coeffs, k, pN))
+            conj = mul(conj, sigma[k](self.coeffs))
         norm = mul(self.coeffs, conj)
         if any(norm[1:]):
             raise RuntimeError("norm of a unit is not a scalar")
@@ -347,7 +348,7 @@ class WittElem:
         ring = self.ring
         if ring.m == 1:
             return _int_val(self.coeffs[0], ring.p, ring.N)
-        return min(_int_val(c, ring.p, ring.N) for c in self.coeffs)
+        return _int_val(math.gcd(*self.coeffs), ring.p, ring.N)
 
     def residue(self):
         p = self.ring.p
@@ -356,13 +357,16 @@ class WittElem:
     def frobenius(self):
         """The lift of the field Frobenius; raises each digit to the p-th power."""
         ring = self.ring
-        return WittElem._make(ring, ring._sigma_apply(self.coeffs, 1, ring.pN))
+        if ring.m == 1:
+            return self
+        return WittElem._make(ring, ring._sigma_N[1](self.coeffs))
 
     def verschiebung(self):
         """Digit right-shift; equals p * frobenius^{-1}."""
         ring = self.ring
-        return WittElem._make(
-            ring, ring._sigma_apply([ring.p * c for c in self.coeffs], -1, ring.pN))
+        if ring.m == 1:
+            return WittElem._make(ring, (ring.p * self.coeffs[0] % ring.pN,))
+        return WittElem._make(ring, ring._sigma_N[-1]([ring.p * c for c in self.coeffs]))
 
     def teichmuller_digits(self):
         """Digits (b_0, ..., b_{N-1}) of the plain expansion sum p^i xi(b_i)."""
@@ -392,7 +396,8 @@ class WittElem:
         raw = self.teichmuller_digits()
         if ring.m == 1:
             return raw
-        return tuple(ring._sigma_apply(b, i, ring.p) for i, b in enumerate(raw))
+        sigma, m = ring._sigma_p, ring.m
+        return tuple([sigma[i % m](b) for i, b in enumerate(raw)])
 
     def to_int(self):
         """Integer codec W_N(F_p) = Z/p^N; only defined for m = 1."""

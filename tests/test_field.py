@@ -68,6 +68,17 @@ def test_elem_validation():
         F.elem((3, 0))
     with pytest.raises(ValueError):
         F.elem((1, 1, 1))
+    # a canonical tuple comes back as it is; anything else is normalised
+    # or rejected as before
+    t = (1, 2)
+    assert F.elem(t) is t
+    for raw in ([1, 2], (True, 2), (1.0, 2), (1, 2.0)):
+        got = F.elem(raw)
+        assert got == (1, 2) and type(got) is tuple
+        assert [type(c) for c in got] == [int, int]
+    for bad in ((-1, 0), (0, 3), (1,), (1, 2, 0), [3, 0]):
+        with pytest.raises(ValueError):
+            F.elem(bad)
 
 
 def test_elements_enumeration():

@@ -1,9 +1,9 @@
-"""The generated mul-mod kernels against the schoolbook reference.
+"""The generated kernels against the schoolbook reference.
 
 `_reduce_mod` and `_mulmod` below are the generic loops the kernels
 replaced: they fold the high coefficients of a product one at a time,
 reducing as they go, so they share no code or evaluation order with the
-straight-line kernels.
+straight-line kernels.  `_sigma_loop` is the loop the sigma^j maps replaced.
 """
 
 import os
@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from wittlat import field
+from wittlat import field, witt
 from wittlat.field import FieldDescriptor
 from wittlat.matrix import WittMat
 from wittlat.witt import WittRing, witt_ring
@@ -53,6 +53,18 @@ def _powmod(a, e, f, mod):
     return result
 
 
+def _sigma_loop(coeffs, images, mod):
+    """sum_k coeffs[k] * images[k] mod `mod`, reducing after every term."""
+    m = len(coeffs)
+    out = [0] * m
+    for k, c in enumerate(coeffs):
+        if c:
+            img = images[k]
+            for i in range(m):
+                out[i] = (out[i] + c * img[i]) % mod
+    return tuple(out)
+
+
 def _inputs(rng, m, mod, p):
     """Random, zero, unit, p-multiple and all-(mod - 1) coefficient tuples;
     the last gives the largest unreduced sums."""
@@ -77,6 +89,7 @@ def test_ring_kernels_match_schoolbook(p, m, N):
         x = R.from_coeffs(a)
         for b in vals:
             assert (x * R.from_coeffs(b)).coeffs == _mulmod(a, b, phi, pN)
+            assert (x - R.from_coeffs(b)).coeffs == tuple((s - t) % pN for s, t in zip(a, b))
         e = rng.randrange(2 * order)
         assert (x ** e).coeffs == _powmod(a, e, phi, pN)
         if x.is_unit():
@@ -95,6 +108,29 @@ def test_ring_kernels_match_schoolbook(p, m, N):
             row.append(tuple(s % pN for s in acc))
         want.append(row)
     assert [[e.coeffs for e in r] for r in (A * B).rows] == want
+
+
+@pytest.mark.parametrize("p,m", [(p, m) for p in (2, 3, 5) for m in (2, 3, 4, 5)])
+def test_sigma_kernels_match_loop(p, m):
+    gen = (0, 1) + (0,) * (m - 2)
+    for N in range(1, 8):
+        R = witt_ring(p, N, m)
+        phi, pN = R.phi, R.pN
+        vals = _inputs(random.Random(p * 100 + m * 10 + N), m, pN, p)
+        residues = [tuple(c % p for c in a) for a in vals]
+        for j in range(m):
+            # sigma^j(x^k) = x^(k p^j): the images from schoolbook powers
+            images = [_powmod(gen, k * p ** j, phi, pN) for k in range(m)]
+            for a in vals + residues:
+                want = _sigma_loop(a, images, pN)
+                assert R._sigma_N[j](a) == R._sigma_N[j - m](a) == want
+                assert R._sigma_p[j](a) == _sigma_loop(a, images, p)
+                x = R.from_coeffs(a)
+                if j == 1:
+                    assert x.frobenius().coeffs == want
+                if j == m - 1:  # sigma^-1
+                    assert x.verschiebung().coeffs == _sigma_loop(
+                        [p * c for c in a], images, pN)
 
 
 @pytest.mark.parametrize("p,m", [(p, m) for p in (2, 3, 5) for m in (2, 3, 4, 5)])
@@ -121,8 +157,14 @@ def test_factory_compiles_once_per_degree(monkeypatch):
 
     monkeypatch.setattr(field, "compile", counting_compile, raising=False)
     field._mulmod_factory.cache_clear()
+    rng = random.Random(9)
     for p, N in ((2, 1), (2, 4), (3, 2), (5, 3)):
-        WittRing(p, N, 3)
+        R = WittRing(p, N, 3)
+        x = R.random_unit(rng)
+        x.inverse(), x.frobenius(), x.verschiebung(), R.from_digits(x.digits())
+        # the sigma^j maps and sub are closures of the one compiled source
+        kernels = (R._mul, R._dot, R._sub) + R._sigma_p + R._sigma_N
+        assert {f.__code__.co_filename for f in kernels} == {"<mulmod m=3>"}
     FieldDescriptor(7, 3)
     assert len(compiled) == 1
     WittRing(2, 3, 2)
@@ -138,8 +180,23 @@ def test_pickled_rings_rebuild_their_kernels():
     assert F == R.field and F.mul((1, 2), (2, 2)) == R.field.mul((1, 2), (2, 2))
 
 
+@pytest.mark.parametrize("m", [1, 2])
+def test_unpickled_ring_is_the_shared_instance(m):
+    R = witt_ring(3, 4, m)
+    size = len(witt._RING_CACHE)
+    assert pickle.loads(pickle.dumps(R)) is R
+    A = WittMat._make(R, ((R.one, R.p_power(2)), (R.zero, R.one)))
+    assert pickle.loads(pickle.dumps(A)).ring is R
+    if m == 2:  # an explicit modulus other than the default keeps its own key
+        S = witt_ring(3, 4, 2, (2, 1, 1))
+        assert S.field.modulus != R.field.modulus
+        assert pickle.loads(pickle.dumps(S)) is S
+        size += 1
+    assert len(witt._RING_CACHE) == size
+
+
 def test_import_loads_no_pool_and_compiles_no_kernel():
-    code = ("import sys, wittlat\n"
+    code = ("import sys, wittlat, wittlat.cli, wittlat.verify\n"
             "from wittlat.field import _mulmod_factory\n"
             "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)),"
             " _mulmod_factory.cache_info().misses)")

@@ -16,6 +16,26 @@ def _random_mat(ring, n, rng):
     return WittMat(ring, [[ring.random(rng) for _ in range(n)] for _ in range(n)])
 
 
+def _det_cofactor(rows, ring):
+    # the WittElem cofactor expansion that the tuple kernel replaced
+    n = len(rows)
+    if n == 1:
+        return rows[0][0]
+    if n == 2:
+        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
+    acc = None
+    for j in range(n):
+        a = rows[0][j]
+        if a.is_zero():
+            continue
+        sub = tuple(r[:j] + r[j + 1:] for r in rows[1:])
+        term = a * _det_cofactor(sub, ring)
+        if j % 2:
+            term = -term
+        acc = term if acc is None else acc + term
+    return ring.zero if acc is None else acc
+
+
 def _det_leibniz(A):
     # independent oracle: sum over permutations with sign
     n = A.n
@@ -81,7 +101,7 @@ def test_det_multiplicative_and_paths_agree():
             A, B = _random_mat(R, n, rng), _random_mat(R, n, rng)
             dA = A.det()
             assert dA == _det_leibniz(A)
-            assert dA == A.det_cofactor() == A.det_elimination()
+            assert dA == _det_cofactor(A.rows, R) == A.det_elimination()
             assert (A * B).det() == dA * B.det()
 
 
@@ -257,8 +277,52 @@ def test_det_kernel_against_oracles(p, N):
             d = A.det()
             assert d == A.det_elimination(), (p, N, rows)
             if n <= 5:
-                assert d == A.det_cofactor(), (p, N, rows)
+                assert d == _det_cofactor(A.rows, R), (p, N, rows)
             assert d.to_int() == int(Matrix(rows).det()) % p ** N, (p, N, rows)
+
+
+def _structured_ext_mats(R, n, rng):
+    """m > 1 matrices: random, a zero row, a row times p^k, a zero column,
+    p-power and unit-scaled p-power diagonals, and a repeated row."""
+    def rand():
+        return [[R.random(rng) for _ in range(n)] for _ in range(n)]
+
+    out = [rand(), rand()]
+    A = rand()
+    A[rng.randrange(n)] = [R.zero] * n
+    out.append(A)
+    A, i = rand(), rng.randrange(n)
+    A[i] = [x * R.p_power(rng.randrange(1, R.N + 1)) for x in A[i]]
+    out.append(A)
+    A, j = rand(), rng.randrange(n)
+    for row in A:
+        row[j] = R.zero
+    out.append(A)
+    exps = [rng.randrange(R.N + 1) for _ in range(n)]
+    out.append([[R.p_power(exps[i]) if i == j else R.zero for j in range(n)]
+                for i in range(n)])
+    out.append([[R.p_power(exps[i]) * R.random_unit(rng) if i == j else R.zero
+                 for j in range(n)] for i in range(n)])
+    if n > 1:
+        A = rand()
+        i, j = rng.sample(range(n), 2)
+        A[j] = list(A[i])
+        out.append(A)
+    return [WittMat(R, rows) for rows in out]
+
+
+@pytest.mark.parametrize("p,N,m", [(2, 3, 2), (3, 4, 2), (5, 2, 2), (2, 3, 3), (3, 2, 3),
+                                   (2, 2, 4)])
+def test_tuple_det_against_elem_cofactor(p, N, m):
+    R = witt_ring(p, N, m)
+    rng = random.Random(60 + 7 * p + m)
+    for n in range(1, 5):
+        for _ in range(3):
+            for A in _structured_ext_mats(R, n, rng):
+                d = A.det()
+                assert d == _det_cofactor(A.rows, R) == A.det_elimination(), (p, N, m, A)
+                if n > 1:
+                    assert A.minor(0, 0) == _det_cofactor(tuple(r[1:] for r in A.rows[1:]), R)
 
 
 def _mul_reference(A, B):
@@ -295,7 +359,8 @@ def _full_sample_reference(ring, n, rng):
             return A
 
 
-@pytest.mark.parametrize("p,N,m", [(2, 3, 1), (3, 4, 1), (5, 2, 1), (2, 3, 2)])
+@pytest.mark.parametrize("p,N,m", [(2, 3, 1), (3, 4, 1), (5, 2, 1), (2, 3, 2), (3, 4, 2),
+                                   (2, 3, 3)])
 def test_full_sampler_matches_reference_stream(p, N, m):
     R = witt_ring(p, N, m)
     for n in range(1, 6):

@@ -219,6 +219,24 @@ def test_valuation_rules():
                 assert (a + b).valuation() == min(va, vb)
 
 
+@pytest.mark.parametrize("p,m,N", [(2, 2, 5), (3, 2, 3), (5, 2, 2), (2, 3, 4), (3, 4, 2)])
+def test_valuation_is_least_coefficient_valuation(p, m, N):
+    R = witt_ring(p, N, m)
+    pN = R.pN
+
+    def v(c):  # per coefficient; the zero coefficient counts as N
+        return N if c == 0 else next(k for k in range(N) if c % p ** (k + 1))
+
+    rng = random.Random(p * 10 + m)
+    vals = [(0,) * m, (1,) + (0,) * (m - 1), (0,) * (m - 1) + (p ** (N - 1),)]
+    for _ in range(200):
+        # coefficients of independent valuations, zero included
+        vals.append(tuple(p ** rng.randrange(N + 1) * rng.randrange(pN) % pN
+                          for _ in range(m)))
+    for a in vals:
+        assert R.from_coeffs(a).valuation() == min(v(c) for c in a), a
+
+
 def test_verschiebung_and_frobenius():
     for p, m, N in PARAMS:
         R = witt_ring(p, N, m)
