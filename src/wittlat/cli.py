@@ -20,7 +20,7 @@ from .dimension import dim_report, tiny_exhaustive_census
 from .errors import ParameterMismatchError, RingMismatchError
 from .matrix import WittMat, mat_from_obj, mat_to_obj
 from .snf import Cochar, divisor_type
-from .strata import classify, enumerate_strata
+from .strata import _random_raw, classify, enumerate_strata
 from .verify import DEFAULT_SEED, _child_seed
 from .witt import witt_ring
 
@@ -107,8 +107,7 @@ def _census_count(args, lo, hi):
     counts = Counter()
     for k in range(lo, hi):
         rng = random.Random(_child_seed(args.seed, k))
-        A = WittMat._make(ring, tuple(
-            tuple(ring.random(rng) for _ in range(args.n)) for _ in range(args.n)))
+        A = WittMat._from_raw(ring, _random_raw(ring, args.n, rng))
         counts[divisor_type(A).exponents] += 1
     return counts
 

@@ -1,14 +1,18 @@
 """Square matrices over a truncated Witt ring.
 
-Provides exact determinants (for m = 1, fraction-free Bareiss elimination
-over Z on the integer lifts; for m > 1, cofactor expansion on bare
-coefficient tuples with the ring's kernels for n <= 4 and elimination with
-minimal-valuation pivots otherwise), minors, the corner
-functions (the (0,0) entry and its complementary minor), inverses via the
-adjugate, and membership tests for the classical subgroup shapes of GL_n.
+A matrix stores bare values (ints for m = 1, coefficient tuples for m > 1)
+and builds its WittElem `rows` only when they are read.  Provides exact
+determinants (for m = 1, fraction-free Bareiss elimination over Z on the
+integer lifts; for m > 1, cofactor expansion on bare coefficient tuples
+with the ring's kernels for n <= 4 and elimination with minimal-valuation
+pivots otherwise), minors, the corner functions (the (0,0) entry and its
+complementary minor), inverses via the adjugate, and membership tests for
+the classical subgroup shapes of GL_n.
 """
 
 import enum
+import functools
+import operator
 
 from .errors import NotAUnitError, RingMismatchError, ShapeError
 from .witt import WittElem, _int_fields, elem_from_obj, elem_to_obj, witt_ring
@@ -25,67 +29,70 @@ class GroupShape(enum.Enum):
 class WittMat:
     """Immutable n x n matrix over one WittRing.
 
-    `_divisors` memoises the matrix's divisor type: `snf.divisor_type` fills
-    it on first use, so every later caller shares one elimination.  It is
-    not part of the value: `==` and `hash` ignore it.
+    Its value is `_raw`, row tuples of bare values reduced mod p^N (ints for
+    m = 1, coefficient tuples for m > 1).  `rows`, the WittElem view, is
+    built on first read and cached in `_rows`.  `_divisors` memoises the
+    divisor type: `snf.divisor_type` fills it on first use, so every later
+    caller shares one elimination.  `==` and `hash` read `_raw` alone.
     """
 
-    __slots__ = ("ring", "n", "rows", "_divisors")
+    __slots__ = ("ring", "n", "_raw", "_rows", "_divisors")
 
     def __init__(self, ring, rows):
-        rows = tuple(tuple(r) for r in rows)
-        n = len(rows)
-        if n == 0 or any(len(r) != n for r in rows):
-            raise ShapeError("matrix must be square and nonempty")
-        for r in rows:
-            for e in r:
-                if not isinstance(e, WittElem):
-                    raise TypeError("entries must be WittElem")
-                if e.ring is not ring and e.ring.key != ring.key:
-                    raise RingMismatchError("entry ring differs from matrix ring")
-        self.ring = ring
-        self.n = n
-        self.rows = rows
-        self._divisors = None
+        rows = _square(rows)
+        for e in (e for r in rows for e in r):
+            if not isinstance(e, WittElem):
+                raise TypeError("entries must be WittElem")
+            if e.ring is not ring and e.ring.key != ring.key:
+                raise RingMismatchError("entry ring differs from matrix ring")
+        self.ring, self.n, self._rows, self._divisors = ring, len(rows), rows, None
+        self._raw = _unwrap(ring, rows)
+
+    @classmethod
+    def _from_raw(cls, ring, raw, rows=None):
+        """Matrix from row tuples of bare values already reduced mod p^N;
+        `rows` is their WittElem view when the caller already has it."""
+        self = object.__new__(cls)
+        self.ring, self.n, self._raw, self._rows, self._divisors = ring, len(raw), raw, rows, None
+        return self
 
     @classmethod
     def _make(cls, ring, rows):
-        self = object.__new__(cls)
-        self.ring = ring
-        self.n = len(rows)
-        self.rows = rows
-        self._divisors = None
-        return self
+        """Matrix from trusted row tuples of WittElems, unwrapped once."""
+        return cls._from_raw(ring, _unwrap(ring, rows), rows)
 
     @classmethod
     def from_ints(cls, ring, rows):
         """Convenience constructor from integer entries (canonical map)."""
-        return cls._make(ring, tuple(tuple(ring.from_int(c) for c in r) for r in rows))
+        pN, index = ring.pN, operator.index
+        raw = _square([[index(c) % pN for c in r] for r in rows])
+        if ring.m > 1:
+            pad = (0,) * (ring.m - 1)
+            raw = tuple(tuple([(c,) + pad for c in r]) for r in raw)
+        return cls._from_raw(ring, raw)
 
-    @classmethod
-    def _from_lifts(cls, ring, rows):
-        """m = 1 matrix from integers already reduced mod p^N."""
-        make = WittElem._make
-        return cls._make(ring, tuple(tuple(make(ring, (c,)) for c in r) for r in rows))
-
-    @classmethod
-    def _from_coeffs(cls, ring, rows):
-        """Matrix from coefficient tuples already reduced mod p^N."""
-        make = WittElem._make
-        return cls._make(ring, tuple(tuple(make(ring, c) for c in r) for r in rows))
+    @property
+    def rows(self):
+        rows = self._rows
+        if rows is None:
+            ring, make, m1 = self.ring, WittElem._make, self.ring.m == 1
+            rows = self._rows = tuple(
+                [tuple([make(ring, (c,) if m1 else c) for c in r]) for r in self._raw])
+        return rows
 
     def __getitem__(self, ij):
         i, j = ij
-        return self.rows[i][j]
+        c = self._raw[i][j]
+        return WittElem._make(self.ring, (c,) if self.ring.m == 1 else c)
 
     def __eq__(self, other):
         if not isinstance(other, WittMat):
             return NotImplemented
         return (self.ring.key == other.ring.key and self.n == other.n
-                and self.rows == other.rows)
+                and self._raw == other._raw)
 
     def __hash__(self):
-        return hash((self.ring.key, self.rows))
+        return hash((self.ring.key, self._raw))
 
     def __repr__(self):
         body = "; ".join(" ".join(repr(e) for e in r) for r in self.rows)
@@ -106,18 +113,14 @@ class WittMat:
         and reduced once (mod p^N for m = 1, by the ring's dot kernel else)."""
         self._check_compatible(other)
         ring = self.ring
-        pN = ring.pN
+        cols = tuple(zip(*other._raw))
         if ring.m == 1:
-            from operator import mul
-            a = [[e.coeffs[0] for e in r] for r in self.rows]
-            cols = [[e.coeffs[0] for e in c] for c in zip(*other.rows)]
-            return WittMat._from_lifts(
-                ring, [[sum(map(mul, ra, cb)) % pN for cb in cols] for ra in a])
-        a = [[e.coeffs for e in r] for r in self.rows]
-        cols = [[e.coeffs for e in c] for c in zip(*other.rows)]
-        make, dot = WittElem._make, ring._dot
-        return WittMat._make(ring, tuple(
-            tuple([make(ring, dot(ra, cb)) for cb in cols]) for ra in a))
+            pN = ring.pN
+            return WittMat._from_raw(ring, tuple(
+                [tuple([sum(map(operator.mul, ra, cb)) % pN for cb in cols]) for ra in self._raw]))
+        dot = ring._dot
+        return WittMat._from_raw(ring, tuple(
+            [tuple([dot(ra, cb) for cb in cols]) for ra in self._raw]))
 
     def __add__(self, other):
         self._check_compatible(other)
@@ -136,16 +139,12 @@ class WittMat:
             tuple(c * x for x in r) for r in self.rows))
 
     def transpose(self):
-        return WittMat._make(self.ring, tuple(zip(*self.rows)))
+        return WittMat._from_raw(self.ring, tuple(zip(*self._raw)))
 
     # -- determinants -----------------------------------------------------------
 
     def det(self):
-        ring = self.ring
-        if ring.m == 1:
-            lifts = [[e.coeffs[0] for e in r] for r in self.rows]
-            return WittElem._make(ring, (_det_int(lifts, ring.pN),))
-        return WittElem._make(ring, _det_coeffs([[e.coeffs for e in r] for r in self.rows], ring))
+        return WittElem._make(self.ring, _det_coeffs(self._raw, self.ring))
 
     def det_elimination(self):
         """Determinant by row elimination with minimal-valuation pivots.
@@ -159,12 +158,8 @@ class WittMat:
         M = [list(r) for r in self.rows]
         sign = 1
         for k in range(n):
-            piv_i, piv_v = -1, ring.N
-            for i in range(k, n):
-                v = M[i][k].valuation()
-                if v < piv_v:
-                    piv_i, piv_v = i, v
-            if piv_i < 0 or piv_v >= ring.N:
+            piv_v, piv_i = min((M[i][k].valuation(), i) for i in range(k, n))
+            if piv_v >= ring.N:
                 continue  # zero column: a zero lands on the diagonal
             if piv_i != k:
                 M[k], M[piv_i] = M[piv_i], M[k]
@@ -175,9 +170,7 @@ class WittMat:
                     continue
                 q = divide(M[i][k])
                 M[i] = [x - q * y for x, y in zip(M[i], M[k])]
-        acc = M[0][0]
-        for k in range(1, n):
-            acc = acc * M[k][k]
+        acc = functools.reduce(operator.mul, (M[k][k] for k in range(1, n)), M[0][0])
         return -acc if sign < 0 else acc
 
     def det_digits(self):
@@ -188,8 +181,9 @@ class WittMat:
         """Determinant of the submatrix with row i and column j removed (0-based)."""
         if self.n < 2:
             raise ShapeError("minor requires n >= 2")
-        sub = tuple(tuple(r[:j] + r[j + 1:]) for r in (self.rows[:i] + self.rows[i + 1:]))
-        return WittMat._make(self.ring, sub).det()
+        raw = self._raw
+        return WittMat._from_raw(
+            self.ring, tuple(r[:j] + r[j + 1:] for r in raw[:i] + raw[i + 1:])).det()
 
     def inverse(self):
         """Adjugate times det^{-1}; exact, requires a unit determinant."""
@@ -197,27 +191,40 @@ class WittMat:
         if not d.is_unit():
             raise NotAUnitError("matrix determinant is not a unit")
         dinv = d.inverse()
-        n = self.n
+        n, neg = self.n, -dinv
         if n == 1:
             return WittMat._make(self.ring, ((dinv,),))
-        out = [[None] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                c = self.minor(i, j) * dinv
-                out[j][i] = -c if (i + j) % 2 else c
-        return WittMat._make(self.ring, tuple(tuple(r) for r in out))
+        return WittMat._make(self.ring, tuple(
+            tuple(self.minor(i, j) * (neg if (i + j) % 2 else dinv) for i in range(n))
+            for j in range(n)))
 
     # -- corner functions --------------------------------------------------------
 
     def corner_entry(self):
         """The (0,0) entry; its digits are the corner-entry digit functions."""
-        return self.rows[0][0]
+        return self[0, 0]
 
     def corner_minor(self):
         """Determinant of the complementary minor of the (0,0) entry."""
         if self.n < 2:
             raise ShapeError("corner minor requires n >= 2")
         return self.minor(0, 0)
+
+
+def _square(rows):
+    """`rows` as a tuple of row tuples, checked square and nonempty."""
+    rows = tuple([tuple(r) for r in rows])
+    n = len(rows)
+    if n == 0 or any(len(r) != n for r in rows):
+        raise ShapeError("matrix must be square and nonempty")
+    return rows
+
+
+def _unwrap(ring, rows):
+    """The bare values of rows of WittElems."""
+    if ring.m == 1:
+        return tuple([tuple([e.coeffs[0] for e in r]) for r in rows])
+    return tuple([tuple([e.coeffs for e in r]) for r in rows])
 
 
 def _det_int(rows, pN):
@@ -248,10 +255,12 @@ def _det_int(rows, pN):
 
 
 def _det_coeffs(rows, ring):
-    """det, as a coefficient tuple, of an m > 1 matrix given by rows of
-    reduced coefficient tuples.  For n <= 4 it is the expansion along row 0,
-    one dot product with the signed minors, the sign (-1)^j being a swap of
-    the minor's first two rows; above, det_elimination."""
+    """det, as a coefficient tuple, of a matrix given by rows of bare values.
+    For m = 1 it is _det_int.  For m > 1 and n <= 4 it is the expansion along
+    row 0, one dot product with the signed minors, the sign (-1)^j being a
+    swap of the minor's first two rows; above, det_elimination."""
+    if ring.m == 1:
+        return (_det_int(rows, ring.pN),)
     n = len(rows)
     if n == 1:
         return rows[0][0]
@@ -259,7 +268,7 @@ def _det_coeffs(rows, ring):
         (a, b), (c, d) = rows
         return ring._sub(ring._mul(a, d), ring._mul(b, c))
     if n > 4:
-        return WittMat._from_coeffs(ring, rows).det_elimination().coeffs
+        return WittMat._from_raw(ring, rows).det_elimination().coeffs
     cofactors = []
     for j in range(n):
         minor = [r[:j] + r[j + 1:] for r in rows[1:]]
@@ -272,14 +281,11 @@ def _det_coeffs(rows, ring):
 # -- constructors ---------------------------------------------------------------
 
 def identity(ring, n):
-    one, zero = ring.one, ring.zero
-    return WittMat._make(ring, tuple(
-        tuple(one if i == j else zero for j in range(n)) for i in range(n)))
+    return diagonal(ring, [ring.one] * n)
 
 
 def zeros(ring, n):
-    zero = ring.zero
-    return WittMat._make(ring, tuple((zero,) * n for _ in range(n)))
+    return diagonal(ring, [ring.zero] * n)
 
 
 def diagonal(ring, entries):
@@ -320,18 +326,14 @@ def in_group(A, shape):
     if not A.det().is_unit():
         return False
     n = A.n
+    if shape in (GroupShape.P_MINUS, GroupShape.B_MINUS):
+        A = A.transpose()  # the opposite shapes are those of the transpose
     if shape is GroupShape.FULL:
         return True
-    if shape is GroupShape.P:
+    if shape in (GroupShape.P, GroupShape.P_MINUS):
         return all(A.rows[i][0].is_zero() for i in range(1, n))
-    if shape is GroupShape.P_MINUS:
-        return all(A.rows[0][j].is_zero() for j in range(1, n))
-    if shape is GroupShape.B:
-        return all(A.rows[i][j].valuation() >= 1
-                   for i in range(n) for j in range(i))
-    if shape is GroupShape.B_MINUS:
-        return all(A.rows[i][j].valuation() >= 1
-                   for i in range(n) for j in range(i + 1, n))
+    if shape in (GroupShape.B, GroupShape.B_MINUS):
+        return all(A.rows[i][j].valuation() >= 1 for i in range(n) for j in range(i))
     raise ValueError(f"unknown shape {shape!r}")
 
 
@@ -356,12 +358,9 @@ def mat_from_obj(obj):
     entries = obj["entries"]
     if len(entries) != n or any(len(r) != n for r in entries):
         raise ValueError("entries must form an n x n array")
-    rows = []
-    for row in entries:
-        out = []
-        for eobj in row:
-            if _int_fields(eobj, ("p", "m", "N")) != (p, m, N):
-                raise RingMismatchError("entry ring parameters differ from matrix header")
-            out.append(elem_from_obj(eobj))
-        rows.append(tuple(out))
-    return WittMat._make(ring, tuple(rows))
+
+    def entry(eobj):
+        if _int_fields(eobj, ("p", "m", "N")) != (p, m, N):
+            raise RingMismatchError("entry ring parameters differ from matrix header")
+        return elem_from_obj(eobj)
+    return WittMat._make(ring, tuple(tuple(map(entry, row)) for row in entries))

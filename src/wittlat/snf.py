@@ -183,15 +183,15 @@ def minor_valuations(A):
     n = A.n
     if n > 4:
         raise ShapeError("minor brute force is limited to n <= 4")
-    N = A.ring.N
+    ring, raw = A.ring, A._raw
     out = []
     idx = range(n)
     for k in range(1, n + 1):
-        best = N
+        best = ring.N
         for rows in itertools.combinations(idx, k):
             for cols in itertools.combinations(idx, k):
-                sub = tuple(tuple(A.rows[i][j] for j in cols) for i in rows)
-                v = WittMat._make(A.ring, sub).det().valuation()
+                sub = tuple(tuple(raw[i][j] for j in cols) for i in rows)
+                v = WittMat._from_raw(ring, sub).det().valuation()
                 if v < best:
                     best = v
         out.append(best)

@@ -12,8 +12,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import NotInCoverError, ParameterMismatchError
-from .matrix import (GroupShape, WittMat, _det_coeffs, _det_int, in_group,
-                     p_power_diagonal)
+from .matrix import GroupShape, WittMat, _det_coeffs, in_group
 from .snf import Cochar, divisor_type
 
 
@@ -167,6 +166,15 @@ def _as_rng(seed_or_rng):
     return random.Random(seed_or_rng)
 
 
+def _random_raw(ring, n, rng):
+    """n x n bare values, drawn row by row as ring.random draws entries."""
+    draw, pN, m = rng.randrange, ring.pN, ring.m
+    if m == 1:
+        return tuple([tuple([draw(pN) for _ in range(n)]) for _ in range(n)])
+    return tuple([tuple([tuple([draw(pN) for _ in range(m)]) for _ in range(n)])
+                  for _ in range(n)])
+
+
 def sample_group(ring, n, shape, seed):
     """A pseudorandom element of the requested subgroup shape.
 
@@ -175,20 +183,10 @@ def sample_group(ring, n, shape, seed):
     """
     rng = _as_rng(seed)
     if shape is GroupShape.FULL:
-        pN = ring.pN
         for _ in range(10000):
-            if ring.m == 1:
-                # ring.random's draws, kept as bare lifts; only the accepted
-                # matrix is wrapped
-                rows = [[rng.randrange(pN) for _ in range(n)] for _ in range(n)]
-                if _det_int(rows, pN) % ring.p:
-                    return WittMat._from_lifts(ring, rows)
-            else:
-                # the same draws as coefficient tuples
-                rows = [[tuple([rng.randrange(pN) for _ in range(ring.m)]) for _ in range(n)]
-                        for _ in range(n)]
-                if any(c % ring.p for c in _det_coeffs(rows, ring)):
-                    return WittMat._from_coeffs(ring, rows)
+            raw = _random_raw(ring, n, rng)
+            if any(c % ring.p for c in _det_coeffs(raw, ring)):
+                return WittMat._from_raw(ring, raw)
         raise RuntimeError("unit-determinant rejection sampling did not converge")
     if shape in (GroupShape.B, GroupShape.B_MINUS):
         rows = []
@@ -231,7 +229,15 @@ def sample_orbit(ring, gamma, seed):
     n = gamma.n
     x = sample_group(ring, n, GroupShape.FULL, rng)
     y = sample_group(ring, n, GroupShape.FULL, rng)
-    return x * p_power_diagonal(ring, gamma.exponents) * y
+    # diag(p^gamma) * y scales row i of y by p^gamma_i (0 once gamma_i >= N)
+    pN = ring.pN
+    scale = [pow(ring.p, e, pN) for e in gamma.exponents]
+    if ring.m == 1:
+        dy = tuple([tuple([c * f % pN for c in r]) for r, f in zip(y._raw, scale)])
+    else:
+        dy = tuple([tuple([tuple([a * f % pN for a in c]) for c in r])
+                    for r, f in zip(y._raw, scale)])
+    return x * WittMat._from_raw(ring, dy)
 
 
 def sample_cover(ring, n, r, seed):

@@ -23,6 +23,7 @@ Z/p^N under the integer codec.
 """
 
 import math
+import operator
 import threading
 
 from .errors import CodecUnsupportedError, NotAUnitError, RingMismatchError
@@ -33,15 +34,25 @@ _RING_LOCK = threading.Lock()
 
 
 def witt_ring(p, N, m=1, modulus=None):
-    """Shared-instance constructor for W_N(F_{p^m})."""
+    """Shared-instance constructor for W_N(F_{p^m}).
+
+    The cache key has modulus None for the default modulus, given or not.  On
+    a miss the ring is built first, so that p and m are validated before the
+    default modulus is computed."""
     key = (p, N, m, tuple(modulus) if modulus is not None else None)
     ring = _RING_CACHE.get(key)
+    if ring is None and modulus is not None:  # the default, given explicitly?
+        ring = _RING_CACHE.get((p, N, m, None))
+        if ring is not None and ring.field.modulus != key[3]:
+            ring = None
     if ring is None:
         with _RING_LOCK:
             ring = _RING_CACHE.get(key)
             if ring is None:
                 ring = WittRing(p, N, m, modulus)
-                _RING_CACHE[key] = ring
+                if modulus is not None and ring.field.modulus == default_modulus(p, m):
+                    key = (p, N, m, None)
+                ring = _RING_CACHE.setdefault(key, ring)
     return ring
 
 
@@ -172,7 +183,7 @@ class WittRing:
 
     def from_int(self, k):
         """Canonical map Z -> W_N (an isomorphism onto Z/p^N for m = 1)."""
-        return WittElem._make(self, (k % self.pN,) + (0,) * (self.m - 1))
+        return WittElem._make(self, (operator.index(k) % self.pN,) + (0,) * (self.m - 1))
 
     def p_power(self, e):
         if e < 0:
@@ -383,10 +394,12 @@ class WittElem:
                 out.append((b,))
                 c //= p
             return tuple(out)
-        z, out = self.coeffs, []
-        for k in range(N, 0, -1):
-            b, pk = tuple(c % p for c in z), p ** k
-            z = tuple((c - t) % pk // p for c, t in zip(z, ring._teichmuller_lift(b)))
+        # each coefficient is congruent to that of xi(b) mod p, so the
+        # quotient is exact; later steps read only residues mod p
+        z, out, lift = self.coeffs, [], ring._teichmuller_lift
+        for _ in range(N):
+            b = tuple([c % p for c in z])
+            z = [(c - t) // p for c, t in zip(z, lift(b))]
             out.append(b)
         return tuple(out)
 

@@ -1,5 +1,6 @@
 import itertools
 import json
+import pickle
 import random
 
 import pytest
@@ -8,7 +9,8 @@ from wittlat.errors import NotAUnitError, RingMismatchError, ShapeError
 from wittlat.matrix import (GroupShape, WittMat, elementary_matrix, identity,
                             in_group, mat_from_obj, mat_to_obj,
                             p_power_diagonal, permutation_matrix, zeros)
-from wittlat.strata import sample_group
+from wittlat.snf import Cochar, divisor_type, snf
+from wittlat.strata import sample_group, sample_orbit
 from wittlat.witt import witt_ring
 
 
@@ -370,3 +372,66 @@ def test_full_sampler_matches_reference_stream(p, N, m):
             assert A == _full_sample_reference(R, n, ref)
             assert fast.draws == ref.draws and fast.draws % (n * n * m) == 0
             assert fast.random() == ref.random()
+
+
+@pytest.mark.parametrize("rows", [[], [[1, 2], [3]], [[1, 2]], [[1, 2, 3], [4, 5, 6]]])
+def test_from_ints_rejects_empty_ragged_or_nonsquare(rows):
+    for R in (witt_ring(2, 3), witt_ring(2, 3, 2)):
+        with pytest.raises(ShapeError):
+            WittMat.from_ints(R, rows)
+
+
+@pytest.mark.parametrize("bad", [1.5, 2.0, "3", None, (1,)])
+def test_from_ints_and_from_int_reject_non_integers(bad):
+    for R in (witt_ring(2, 3), witt_ring(2, 3, 2)):
+        with pytest.raises(TypeError):
+            WittMat.from_ints(R, [[bad, 2], [3, 4]])
+        with pytest.raises(TypeError):
+            R.from_int(bad)
+    R = witt_ring(2, 3)
+    assert WittMat.from_ints(R, [[True, -1], [9, 4]]) == WittMat.from_ints(R, [[1, 7], [1, 4]])
+
+
+def _storage_cases(R, n, rng):
+    """(name, matrix) pairs from every constructor and producer of matrices."""
+    elems = [[R.random(rng) for _ in range(n)] for _ in range(n)]
+    A = WittMat(R, elems)
+    ints = [[rng.randrange(-R.pN, 2 * R.pN) for _ in range(n)] for _ in range(n)]
+    out = [("init", A), ("make", WittMat._make(R, tuple(tuple(r) for r in elems))),
+           ("from_ints", WittMat.from_ints(R, ints)), ("transpose", A.transpose())]
+    for shape in (GroupShape.FULL, GroupShape.P, GroupShape.B):
+        out.append((shape.value, sample_group(R, n, shape, rng)))
+    gamma = Cochar(n, tuple(sorted((rng.randrange(R.N + 1) for _ in range(n)), reverse=True)))
+    X = sample_orbit(R, gamma, rng)
+    res = snf(X)
+    out += [("product", out[-1][1] * A), ("orbit", X), ("left", res.left), ("right", res.right)]
+    return out
+
+
+@pytest.mark.parametrize("p,m,n", [(p, m, n) for p in (2, 3) for m in (1, 2, 3)
+                                   for n in range(1, 6)])
+def test_raw_storage_and_elem_view_agree(p, m, n):
+    R = witt_ring(p, 3 if p == 2 else 2, m)
+    rng = random.Random(1000 * p + 100 * m + n)
+    for name, A in _storage_cases(R, n, rng):
+        raw = A._raw
+        assert type(raw) is tuple and all(type(r) is tuple for r in raw), name
+        want = tuple(tuple(e.coeffs[0] if m == 1 else e.coeffs for e in r) for r in A.rows)
+        assert raw == want and A.rows is A.rows, name
+        assert all(A[i, j] == A.rows[i][j] for i in range(n) for j in range(n)), name
+        # equal values: equal and hash-equal whichever constructor built them
+        for B in (WittMat(R, A.rows), WittMat._make(R, A.rows), WittMat._from_raw(R, raw)):
+            assert B == A and hash(B) == hash(A), name
+        if m == 1:
+            B = WittMat.from_ints(R, raw)
+            assert B == A and hash(B) == hash(A), name
+        divisor_type(A)
+        B = pickle.loads(pickle.dumps(A))
+        assert B == A and B._raw == raw and B._divisors == A._divisors is not None, name
+        assert B.rows == A.rows, name
+        assert A.det() == _det_cofactor(A.rows, R), name
+        if n > 1:
+            i, j = rng.randrange(n), rng.randrange(n)
+            sub = tuple(r[:j] + r[j + 1:] for r in A.rows[:i] + A.rows[i + 1:])
+            assert A.minor(i, j) == _det_cofactor(sub, R), name
+            assert A.corner_minor() == A.minor(0, 0) and A.corner_entry() == A.rows[0][0]

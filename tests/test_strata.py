@@ -311,3 +311,20 @@ def test_classify_pred_matches_per_index_predicate():
                         want = i
             assert rep.pred_val_i == want
         assert 40 <= members < len(mats)
+
+
+@pytest.mark.parametrize("p,N,m", [(2, 3, 1), (3, 4, 1), (2, 3, 2), (3, 2, 3)])
+def test_sample_orbit_is_x_times_diagonal_times_y(p, N, m):
+    # the orbit sample scales rows of y in place of the product with the diagonal
+    R = witt_ring(p, N, m)
+    rng = random.Random(300 + p + m)
+    for n in range(1, 5):
+        for _ in range(4):
+            gamma = Cochar(n, tuple(sorted((rng.randrange(N + 2) for _ in range(n)),
+                                           reverse=True)))
+            seed = rng.getrandbits(32)
+            A = sample_orbit(R, gamma, random.Random(seed))
+            ref = random.Random(seed)
+            x = sample_group(R, n, GroupShape.FULL, ref)
+            y = sample_group(R, n, GroupShape.FULL, ref)
+            assert A == x * p_power_diagonal(R, gamma.exponents) * y

@@ -1,9 +1,13 @@
+import itertools
 import json
+import pickle
 import random
 
 import pytest
 
+from wittlat import witt
 from wittlat.errors import CodecUnsupportedError, NotAUnitError, RingMismatchError
+from wittlat.field import default_modulus
 from wittlat.witt import elem_from_obj, elem_to_obj, witt_ring
 
 # (p, m, N) parameter matrix shared by the property tests
@@ -367,3 +371,39 @@ def test_json_malformed():
         elem_from_obj({"p": 2, "m": 1, "N": 3, "digits": [[1], [0]]})
     with pytest.raises(ValueError):
         elem_from_obj({"p": 2, "m": 1, "N": 2, "digits": [[2], [0]]})
+
+
+def _teichmuller_digits_reduced(x):
+    # the loop the exact-quotient version replaced: reduce mod p^k, then // p
+    R = x.ring
+    p, z, out = R.p, x.coeffs, []
+    for k in range(R.N, 0, -1):
+        b, pk = tuple(c % p for c in z), p ** k
+        z = tuple((c - t) % pk // p for c, t in zip(z, R._teichmuller_lift(b)))
+        out.append(b)
+    return tuple(out)
+
+
+@pytest.mark.parametrize("p,m", [(2, 2), (2, 3), (3, 2)])
+def test_teichmuller_digits_exhaustive_against_reduced_loop(p, m):
+    R = witt_ring(p, 3, m)
+    for coeffs in itertools.product(range(R.pN), repeat=m):
+        x = R.from_coeffs(coeffs)
+        assert x.teichmuller_digits() == _teichmuller_digits_reduced(x), coeffs
+
+
+def test_explicit_default_modulus_is_the_shared_ring():
+    R = witt_ring(3, 4, 2)
+    size = len(witt._RING_CACHE)
+    for modulus in (R.field.modulus, list(R.field.modulus)):
+        S = witt_ring(3, 4, 2, modulus)
+        assert S is R and pickle.loads(pickle.dumps(S)) is R
+    assert len(witt._RING_CACHE) == size
+    # first built through the explicit default, then asked for by default
+    key = (7, 6, 2, None)
+    size -= key in witt._RING_CACHE
+    T = witt_ring(7, 6, 2, default_modulus(7, 2))
+    assert witt._RING_CACHE[key] is T and witt_ring(7, 6, 2) is T
+    assert len(witt._RING_CACHE) == size + 1
+    with pytest.raises(ValueError):
+        witt_ring(4, 2, 2, (1, 1, 1))  # p is validated before the default is sought
