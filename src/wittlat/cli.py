@@ -8,18 +8,18 @@ seed that produced it.
 """
 
 import argparse
+import functools
 import json
 import os
 import random
 import sys
-from collections import Counter
 
 from . import verify as verify_mod
 from .degeneration import degeneration_chain
-from .dimension import dim_report, tiny_exhaustive_census
+from .dimension import dim_report, divisor_histogram, tiny_exhaustive_census
 from .errors import ParameterMismatchError, RingMismatchError
 from .matrix import WittMat, mat_from_obj, mat_to_obj
-from .snf import Cochar, divisor_type
+from .snf import Cochar
 from .strata import _random_raw, classify, enumerate_strata
 from .verify import DEFAULT_SEED, _child_seed
 from .witt import witt_ring
@@ -102,31 +102,17 @@ def cmd_strata(args):
     return EXIT_OK
 
 
-def _census_count(args, lo, hi):
-    ring = witt_ring(args.p, args.n * args.r + 1, args.m)
-    counts = Counter()
-    for k in range(lo, hi):
-        rng = random.Random(_child_seed(args.seed, k))
-        A = WittMat._from_raw(ring, _random_raw(ring, args.n, rng))
-        counts[divisor_type(A).exponents] += 1
-    return counts
+def _census_matrix(ring, n, seed, k):
+    """The k-th census sample, drawn from its own child seed."""
+    return WittMat._from_raw(ring, _random_raw(ring, n, random.Random(_child_seed(seed, k))))
 
 
 def cmd_census(args):
     if args.n < 2 or args.r < 1:
         raise UsageError("need n >= 2 and r >= 1")
-    # samples are seeded individually, so the histogram is independent of
-    # how the index range is sharded across jobs
-    counts = Counter()
-    if args.jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        bounds = [(args.samples * j // args.jobs, args.samples * (j + 1) // args.jobs)
-                  for j in range(args.jobs)]
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            for part in pool.map(_census_worker, [(args, lo, hi) for lo, hi in bounds]):
-                counts.update(part)
-    else:
-        counts = _census_count(args, 0, args.samples)
+    ring = witt_ring(args.p, args.n * args.r + 1, args.m)
+    counts = divisor_histogram(functools.partial(_census_matrix, ring, args.n, args.seed),
+                               0, args.samples, args.jobs)
     out = {
         "p": args.p, "m": args.m, "n": args.n, "r": args.r,
         "N": args.n * args.r + 1,
@@ -136,11 +122,6 @@ def cmd_census(args):
     }
     _emit(out, args.pretty)
     return EXIT_OK
-
-
-def _census_worker(payload):
-    args, lo, hi = payload
-    return _census_count(args, lo, hi)
 
 
 def cmd_degenerate(args):

@@ -6,17 +6,19 @@ X gamma = gamma Y decouples into one equation p^{s_j} x = p^{s_i} y per
 entry, whose solution space has a computable k-dimension even under the
 per-entry constraints (zero, or valuation >= 1) imposed by the subgroup
 shapes; dim_report sums these per-entry dimensions grouped by max(i, j).  A
-tiny exhaustive census over W_3(F_2) validates the orbit-stabilizer arithmetic.
+tiny exhaustive census over W_3(F_2) validates the orbit-stabilizer arithmetic
+with the library's own matrix products, determinants and divisor types.
+divisor_histogram is the one divisor-type counting loop, shared with the
+`census` command.
 """
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 from operator import mul
 
-from .matrix import GroupShape, WittMat
+from .matrix import GroupShape, WittMat, p_power_diagonal
 from .snf import Cochar, divisor_type
-from .strata import subregular_cochar
+from .strata import in_cover, subregular_cochar
 from .witt import witt_ring
 
 
@@ -177,29 +179,31 @@ def dim_report(gamma, r):
     )
 
 
+# -- divisor-type histograms -------------------------------------------------------
+
+def divisor_histogram(matrix_at, lo, hi, jobs=1):
+    """Counter of the divisor types of matrix_at(k) for k in range(lo, hi).
+
+    With jobs > 1 the range is cut into `jobs` contiguous shards counted in
+    worker processes, so matrix_at must pickle.  Each matrix depends on its
+    index alone, so the histogram does not depend on jobs.
+    """
+    if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+        bounds = [lo + (hi - lo) * j // jobs for j in range(jobs + 1)]
+        counts = Counter()
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            for part in pool.map(divisor_histogram, [matrix_at] * jobs, bounds[:-1], bounds[1:]):
+                counts.update(part)
+        return counts
+    return Counter(divisor_type(matrix_at(k)).exponents for k in range(lo, hi))
+
+
 # -- tiny exhaustive census: 2x2 matrices over W_3(F_2) = Z/8 ------------------------
 
-_TINY_MOD = 8
-
-
-def _det2(a):
-    return (a[0] * a[3] - a[1] * a[2]) % _TINY_MOD
-
-
-def _mul2(a, b):
-    return ((a[0] * b[0] + a[1] * b[2]) % _TINY_MOD,
-            (a[0] * b[1] + a[1] * b[3]) % _TINY_MOD,
-            (a[2] * b[0] + a[3] * b[2]) % _TINY_MOD,
-            (a[2] * b[1] + a[3] * b[3]) % _TINY_MOD)
-
-
-def _tiny_divisor_chunk(entries):
-    ring = witt_ring(2, 3)
-    counts = Counter()
-    for a in entries:
-        A = WittMat.from_ints(ring, ((a[0], a[1]), (a[2], a[3])))
-        counts[divisor_type(A).exponents] += 1
-    return counts
+def _tiny_matrix(k):
+    """The k-th of the 4096 2x2 matrices over Z/8, entries the octal digits of k."""
+    return WittMat._from_raw(witt_ring(2, 3), ((k >> 9, k >> 6 & 7), (k >> 3 & 7, k & 7)))
 
 
 @dataclass(frozen=True)
@@ -234,37 +238,24 @@ def tiny_exhaustive_census(jobs=1):
     height-1 strata, and checks orbit size = |G|^2 / #pairs plus the
     partition of the cover variety.
     """
-    mats = list(itertools.product(range(_TINY_MOD), repeat=4))
-    group = [a for a in mats if _det2(a) % 2 == 1]
+    ring = witt_ring(2, 3)
+    mats = [_tiny_matrix(k) for k in range(8 ** 4)]
+    group = [A for A in mats if A.det().is_unit()]
     g_order = len(group)
-
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        chunk = (len(mats) + jobs - 1) // jobs
-        parts = [mats[k:k + chunk] for k in range(0, len(mats), chunk)]
-        histogram = Counter()
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for c in pool.map(_tiny_divisor_chunk, parts):
-                histogram.update(c)
-    else:
-        histogram = _tiny_divisor_chunk(mats)
+    histogram = divisor_histogram(_tiny_matrix, 0, len(mats), jobs)
 
     stab_pairs = {}
     counts_ok = True
     for exps in ((2, 0), (1, 1)):
-        gamma = (2 ** exps[0] % _TINY_MOD, 0, 0, 2 ** exps[1] % _TINY_MOD)
-        left = Counter(_mul2(x, gamma) for x in group)
-        right = Counter(_mul2(gamma, y) for y in group)
+        gamma = p_power_diagonal(ring, exps)
+        left = Counter(x * gamma for x in group)
+        right = Counter(gamma * y for y in group)
         pairs = sum(c * right.get(k, 0) for k, c in left.items())
         stab_pairs[exps] = pairs
         if g_order * g_order % pairs or histogram[exps] != g_order * g_order // pairs:
             counts_ok = False
 
-    cover_size = 0
-    for a in mats:
-        d = _det2(a)
-        if d % 8 != 0 and d % 4 == 0:
-            cover_size += 1
+    cover_size = sum(in_cover(A, 1) for A in mats)
     partition_ok = histogram[(2, 0)] + histogram[(1, 1)] == cover_size
 
     return TinyCensus(

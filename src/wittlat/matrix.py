@@ -1,13 +1,14 @@
 """Square matrices over a truncated Witt ring.
 
 A matrix stores bare values (ints for m = 1, coefficient tuples for m > 1)
-and builds its WittElem `rows` only when they are read.  Provides exact
-determinants (for m = 1, fraction-free Bareiss elimination over Z on the
-integer lifts; for m > 1, cofactor expansion on bare coefficient tuples
-with the ring's kernels for n <= 4 and elimination with minimal-valuation
-pivots otherwise), minors, the corner functions (the (0,0) entry and its
-complementary minor), inverses via the adjugate, and membership tests for
-the classical subgroup shapes of GL_n.
+and builds its WittElem `rows` only when they are read.  Provides the one
+full-pivot elimination behind both the elementary-divisor type (snf.py) and
+the m > 1, n > 4 determinant, exact determinants (for m = 1, fraction-free
+Bareiss elimination over Z on the integer lifts; for m > 1, cofactor
+expansion on bare coefficient tuples with the ring's kernels for n <= 4 and
+that elimination otherwise), minors, the corner functions (the (0,0) entry
+and its complementary minor), inverses via the adjugate, and membership
+tests for the classical subgroup shapes of GL_n.
 """
 
 import enum
@@ -134,10 +135,6 @@ class WittMat:
             tuple(x - y for x, y in zip(ra, rb))
             for ra, rb in zip(self.rows, other.rows)))
 
-    def scale(self, c):
-        return WittMat._make(self.ring, tuple(
-            tuple(c * x for x in r) for r in self.rows))
-
     def transpose(self):
         return WittMat._from_raw(self.ring, tuple(zip(*self._raw)))
 
@@ -145,33 +142,6 @@ class WittMat:
 
     def det(self):
         return WittElem._make(self.ring, _det_coeffs(self._raw, self.ring))
-
-    def det_elimination(self):
-        """Determinant by row elimination with minimal-valuation pivots.
-
-        Quotients by a pivot are only defined up to its annihilator, but
-        every choice is an elementary row operation, so the determinant is
-        unaffected.
-        """
-        ring = self.ring
-        n = self.n
-        M = [list(r) for r in self.rows]
-        sign = 1
-        for k in range(n):
-            piv_v, piv_i = min((M[i][k].valuation(), i) for i in range(k, n))
-            if piv_v >= ring.N:
-                continue  # zero column: a zero lands on the diagonal
-            if piv_i != k:
-                M[k], M[piv_i] = M[piv_i], M[k]
-                sign = -sign
-            divide = ring.divider(M[k][k])
-            for i in range(k + 1, n):
-                if M[i][k].is_zero():
-                    continue
-                q = divide(M[i][k])
-                M[i] = [x - q * y for x, y in zip(M[i], M[k])]
-        acc = functools.reduce(operator.mul, (M[k][k] for k in range(1, n)), M[0][0])
-        return -acc if sign < 0 else acc
 
     def det_digits(self):
         """Witt digits (d_0, ..., d_{N-1}) of the determinant."""
@@ -258,7 +228,10 @@ def _det_coeffs(rows, ring):
     """det, as a coefficient tuple, of a matrix given by rows of bare values.
     For m = 1 it is _det_int.  For m > 1 and n <= 4 it is the expansion along
     row 0, one dot product with the signed minors, the sign (-1)^j being a
-    swap of the minor's first two rows; above, det_elimination."""
+    swap of the minor's first two rows; above, the signed product of the
+    diagonal that _eliminate leaves (a zero lands there when a pivot search
+    finds nothing).  Its quotients are defined only up to a pivot's
+    annihilator, but every choice is an elementary operation of det 1."""
     if ring.m == 1:
         return (_det_int(rows, ring.pN),)
     n = len(rows)
@@ -268,7 +241,9 @@ def _det_coeffs(rows, ring):
         (a, b), (c, d) = rows
         return ring._sub(ring._mul(a, d), ring._mul(b, c))
     if n > 4:
-        return WittMat._from_raw(ring, rows).det_elimination().coeffs
+        _, sign, M, _, _ = _eliminate(WittMat._from_raw(ring, rows), with_transforms=False)
+        d = functools.reduce(operator.mul, [M[k][k] for k in range(1, n)], M[0][0])
+        return (-d if sign < 0 else d).coeffs
     cofactors = []
     for j in range(n):
         minor = [r[:j] + r[j + 1:] for r in rows[1:]]
@@ -276,6 +251,97 @@ def _det_coeffs(rows, ring):
             minor[0], minor[1] = minor[1], minor[0]
         cofactors.append(_det_coeffs(minor, ring))
     return ring._dot(rows[0], cofactors)
+
+
+# -- elimination -------------------------------------------------------------------
+
+def _find_pivot(M, k, n, N):
+    """Minimal-valuation entry of the active block; ties prefer the
+    smallest column index, then the largest row index."""
+    bv, bj, bi = N, n, -1
+    for j in range(k, n):
+        for i in range(k, n):
+            v = M[i][j].valuation()
+            if v >= N:
+                continue
+            if v < bv or (v == bv and (j < bj or (j == bj and i > bi))):
+                bv, bj, bi = v, j, i
+    if bi < 0:
+        return None
+    return bv, bi, bj
+
+
+def _eliminate(A, with_transforms):
+    """Full-pivot elimination of A to a diagonal M by row and column
+    operations and swaps, the pivots chosen by _find_pivot.
+
+    Returns (exps, sign, M, L, R).  exps are the pivot valuations in pivot
+    order, padded with N once no pivot is left; sign is that of the swaps, so
+    det A = sign * prod_k M[k][k].  With transforms, the pivots' unit parts
+    are moved into R and the order of L's rows and R's columns is reversed,
+    so L * A * R = diag(p^e) for e = exps reversed (descending); without,
+    L and R are None.
+    """
+    ring = A.ring
+    n, N = A.n, ring.N
+    M = [list(r) for r in A.rows]
+    L = R = None
+    if with_transforms:
+        one, zero = ring.one, ring.zero
+        L = [[one if i == j else zero for j in range(n)] for i in range(n)]
+        R = [[one if i == j else zero for j in range(n)] for i in range(n)]
+    exps, dividers, sign = [], [], 1
+    for k in range(n):
+        found = _find_pivot(M, k, n, N)
+        if found is None:
+            exps.extend([N] * (n - k))  # the active block is zero
+            break
+        v, pi, pj = found
+        if pi != k:
+            sign = -sign
+            M[k], M[pi] = M[pi], M[k]
+            if with_transforms:
+                L[k], L[pi] = L[pi], L[k]
+        if pj != k:
+            sign = -sign
+            for row in M:
+                row[k], row[pj] = row[pj], row[k]
+            if with_transforms:
+                for row in R:
+                    row[k], row[pj] = row[pj], row[k]
+        exps.append(v)
+        # kept for the unit normalization (M[k][k] is final from here on);
+        # without transforms the last pivot, which clears nothing, needs none
+        divide = ring.divider(M[k][k]) if with_transforms or k + 1 < n else None
+        dividers.append(divide)
+        for i in range(k + 1, n):
+            if M[i][k].is_zero():
+                continue
+            q = divide(M[i][k])
+            M[i] = [x - q * y for x, y in zip(M[i], M[k])]
+            if with_transforms:
+                L[i] = [x - q * y for x, y in zip(L[i], L[k])]
+        for j in range(k + 1, n):
+            if M[k][j].is_zero():
+                continue
+            q = divide(M[k][j])
+            for row in M:
+                row[j] = row[j] - q * row[k]
+            if with_transforms:
+                for row in R:
+                    row[j] = row[j] - q * row[k]
+    if with_transforms:
+        # normalize units into the right transform: diag entry p^v * u -> p^v
+        for k, divide in enumerate(dividers):
+            w = divide(ring.p_power(exps[k]))  # inverse of the unit part
+            if w != ring.one:
+                for row in R:
+                    row[k] = row[k] * w
+        # exponents came out ascending; reverse to sort them descending
+        L.reverse()
+        for row in R:
+            row.reverse()
+    return exps, sign, M, L, R
 
 
 # -- constructors ---------------------------------------------------------------

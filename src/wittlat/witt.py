@@ -176,7 +176,7 @@ class WittRing:
     def from_coeffs(self, coeffs):
         if isinstance(coeffs, int):
             return self.from_int(coeffs)
-        coeffs = tuple(int(c) % self.pN for c in coeffs)
+        coeffs = tuple([operator.index(c) % self.pN for c in coeffs])
         if len(coeffs) != self.m:
             raise ValueError(f"expected {self.m} coefficients")
         return WittElem._make(self, coeffs)
@@ -253,7 +253,7 @@ class WittElem:
         if not isinstance(ring, WittRing):
             raise TypeError("ring must be a WittRing")
         self.ring = ring
-        self.coeffs = tuple(int(c) % ring.pN for c in coeffs)
+        self.coeffs = tuple([operator.index(c) % ring.pN for c in coeffs])
         if len(self.coeffs) != ring.m:
             raise ValueError(f"expected {ring.m} coefficients")
 

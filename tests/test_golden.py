@@ -1,9 +1,12 @@
 """Seeded CLI output pinned byte for byte.
 
 Each command's stdout is compared, by SHA-256, with the digest recorded
-before the matrix layer moved to bare-value storage, and its exit code with
+before the matrix layer moved to bare-value storage (the first eight) or
+before the census loops and the m > 1 determinant were folded into the
+shared elimination and histogram code (the rest), and its exit code with
 the recorded one (`verify --suite strata` exits 1 by design: criterion 4's
 containment is false).  A change that alters any seeded output fails here.
+The `--jobs 2` cases are skipped on one CPU, where `main` rejects them.
 """
 
 import hashlib
@@ -33,11 +36,25 @@ GOLDEN = [
      "8d2ae39e4f5c0c0e50398cbbf78396123e8f8b7784840121e98b546f10005744"),
     ("verify --suite dims --samples 20 --seed 11", 0,
      "4ff230018eb16239d8f7b8d933405a948ba18cd7d1f00888a715316731f45d1b"),
+    ("enumerate --tiny", 0,
+     "ccc0778b0f06da7e7dd1d7d1542dd67a7430502aababc7e0558f2ee14621ec93"),
+    ("enumerate --tiny --jobs 2", 0,
+     "ccc0778b0f06da7e7dd1d7d1542dd67a7430502aababc7e0558f2ee14621ec93"),
+    ("verify --suite tiny --jobs 2", 0,
+     "96cbb1e9adc86e468f5eb4500881f1cbc897ecd04c7c5a9f8a31869fb41c6837"),
+    # the same histogram as the --jobs 1 pin above: sharding changes nothing
+    ("census --p 3 --n 3 --r 1 --samples 300 --seed 7 --jobs 2", 0,
+     "e51a2f24badc0e35c647ff10b4fedb073a173aa1ebd2185bbb36315a8226cae4"),
+    # m > 1 and n = 5: the elimination determinant and FULL sampling
+    ("verify --suite snf --m 2 --n 5 --samples 20 --seed 11", 0,
+     "093fca5f77eea5ab40641f217d6b0b4c7d6d747b6aea476927ff4fb80b799234"),
 ]
 
 
 @pytest.mark.parametrize("argv,code,digest", GOLDEN, ids=[g[0] for g in GOLDEN])
 def test_seeded_stdout_is_byte_identical(argv, code, digest):
+    if "--jobs 2" in argv and (os.cpu_count() or 1) < 2:
+        pytest.skip("--jobs 2 needs two CPUs")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     env.pop("WITTLAT_SEED", None)
     proc = subprocess.run([sys.executable, "-m", "wittlat.cli", *argv.split()], cwd=ROOT,
