@@ -187,6 +187,8 @@ def cmd_dims(args):
 
 def cmd_verify(args):
     name = args.suite
+    if name in ("witt", "snf", "strata") and args.samples < 1:
+        raise UsageError(f"--suite {name} needs --samples >= 1, got {args.samples}")
     kwargs = {}
     if name in ("witt",):
         kwargs = {"p": args.p, "m": args.m, "N": args.N if args.N else args.n * args.r + 1,

@@ -10,7 +10,7 @@ dominance relation between exponent vectors of equal total.
 
 from dataclasses import dataclass
 
-from .matrix import WittMat, identity, p_power_diagonal
+from .matrix import WittMat, _bare, identity, p_power_diagonal
 from .snf import Cochar
 from .strata import dominance_leq
 
@@ -23,9 +23,9 @@ def _nonzero_parameter(ring, t):
 
 
 def _deformation(ring, exponents, j, b, xi, i):
-    rows = [list(r) for r in p_power_diagonal(ring, exponents).rows]
-    rows[j][i] = ring.p_power(exponents[j] - b) * xi
-    return WittMat._make(ring, tuple(tuple(r) for r in rows))
+    raw = [list(r) for r in p_power_diagonal(ring, exponents)._raw]
+    raw[j][i] = _bare(ring, ring.p_power(exponents[j] - b) * xi)
+    return WittMat._from_raw(ring, tuple(map(tuple, raw)))
 
 
 def deformation_matrix(ring, exponents, j, b, t, i=0):
@@ -101,12 +101,9 @@ def _transfer(ring, r1, rj, b, t, xi, xi_inv):
 
 
 def _embed2(ring, block, n, i, j):
-    rows = [list(r) for r in identity(ring, n).rows]
-    rows[i][i] = block.rows[0][0]
-    rows[i][j] = block.rows[0][1]
-    rows[j][i] = block.rows[1][0]
-    rows[j][j] = block.rows[1][1]
-    return WittMat._make(ring, tuple(tuple(r) for r in rows))
+    raw = [list(r) for r in identity(ring, n)._raw]
+    (raw[i][i], raw[i][j]), (raw[j][i], raw[j][j]) = block._raw
+    return WittMat._from_raw(ring, tuple(map(tuple, raw)))
 
 
 def embed_witness(w, n, j, ambient, i=0):
@@ -200,7 +197,7 @@ def degeneration_chain(ring, src, dst, t=None):
         deformed = _deformation(ring, lower, j, 1, xi, i)
         x, eta_prime, y = _embed(w, n, j, tuple(lower), i, deformed, g)
         steps.append(ChainStep(
-            upper=Cochar(n, tuple(cur)), lower=Cochar(n, tuple(lower)),
+            upper=Cochar._make(n, tuple(cur)), lower=Cochar._make(n, tuple(lower)),
             i=i, j=j, b=1, witness=w, x=x, eta_prime=eta_prime, y=y,
             deformed=deformed))
         cur = lower

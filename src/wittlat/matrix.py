@@ -190,11 +190,13 @@ def _square(rows):
     return rows
 
 
+def _bare(ring, e):
+    """The bare value of one WittElem."""
+    return e.coeffs[0] if ring.m == 1 else e.coeffs
+
+
 def _unwrap(ring, rows):
-    """The bare values of rows of WittElems."""
-    if ring.m == 1:
-        return tuple([tuple([e.coeffs[0] for e in r]) for r in rows])
-    return tuple([tuple([e.coeffs for e in r]) for r in rows])
+    return tuple([tuple([_bare(ring, e) for e in r]) for r in rows])
 
 
 def _det_int(rows, pN):
@@ -229,9 +231,9 @@ def _det_coeffs(rows, ring):
     For m = 1 it is _det_int.  For m > 1 and n <= 4 it is the expansion along
     row 0, one dot product with the signed minors, the sign (-1)^j being a
     swap of the minor's first two rows; above, the signed product of the
-    diagonal that _eliminate leaves (a zero lands there when a pivot search
-    finds nothing).  Its quotients are defined only up to a pivot's
-    annihilator, but every choice is an elementary operation of det 1."""
+    diagonal of the triangular M that _eliminate leaves (a zero lands there
+    when a pivot search finds nothing).  Its quotients are defined only up to
+    a pivot's annihilator, but every choice is a row operation of det 1."""
     if ring.m == 1:
         return (_det_int(rows, ring.pN),)
     n = len(rows)
@@ -272,8 +274,9 @@ def _find_pivot(M, k, n, N):
 
 
 def _eliminate(A, with_transforms):
-    """Full-pivot elimination of A to a diagonal M by row and column
-    operations and swaps, the pivots chosen by _find_pivot.
+    """Full-pivot elimination of A (pivots by _find_pivot) to an
+    upper-triangular M by row operations and swaps; the column operations
+    that clear each pivot's row act on R alone, as nothing reads M there.
 
     Returns (exps, sign, M, L, R).  exps are the pivot valuations in pivot
     order, padded with N once no pivot is left; sign is that of the swaps, so
@@ -321,13 +324,11 @@ def _eliminate(A, with_transforms):
             M[i] = [x - q * y for x, y in zip(M[i], M[k])]
             if with_transforms:
                 L[i] = [x - q * y for x, y in zip(L[i], L[k])]
-        for j in range(k + 1, n):
-            if M[k][j].is_zero():
-                continue
-            q = divide(M[k][j])
-            for row in M:
-                row[j] = row[j] - q * row[k]
-            if with_transforms:
+        if with_transforms:
+            for j in range(k + 1, n):
+                if M[k][j].is_zero():
+                    continue
+                q = divide(M[k][j])
                 for row in R:
                     row[j] = row[j] - q * row[k]
     if with_transforms:
@@ -355,10 +356,10 @@ def zeros(ring, n):
 
 
 def diagonal(ring, entries):
-    zero = ring.zero
-    n = len(entries)
-    return WittMat._make(ring, tuple(
-        tuple(entries[i] if i == j else zero for j in range(n)) for i in range(n)))
+    vals, zero = [_bare(ring, e) for e in entries], _bare(ring, ring.zero)
+    n = len(vals)
+    return WittMat._from_raw(ring, tuple(
+        tuple(vals[i] if i == j else zero for j in range(n)) for i in range(n)))
 
 
 def p_power_diagonal(ring, exponents):
@@ -371,9 +372,8 @@ def permutation_matrix(ring, perm):
     n = len(perm)
     if sorted(perm) != list(range(n)):
         raise ValueError("not a permutation")
-    one, zero = ring.one, ring.zero
-    return WittMat._make(ring, tuple(
-        tuple(one if j == perm[i] else zero for j in range(n)) for i in range(n)))
+    raw = identity(ring, n)._raw
+    return WittMat._from_raw(ring, tuple(raw[j] for j in perm))
 
 
 def elementary_matrix(ring, n, i, j, c):

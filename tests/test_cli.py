@@ -247,6 +247,15 @@ def test_verify_rejects_zero_length(capsys):
     _assert_usage_error(capsys, ["verify", "--suite", "witt", "--N", "0"])
 
 
+def test_verify_sampled_suites_reject_zero_samples(capsys):
+    # a sampled suite with no samples would report "ok" after checking nothing
+    for suite in ("witt", "snf", "strata"):
+        _assert_usage_error(capsys, ["verify", "--suite", suite, "--samples", "0"])
+    # an empty histogram is a correct census of zero samples
+    code, out = run(capsys, "census", "--n", "2", "--r", "1", "--samples", "0", "--seed", "1")
+    assert code == 0 and json.loads(out)["histogram"] == []
+
+
 def _classify_with_digits(tmp_path, capsys, digits):
     # one entry of diag(4, 1) over Z/8 carries the given "digits" value
     obj = mat_to_obj(p_power_diagonal(witt_ring(2, 3), (2, 0)))
