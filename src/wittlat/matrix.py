@@ -257,9 +257,12 @@ def _det_coeffs(rows, ring):
 
 # -- elimination -------------------------------------------------------------------
 
-def _find_pivot(M, k, n, N):
+def _find_pivot(M, k, n, N, lo):
     """Minimal-valuation entry of the active block; ties prefer the
-    smallest column index, then the largest row index."""
+    smallest column index, then the largest row index.  No entry lies below
+    lo, the last pivot's valuation (0 at k = 0), as each is x - q*y with v(x),
+    v(y) >= lo and v(q) >= 0; so the scan ends after the first whole column
+    holding valuation lo, since later columns could only tie."""
     bv, bj, bi = N, n, -1
     for j in range(k, n):
         for i in range(k, n):
@@ -268,6 +271,8 @@ def _find_pivot(M, k, n, N):
                 continue
             if v < bv or (v == bv and (j < bj or (j == bj and i > bi))):
                 bv, bj, bi = v, j, i
+        if bv == lo:
+            break
     if bi < 0:
         return None
     return bv, bi, bj
@@ -277,6 +282,9 @@ def _eliminate(A, with_transforms):
     """Full-pivot elimination of A (pivots by _find_pivot) to an
     upper-triangular M by row operations and swaps; the column operations
     that clear each pivot's row act on R alone, as nothing reads M there.
+    Clearing row i below pivot k zeroes M[i][k] (q * M[k][k] is M[i][k]
+    exactly) and rewrites only the columns right of k: those left of k hold
+    zero in both rows.  Pivot valuations never decrease (see _find_pivot).
 
     Returns (exps, sign, M, L, R).  exps are the pivot valuations in pivot
     order, padded with N once no pivot is left; sign is that of the swaps, so
@@ -288,14 +296,14 @@ def _eliminate(A, with_transforms):
     ring = A.ring
     n, N = A.n, ring.N
     M = [list(r) for r in A.rows]
+    one, zero = ring.one, ring.zero
     L = R = None
     if with_transforms:
-        one, zero = ring.one, ring.zero
         L = [[one if i == j else zero for j in range(n)] for i in range(n)]
         R = [[one if i == j else zero for j in range(n)] for i in range(n)]
     exps, dividers, sign = [], [], 1
     for k in range(n):
-        found = _find_pivot(M, k, n, N)
+        found = _find_pivot(M, k, n, N, exps[-1] if exps else 0)
         if found is None:
             exps.extend([N] * (n - k))  # the active block is zero
             break
@@ -321,7 +329,8 @@ def _eliminate(A, with_transforms):
             if M[i][k].is_zero():
                 continue
             q = divide(M[i][k])
-            M[i] = [x - q * y for x, y in zip(M[i], M[k])]
+            M[i][k] = zero
+            M[i][k + 1:] = [x - q * y for x, y in zip(M[i][k + 1:], M[k][k + 1:])]
             if with_transforms:
                 L[i] = [x - q * y for x, y in zip(L[i], L[k])]
         if with_transforms:

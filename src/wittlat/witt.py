@@ -230,10 +230,13 @@ class WittRing:
         b's unit part is inverted once, so one divider clears a whole pivot
         row and column.  Quotients are only defined up to the annihilator of
         b; any solution is returned, which is all elimination algorithms need.
+        For a unit b it is one product, a -> b^-1 * a, defined for every a.
         """
         v = b.valuation()
         if v >= self.N:
             raise ZeroDivisionError("division by zero in W_N")
+        if v == 0:
+            return b.inverse().__mul__
         pv = self.p ** v
         unit_inv = WittElem._make(self, tuple(c // pv for c in b.coeffs)).inverse()
 

@@ -5,11 +5,12 @@ import random
 
 import pytest
 
+from wittlat import matrix
 from wittlat.errors import NotAUnitError, RingMismatchError, ShapeError
 from wittlat.cli import _census_matrix
-from wittlat.matrix import (GroupShape, WittMat, _eliminate, _find_pivot,
-                            elementary_matrix, identity, in_group, mat_from_obj,
-                            mat_to_obj, p_power_diagonal, permutation_matrix, zeros)
+from wittlat.matrix import (GroupShape, WittMat, _eliminate, elementary_matrix,
+                            identity, in_group, mat_from_obj, mat_to_obj,
+                            p_power_diagonal, permutation_matrix, zeros)
 from wittlat.snf import Cochar, divisor_type, snf
 from wittlat.strata import sample_group, sample_orbit
 from wittlat.witt import WittElem, witt_ring
@@ -487,9 +488,26 @@ def test_raw_storage_and_elem_view_agree(p, m, n):
 
 # -- elimination against the column-operation oracle ----------------------------------
 
+def _find_pivot_full_scan(M, k, n, N):
+    # the pivot search as it was before it stopped at the last pivot's
+    # valuation: every entry of the active block is read
+    bv, bj, bi = N, n, -1
+    for j in range(k, n):
+        for i in range(k, n):
+            v = M[i][j].valuation()
+            if v >= N:
+                continue
+            if v < bv or (v == bv and (j < bj or (j == bj and i > bi))):
+                bv, bj, bi = v, j, i
+    if bi < 0:
+        return None
+    return bv, bi, bj
+
+
 def _eliminate_with_column_ops(A, with_transforms):
     # the elimination as it was before its column operations on M were
-    # dropped: it also clears each pivot's row of M, so M ends diagonal
+    # dropped: it also clears each pivot's row of M, so M ends diagonal; its
+    # rows are updated whole and its pivot search reads the whole block
     ring = A.ring
     n, N = A.n, ring.N
     M = [list(r) for r in A.rows]
@@ -500,7 +518,7 @@ def _eliminate_with_column_ops(A, with_transforms):
         R = [[one if i == j else zero for j in range(n)] for i in range(n)]
     exps, dividers, sign = [], [], 1
     for k in range(n):
-        found = _find_pivot(M, k, n, N)
+        found = _find_pivot_full_scan(M, k, n, N)
         if found is None:
             exps.extend([N] * (n - k))
             break
@@ -570,18 +588,53 @@ def test_eliminate_matches_column_op_oracle(p, N, m):
                 assert all(M[i][j].is_zero() for i in range(n) for j in range(i)), A
 
 
-# WittElem products and differences that divisor_type spends on census-like
-# sets: 20 census samples for each p in (2, 3, 5) and n = 2..6 with m = 1, and
-# 10 for p = 3, n = 2..5 with m = 2 (r = 1, so N = n + 1).  When elimination
-# also cleared each pivot's row of M by column operations, the same sets took
-# (products, differences) = (24984, 20827) for m = 1 and (2200, 1700) for m = 2.
-_DIVISOR_TYPE_OP_COUNTS = {1: (12479, 10402), 2: (1150, 850)}
+@pytest.mark.parametrize("p,N,m", [(p, N, m) for p, N in ((2, 4), (3, 3), (5, 2))
+                                   for m in (1, 2, 3)])
+def test_bounded_pivot_search_matches_full_scan(p, N, m, monkeypatch):
+    # at every call of divisor_type's and snf's elimination, the search that
+    # stops at the last pivot's valuation picks the full scan's pivot, and no
+    # entry of the active block lies below that valuation
+    bounded, seen = matrix._find_pivot, []
+
+    def checked(M, k, n, N, lo):
+        if k == 0:
+            seen.clear()
+        got, want = bounded(M, k, n, N, lo), _find_pivot_full_scan(M, k, n, N)
+        assert got == want, (k, M)
+        if want is not None:
+            assert lo <= want[0] and (not seen or seen[-1] <= want[0]), (seen, want)
+            seen.append(want[0])
+        return got
+
+    monkeypatch.setattr(matrix, "_find_pivot", checked)
+    R = witt_ring(p, N, m)
+    rng = random.Random(900 + 10 * p + m)
+    for n in range(1, 8):
+        mats = _structured_ext_mats(R, n, rng) + _structured_ext_mats(R, n, rng)
+        for _ in range(3):
+            gamma = sorted((rng.randrange(N + 1) for _ in range(n)), reverse=True)
+            mats.append(sample_orbit(R, Cochar(n, tuple(gamma)), rng))
+        for A in mats:
+            fresh = WittMat._from_raw(R, A._raw)  # divisor_type memoises per object
+            assert divisor_type(fresh) == snf(A).divisors, A
+
+
+# WittElem products, differences and valuations that divisor_type spends on
+# census-like sets: 20 census samples for each p in (2, 3, 5) and n = 2..6
+# with m = 1, and 10 for p = 3, n = 2..5 with m = 2 (r = 1, so N = n + 1).
+# When elimination also cleared each pivot's row of M by column operations,
+# the same sets took (products, differences) = (24984, 20827) for m = 1 and
+# (2200, 1700) for m = 2.  With whole-row updates, a pivot search over the
+# whole active block and a guarded unit division they took
+# (products, differences, valuations) = (12479, 10402, 14677) for m = 1 and
+# (1150, 850, 1340) for m = 2.
+_DIVISOR_TYPE_OP_COUNTS = {1: (8323, 6246, 4424), 2: (800, 500, 443)}
 
 
 def test_divisor_type_op_counts_are_pinned(monkeypatch):
     # machine-independent: dead work coming back shows here without timing
-    counts = {"mul": 0, "sub": 0}
-    mul, sub = WittElem.__mul__, WittElem.__sub__
+    counts = {"mul": 0, "sub": 0, "valuation": 0}
+    mul, sub, valuation = WittElem.__mul__, WittElem.__sub__, WittElem.valuation
 
     def counting_mul(a, b):
         counts["mul"] += 1
@@ -591,17 +644,22 @@ def test_divisor_type_op_counts_are_pinned(monkeypatch):
         counts["sub"] += 1
         return sub(a, b)
 
+    def counting_valuation(a):
+        counts["valuation"] += 1
+        return valuation(a)
+
     sets = {1: [(p, n, 20) for p in (2, 3, 5) for n in range(2, 7)],
             2: [(3, n, 10) for n in range(2, 6)]}
     got = {}
     for m, params in sets.items():
         mats = [_census_matrix(witt_ring(p, n + 1, m), n, 1409, k)
                 for p, n, count in params for k in range(count)]
-        counts.update(mul=0, sub=0)
+        counts.update(mul=0, sub=0, valuation=0)
         with monkeypatch.context() as patch:
             patch.setattr(WittElem, "__mul__", counting_mul)
             patch.setattr(WittElem, "__sub__", counting_sub)
+            patch.setattr(WittElem, "valuation", counting_valuation)
             for A in mats:
                 divisor_type(A)
-        got[m] = (counts["mul"], counts["sub"])
+        got[m] = (counts["mul"], counts["sub"], counts["valuation"])
     assert got == _DIVISOR_TYPE_OP_COUNTS

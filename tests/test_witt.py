@@ -201,6 +201,16 @@ def test_divider():
                 # the valuation guard holds for every entry, not once per divisor
                 with pytest.raises(ValueError):
                     divide(R.one)
+    # a unit divisor is one product with its inverse, defined for every a
+    for p, m in itertools.product((2, 3, 5), (1, 2, 3)):
+        R = witt_ring(p, 3 if p < 5 else 2, m)
+        rng = random.Random(13 + 10 * p + m)
+        for _ in range(10):
+            b = R.random_unit(rng)
+            divide, b_inv = R.divider(b), b.inverse()
+            nonunit = R.random(rng) * R.p_power(rng.randrange(1, R.N + 1))
+            for a in (R.random(rng), R.zero, nonunit):
+                assert divide(a) * b == a and divide(a) == a * b_inv, (b, a)
 
 
 def test_valuation_examples():
