@@ -210,8 +210,7 @@ def cmd_enumerate(args):
         raise UsageError("enumerate currently supports only --tiny")
     census = tiny_exhaustive_census(jobs=args.jobs)
     _emit(census.to_obj(), args.pretty)
-    ok = (census.group_order == 1536 and census.orbit_counts_ok
-          and census.partition_ok)
+    ok = all(c.violations == 0 for c in verify_mod._tiny_checks(census))
     return EXIT_OK if ok else EXIT_PROPERTY
 
 

@@ -5,7 +5,10 @@ coefficients with respect to the generator of F_p[x]/(modulus).  For m = 1
 the modulus is irrelevant and elements are 1-tuples.  For m > 1 products,
 differences and linear maps (the Witt ring's sigma^j) use straight-line
 kernels compiled once per degree m, bound to the modulus f by the table
-red[k] = x^(m+k) mod f (the Witt ring binds them to Phi mod p^N).
+red[k] = x^(m+k) mod f (the Witt ring binds them to Phi mod p^N).  The
+same kernels run the irreducibility test, Rabin's, behind the search for
+the default modulus: the unit test in it needs no gcd, because once
+x^(p^m) == x mod f, F_p[x]/(f) is a product of fields F_{p^d} with d | m.
 """
 
 import functools
@@ -41,112 +44,10 @@ def _prime_factors(n):
     return out
 
 
-# -- dense polynomials over Z/p, little-endian coefficient lists ------------
-
-def _ptrim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _pmul(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _ptrim(out)
-
-
-def _pmod(a, f, p):
-    # f monic
-    a = list(a)
-    df = len(f) - 1
-    for k in range(len(a) - 1, df - 1, -1):
-        c = a[k]
-        if c:
-            for j in range(df):
-                a[k - df + j] = (a[k - df + j] - c * f[j]) % p
-            a[k] = 0
-    del a[df:]
-    return _ptrim(a)
-
-
-def _ppowmod(base, e, f, p):
-    result = [1]
-    acc = _pmod(base, f, p)
-    while e:
-        if e & 1:
-            result = _pmod(_pmul(result, acc, p), f, p)
-        acc = _pmod(_pmul(acc, acc, p), f, p)
-        e >>= 1
-    return result
-
-
-def _prem(a, b, p):
-    """Remainder of a modulo b (b nonzero), over Z/p."""
-    r = _ptrim(list(a))
-    db = len(b) - 1
-    inv_lead = pow(b[-1], p - 2, p)
-    while len(r) > db:
-        c = (r[-1] * inv_lead) % p
-        shift = len(r) - 1 - db
-        for j, bj in enumerate(b):
-            r[shift + j] = (r[shift + j] - c * bj) % p
-        _ptrim(r)
-    return r
-
-
-def _pgcd(a, b, p):
-    a, b = _ptrim(list(a)), _ptrim(list(b))
-    while b:
-        a, b = b, _prem(a, b, p)
-    return a
-
-
-def is_irreducible(coeffs, p):
-    """Test irreducibility of a monic polynomial over Z/p."""
-    f = list(coeffs)
-    m = len(f) - 1
-    if m < 1 or f[-1] != 1:
-        return False
-    if m == 1:
-        return True
-    x = [0, 1]
-    # x^{p^m} == x mod f
-    xq = _ppowmod(x, p ** m, f, p)
-    if _ptrim(list(xq)) != x:
-        return False
-    for ell in _prime_factors(m):
-        g = _ppowmod(x, p ** (m // ell), f, p)
-        g = list(g) + [0] * (2 - len(g))
-        g[1] = (g[1] - 1) % p
-        if len(_pgcd(g, f, p)) > 1:
-            return False
-    return True
-
-
-def default_modulus(p, m):
-    """First monic irreducible of degree m over Z/p, in base-p order."""
-    if m == 1:
-        return (0, 1)
-    for k in range(p ** m):
-        coeffs = []
-        kk = k
-        for _ in range(m):
-            coeffs.append(kk % p)
-            kk //= p
-        f = coeffs + [1]
-        if is_irreducible(f, p):
-            return tuple(f)
-    raise RuntimeError(f"no irreducible polynomial of degree {m} over F_{p}")
-
-
 # -- fixed-degree residues in (Z/mod)[x]/(f), f monic of degree m ---------
-# Shared by F_{p^m} (mod = p, f the field modulus) and by the Witt ring
-# (mod = p^k, f the lifted modulus) through straight-line kernels built
+# Shared by F_{p^m} and its irreducibility test (mod = p, f the field
+# modulus or a candidate) and by the Witt ring (mod = p^k, f the lifted
+# modulus or, while lifting, the field modulus) through kernels built
 # once per m; f enters only through red[k] = x^(m+k) mod f, k = 0..m-2.
 
 @functools.cache
@@ -212,6 +113,31 @@ def _powmod(a, e, mul):
         if e:
             a = mul(a, a)
     return (1,) + (0,) * (len(a) - 1) if result is None else result
+
+
+def is_irreducible(coeffs, p):
+    """Rabin's test of a monic polynomial f of degree m over Z/p: x^(p^m) ==
+    x mod f, and x^(p^(m/l)) - x is a unit mod f for each prime l | m.  Once
+    the first holds, F_p[x]/(f) is a product of fields F_{p^d} with d | m, so
+    g is a unit exactly when g^(p^m - 1) == 1, and no gcd is needed."""
+    f = tuple(coeffs)
+    m = len(f) - 1
+    if m < 1 or f[-1] != 1:
+        return False
+    if m == 1:
+        return True
+    mul, _, sub, _ = _kernels(f, p)
+    x, one, q = (0, 1) + (0,) * (m - 2), (1,) + (0,) * (m - 1), p ** m
+    return _powmod(x, q, mul) == x and all(
+        _powmod(sub(_powmod(x, p ** (m // ell), mul), x), q - 1, mul) == one
+        for ell in _prime_factors(m))
+
+
+def default_modulus(p, m):
+    """First monic irreducible of degree m over Z/p, in base-p order (the
+    order of FieldDescriptor.elements() on the lower coefficients)."""
+    candidates = (t[::-1] + (1,) for t in itertools.product(range(p), repeat=m))
+    return next(f for f in candidates if is_irreducible(f, p))
 
 
 class FieldDescriptor:

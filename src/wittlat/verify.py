@@ -240,8 +240,9 @@ def suite_dims():
                    [full, pp, bb, orbit, lat, ci])
 
 
-def suite_tiny(jobs=1):
-    census = tiny_exhaustive_census(jobs=jobs)
+def _tiny_checks(census):
+    """The verdict on a tiny census, shared by `verify --suite tiny` and
+    `enumerate --tiny`."""
     order = _Check("group_order")
     order.record(census.group_order == 1536, {"got": census.group_order})
     orbits = _Check("orbit_stabilizer_counts")
@@ -253,7 +254,11 @@ def suite_tiny(jobs=1):
     total = _Check("histogram_total")
     total.record(sum(census.histogram.values()) == census.total_matrices == 4096,
                  {"total": sum(census.histogram.values())})
-    return _report("tiny", {"jobs": jobs}, [order, orbits, part, total])
+    return [order, orbits, part, total]
+
+
+def suite_tiny(jobs=1):
+    return _report("tiny", {"jobs": jobs}, _tiny_checks(tiny_exhaustive_census(jobs=jobs)))
 
 
 SUITES = {

@@ -118,7 +118,7 @@ class WittRing:
         """Phi = prod over the Frobenius orbit of (X - tau), tau the
         Teichmueller lift of the field generator in a scratch quotient."""
         p, m, N, pN = self.p, self.m, self.N, self.pN
-        mul0 = _kernels(self.field.modulus, pN)[0]  # naive monic lift f0
+        mul0, _, sub0, _ = _kernels(self.field.modulus, pN)  # naive monic lift f0
 
         gen = (0, 1) + (0,) * (m - 2)
         roots = [_powmod(gen, self.field.q ** (N - 1), mul0)]  # tau
@@ -127,13 +127,8 @@ class WittRing:
         # expand prod (X - root) with coefficients in the scratch quotient
         zero0 = (0,) * m
         poly = [(1,) + (0,) * (m - 1)]
-        for rt in roots:
-            neg_rt = tuple((-c) % pN for c in rt)
-            new = [zero0] * (len(poly) + 1)
-            for k, co in enumerate(poly):
-                new[k + 1] = tuple((new[k + 1][j] + co[j]) % pN for j in range(m))
-                new[k] = tuple((x + y) % pN for x, y in zip(new[k], mul0(co, neg_rt)))
-            poly = new
+        for rt in roots:  # coefficient k of poly * (X - rt) is c_(k-1) - rt * c_k
+            poly = [sub0(hi, mul0(rt, lo)) for hi, lo in zip([zero0] + poly, poly + [zero0])]
         phi = []
         for co in poly:
             if any(co[1:]):
@@ -385,22 +380,11 @@ class WittElem:
     def teichmuller_digits(self):
         """Digits (b_0, ..., b_{N-1}) of the plain expansion sum p^i xi(b_i)."""
         ring = self.ring
-        p, N, pN = ring.p, ring.N, ring.pN
-        if ring.m == 1:
-            c = self.coeffs[0]
-            out = []
-            texp = p ** (N - 1)
-            for _ in range(N):
-                b = c % p
-                if b:
-                    c = (c - pow(b, texp, pN)) % pN
-                out.append((b,))
-                c //= p
-            return tuple(out)
+        p = ring.p
         # each coefficient is congruent to that of xi(b) mod p, so the
         # quotient is exact; later steps read only residues mod p
         z, out, lift = self.coeffs, [], ring._teichmuller_lift
-        for _ in range(N):
+        for _ in range(ring.N):
             b = tuple([c % p for c in z])
             z = [(c - t) // p for c, t in zip(z, lift(b))]
             out.append(b)

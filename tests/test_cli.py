@@ -4,7 +4,9 @@ import os
 
 import pytest
 
+from wittlat import cli
 from wittlat.cli import main
+from wittlat.dimension import TinyCensus
 from wittlat.matrix import identity, mat_from_obj, mat_to_obj, p_power_diagonal
 from wittlat.snf import divisor_type
 from wittlat.witt import witt_ring
@@ -207,6 +209,19 @@ def test_enumerate_tiny(capsys):
     obj = json.loads(out)
     assert obj["group_order"] == 1536 and obj["cover_size"] == 672
     assert obj["orbit_counts_ok"] and obj["partition_ok"]
+
+
+def test_enumerate_tiny_shares_the_verify_verdict(capsys, monkeypatch):
+    # the real census but for the cover size, which only the cover-size
+    # check of `verify --suite tiny` catches
+    histogram = {(0, 0): 1536, (1, 0): 1152, (1, 1): 96, (2, 0): 576, (2, 1): 72,
+                 (2, 2): 6, (3, 0): 576, (3, 1): 72, (3, 2): 9, (3, 3): 1}
+    census = TinyCensus(total_matrices=4096, group_order=1536, histogram=histogram,
+                        stab_pairs={(1, 1): 24576, (2, 0): 4096}, orbit_counts_ok=True,
+                        cover_size=671, partition_ok=True)
+    monkeypatch.setattr(cli, "tiny_exhaustive_census", lambda jobs=1: census)
+    code, out = run(capsys, "enumerate", "--tiny")
+    assert code == 1 and json.loads(out)["cover_size"] == 671
 
 
 def test_byte_identical_reports(capsys):

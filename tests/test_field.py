@@ -1,6 +1,8 @@
+import itertools
 import random
 
 import pytest
+import sympy
 
 from wittlat.field import FieldDescriptor, default_modulus, is_irreducible, is_prime
 
@@ -23,6 +25,42 @@ def test_known_moduli():
     assert default_modulus(2, 2) == (1, 1, 1)
     assert default_modulus(3, 2) == (1, 0, 1)
     assert default_modulus(5, 2) == (2, 0, 1)
+
+
+ORACLE_GRID = [(2, 8), (3, 5), (5, 3), (7, 2)]
+
+
+def _monic(p, m):
+    """Every monic polynomial of degree m over Z/p, little-endian, in base-p
+    order of its lower coefficients."""
+    return [t[::-1] + (1,) for t in itertools.product(range(p), repeat=m)]
+
+
+def _sympy_irreducible(f, p):
+    return sympy.Poly(f[::-1], sympy.Symbol("x"), modulus=p).is_irreducible
+
+
+@pytest.mark.parametrize("p,max_m", ORACLE_GRID)
+def test_is_irreducible_matches_sympy(p, max_m):
+    for m in range(1, max_m + 1):
+        for f in _monic(p, m):
+            assert is_irreducible(list(f), p) == _sympy_irreducible(f, p), f
+
+
+def test_reducible_products_of_degree_dividing_m():
+    # both factors have degree d | m, so x^(p^m) == x mod f holds and only
+    # the step for the prime factors of m can reject them
+    for f, p in (([1, 1, 1, 1, 1, 1, 1], 2),  # (x^3+x+1)(x^3+x^2+1) over F_2
+                 ([2, 1, 0, 1, 1], 3)):       # (x^2+1)(x^2+x+2) over F_3
+        assert not _sympy_irreducible(tuple(f), p)
+        assert not is_irreducible(f, p)
+
+
+@pytest.mark.parametrize("p,max_m", ORACLE_GRID)
+def test_default_modulus_is_first_irreducible_candidate(p, max_m):
+    for m in range(1, max_m + 1):
+        first = next(f for f in _monic(p, m) if _sympy_irreducible(f, p))
+        assert default_modulus(p, m) == first
 
 
 def test_reducible_modulus_rejected():

@@ -3,7 +3,9 @@
 Each command's stdout is compared, by SHA-256, with the digest recorded
 before the matrix layer moved to bare-value storage (the first eight) or
 before the census loops and the m > 1 determinant were folded into the
-shared elimination and histogram code (the rest), and its exit code with
+shared elimination and histogram code (the next five) or before the
+irreducibility test, the modulus search and the modulus lift moved onto
+the generated kernels (the m >= 3 cases), and its exit code with
 the recorded one (`verify --suite strata` exits 1 by design: criterion 4's
 containment is false).  A change that alters any seeded output fails here.
 The `--jobs 2` cases are skipped on one CPU, where `main` rejects them.
@@ -48,6 +50,13 @@ GOLDEN = [
     # m > 1 and n = 5: the elimination determinant and FULL sampling
     ("verify --suite snf --m 2 --n 5 --samples 20 --seed 11", 0,
      "093fca5f77eea5ab40641f217d6b0b4c7d6d747b6aea476927ff4fb80b799234"),
+    # m >= 3: the default modulus search and the lifted modulus Phi
+    ("verify --suite witt --p 2 --m 3 --N 3 --samples 20 --seed 11", 0,
+     "eb727b3f3e2c87da2c217ede1997c1458c20460c57aa3b3023fd7c097df70608"),
+    ("census --p 3 --m 3 --n 2 --r 1 --samples 50 --seed 5", 0,
+     "bc3e00db7cf813673181fad024aa24f2a080f2101b3d3b088c3c630d5ef4a2db"),
+    ("verify --suite witt --p 3 --m 4 --N 2 --samples 10 --seed 11", 0,
+     "91270764fde1fa37661873506c11c8c5c43bc204fa7179de0725a855eb78de46"),
 ]
 
 

@@ -394,7 +394,7 @@ def _teichmuller_digits_reduced(x):
     return tuple(out)
 
 
-@pytest.mark.parametrize("p,m", [(2, 2), (2, 3), (3, 2)])
+@pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (5, 1), (2, 2), (2, 3), (3, 2)])
 def test_teichmuller_digits_exhaustive_against_reduced_loop(p, m):
     R = witt_ring(p, 3, m)
     for coeffs in itertools.product(range(R.pN), repeat=m):
