@@ -51,14 +51,11 @@ def _emit(obj, pretty):
         print(json.dumps(obj, sort_keys=True, separators=(",", ":")))
 
 
-def _parse_exponents(text):
+def _parse_exponents(text, what="exponent"):
     try:
-        exps = tuple(int(x) for x in text.split(","))
+        return tuple(int(x) for x in text.split(","))
     except ValueError as exc:
-        raise UsageError(f"expected a comma-separated exponent list, got {text!r}") from exc
-    if not exps:
-        raise UsageError("empty exponent list")
-    return exps
+        raise UsageError(f"expected a comma-separated {what} list, got {text!r}") from exc
 
 
 def _load_matrix(path):
@@ -127,6 +124,7 @@ def cmd_census(args):
 def cmd_degenerate(args):
     src = _parse_exponents(args.src)
     dst = _parse_exponents(args.dst)
+    t = _parse_exponents(args.t, "coefficient")
     if len(src) != len(dst):
         raise UsageError("--from and --to must have the same length")
     total = sum(dst)
@@ -135,13 +133,13 @@ def cmd_degenerate(args):
     try:
         c_src = Cochar(len(src), src)
         c_dst = Cochar(len(dst), dst)
-        t = ring.field.elem(args.t)
+        t = ring.field.elem(t[0] if len(t) == 1 else t)  # an int k reads as (k, 0, ...)
         steps = degeneration_chain(ring, c_src, c_dst, t)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     out = {
         "p": args.p, "m": args.m, "N": N,
-        "from": list(src), "to": list(dst), "t": list(ring.field.elem(args.t)),
+        "from": list(src), "to": list(dst), "t": list(t),
         "steps": [{
             "upper": list(s.upper.exponents),
             "lower": list(s.lower.exponents),
@@ -267,8 +265,9 @@ def build_parser():
                     help="lower exponent vector, e.g. 1,1")
     sp.add_argument("--to", dest="dst", required=True,
                     help="upper exponent vector, e.g. 2,0")
-    sp.add_argument("--t", type=int, default=1,
-                    help="deformation parameter (field element, default 1)")
+    sp.add_argument("--t", default="1",
+                    help="deformation parameter: a field element's coefficient list, "
+                         "e.g. 0,1; an int k means (k, 0, ..., 0) (default 1)")
     sp.set_defaults(func=cmd_degenerate)
 
     sp = sub.add_parser("dims", help="dimension report for a stratum")

@@ -24,7 +24,7 @@ def _nonzero_parameter(ring, t):
 
 def _deformation(ring, exponents, j, b, xi, i):
     raw = [list(r) for r in p_power_diagonal(ring, exponents)._raw]
-    raw[j][i] = _bare(ring, ring.p_power(exponents[j] - b) * xi)
+    raw[j][i] = ring._mul(_bare(ring, ring.p_power(exponents[j] - b)), xi)
     return WittMat._from_raw(ring, tuple(map(tuple, raw)))
 
 
@@ -40,7 +40,7 @@ def deformation_matrix(ring, exponents, j, b, t, i=0):
         raise ValueError("need 0 <= i < j < n")
     if not 0 <= b <= exponents[j]:
         raise ValueError("need 0 <= b <= exponents[j]")
-    return _deformation(ring, exponents, j, b, ring.teichmuller(t), i)
+    return _deformation(ring, exponents, j, b, _bare(ring, ring.teichmuller(t)), i)
 
 
 @dataclass(frozen=True)
@@ -77,32 +77,36 @@ def transfer_witness(ring, r1, rj, b, t):
         raise ValueError("need 0 <= b <= rj")
     if r1 + b - rj < 0:
         raise ValueError("need r1 + b >= rj")
-    return _transfer(ring, r1, rj, b, t, ring.teichmuller(t),
-                     ring.teichmuller(ring.field.inv(t)))[0]
+    return _transfer(ring, r1, rj, b, t, _bare(ring, ring.teichmuller(t)),
+                     _bare(ring, ring.teichmuller(ring.field.inv(t))))[0]
 
 
 def _transfer(ring, r1, rj, b, t, xi, xi_inv):
-    """transfer_witness on checked parameters, with xi(t) and xi(t^-1) given;
-    returns the witness and g = factors[2] * factors[3], which _embed takes."""
-    one, zero = ring.one, ring.zero
-    pb_minus_1 = ring.p_power(b) - one
-    f0 = WittMat._make(ring, (
-        (one, -(ring.p_power(r1 + b - rj) * pb_minus_1 * xi_inv)),
-        (zero, one)))
+    """transfer_witness on checked parameters, with the bare values of xi(t)
+    and xi(t^-1) given.  Also returns, as bare 2x2 blocks for _embed,
+    g = factors[2] * factors[3] = [[1, c], [xi, 1 + c xi]] for
+    c = (p^b - 1) xi(t^-1), and g^-1 = [[1 + c xi, -c], [-xi, 1]], its
+    adjugate, as det g = 1."""
+    mul, sub, one, zero = ring._mul, ring._sub, ring._one, ring._zero
+    c = mul(sub(_bare(ring, ring.p_power(b)), one), xi_inv)
+    f0 = WittMat._from_raw(ring, (
+        (one, sub(zero, mul(_bare(ring, ring.p_power(r1 + b - rj)), c))), (zero, one)))
     f1 = p_power_diagonal(ring, (r1 + b, rj - b))
-    f2 = WittMat._make(ring, ((one, zero), (xi, one)))
-    f3 = WittMat._make(ring, ((one, pb_minus_1 * xi_inv), (zero, one)))
+    f2 = WittMat._from_raw(ring, ((one, zero), (xi, one)))
+    f3 = WittMat._from_raw(ring, ((one, c), (zero, one)))
     target = _deformation(ring, (r1, rj), 1, b, xi, 0)
     g = f2 * f3
     if f0 * f1 * g != target:
         raise RuntimeError("four-factor product identity failed")
+    g_inv = ((g._raw[1][1], sub(zero, c)), (sub(zero, xi), one))
     return TransferWitness(r1=r1, rj=rj, b=b, t=t,
-                           factors=(f0, f1, f2, f3), target=target), g
+                           factors=(f0, f1, f2, f3), target=target), g._raw, g_inv
 
 
 def _embed2(ring, block, n, i, j):
+    """The identity with a 2x2 block of bare values in rows and columns i, j."""
     raw = [list(r) for r in identity(ring, n)._raw]
-    (raw[i][i], raw[i][j]), (raw[j][i], raw[j][j]) = block._raw
+    (raw[i][i], raw[i][j]), (raw[j][i], raw[j][j]) = block
     return WittMat._from_raw(ring, tuple(map(tuple, raw)))
 
 
@@ -121,19 +125,20 @@ def embed_witness(w, n, j, ambient, i=0):
     if ambient[i] != w.r1 or ambient[j] != w.rj:
         raise ValueError("ambient slots must carry the witness exponents")
     eta = deformation_matrix(ring, ambient, j, w.b, w.t, i)
-    return _embed(w, n, j, ambient, i, eta, w.factors[2] * w.factors[3])
+    g = w.factors[2] * w.factors[3]
+    return _embed(w, n, j, ambient, i, eta, g._raw, g.inverse()._raw)
 
 
-def _embed(w, n, j, ambient, i, eta, g):
-    """embed_witness on checked slots, with the embedded deformation eta and
-    g = factors[2] * factors[3] given."""
+def _embed(w, n, j, ambient, i, eta, g, g_inv):
+    """embed_witness on checked slots, with the embedded deformation eta,
+    g = factors[2] * factors[3] and g^-1 given as bare 2x2 blocks."""
     ring = w.target.ring
     upper = list(ambient)
     upper[i], upper[j] = w.r1 + w.b, w.rj - w.b
-    x = _embed2(ring, w.factors[0], n, i, j)
+    x = _embed2(ring, w.factors[0]._raw, n, i, j)
     eta_prime = p_power_diagonal(ring, upper)
     y_inv = _embed2(ring, g, n, i, j)
-    y = _embed2(ring, g.inverse(), n, i, j)
+    y = _embed2(ring, g_inv, n, i, j)
     if x * eta_prime * y_inv != eta:
         raise RuntimeError("embedded witness product check failed")
     if y * y_inv != identity(ring, n):
@@ -180,8 +185,8 @@ def degeneration_chain(ring, src, dst, t=None):
         raise ValueError("source must be dominated by destination")
     if ring.N < dst.total + 1:
         raise ValueError("ring length must exceed the exponent total")
-    xi = ring.teichmuller(t)
-    xi_inv = ring.teichmuller(ring.field.inv(t))
+    xi = _bare(ring, ring.teichmuller(t))
+    xi_inv = _bare(ring, ring.teichmuller(ring.field.inv(t)))
     n = src.n
     steps = []
     cur = list(dst.exponents)
@@ -193,9 +198,9 @@ def degeneration_chain(ring, src, dst, t=None):
         lower[j] += 1
         # cur[i] > cur[j], so the slots meet the preconditions of
         # transfer_witness and embed_witness
-        w, g = _transfer(ring, lower[i], lower[j], 1, t, xi, xi_inv)
+        w, g, g_inv = _transfer(ring, lower[i], lower[j], 1, t, xi, xi_inv)
         deformed = _deformation(ring, lower, j, 1, xi, i)
-        x, eta_prime, y = _embed(w, n, j, tuple(lower), i, deformed, g)
+        x, eta_prime, y = _embed(w, n, j, tuple(lower), i, deformed, g, g_inv)
         steps.append(ChainStep(
             upper=Cochar._make(n, tuple(cur)), lower=Cochar._make(n, tuple(lower)),
             i=i, j=j, b=1, witness=w, x=x, eta_prime=eta_prime, y=y,

@@ -288,19 +288,19 @@ def _eliminate(A, with_transforms):
 
     Returns (exps, sign, M, L, R).  exps are the pivot valuations in pivot
     order, padded with N once no pivot is left; sign is that of the swaps, so
-    det A = sign * prod_k M[k][k].  With transforms, the pivots' unit parts
-    are moved into R and the order of L's rows and R's columns is reversed,
-    so L * A * R = diag(p^e) for e = exps reversed (descending); without,
-    L and R are None.
+    det A = sign * prod_k M[k][k].  With transforms, L and R hold bare values
+    (see WittRing), the pivots' unit parts are moved into R and the order of
+    L's rows and R's columns is reversed, so L * A * R = diag(p^e) for
+    e = exps reversed (descending); without, L and R are None.
     """
     ring = A.ring
     n, N = A.n, ring.N
     M = [list(r) for r in A.rows]
-    one, zero = ring.one, ring.zero
+    zero = ring.zero
     L = R = None
     if with_transforms:
-        L = [[one if i == j else zero for j in range(n)] for i in range(n)]
-        R = [[one if i == j else zero for j in range(n)] for i in range(n)]
+        sub, mul, eye = ring._sub, ring._mul, identity(ring, n)._raw
+        L, R = [list(r) for r in eye], [list(r) for r in eye]
     exps, dividers, sign = [], [], 1
     for k in range(n):
         found = _find_pivot(M, k, n, N, exps[-1] if exps else 0)
@@ -332,21 +332,22 @@ def _eliminate(A, with_transforms):
             M[i][k] = zero
             M[i][k + 1:] = [x - q * y for x, y in zip(M[i][k + 1:], M[k][k + 1:])]
             if with_transforms:
-                L[i] = [x - q * y for x, y in zip(L[i], L[k])]
+                q = _bare(ring, q)
+                L[i] = [sub(x, mul(q, y)) for x, y in zip(L[i], L[k])]
         if with_transforms:
             for j in range(k + 1, n):
                 if M[k][j].is_zero():
                     continue
-                q = divide(M[k][j])
+                q = _bare(ring, divide(M[k][j]))
                 for row in R:
-                    row[j] = row[j] - q * row[k]
+                    row[j] = sub(row[j], mul(q, row[k]))
     if with_transforms:
         # normalize units into the right transform: diag entry p^v * u -> p^v
         for k, divide in enumerate(dividers):
-            w = divide(ring.p_power(exps[k]))  # inverse of the unit part
-            if w != ring.one:
+            w = _bare(ring, divide(ring.p_power(exps[k])))  # inverse of the unit part
+            if w != ring._one:
                 for row in R:
-                    row[k] = row[k] * w
+                    row[k] = mul(row[k], w)
         # exponents came out ascending; reverse to sort them descending
         L.reverse()
         for row in R:
@@ -357,23 +358,27 @@ def _eliminate(A, with_transforms):
 # -- constructors ---------------------------------------------------------------
 
 def identity(ring, n):
-    return diagonal(ring, [ring.one] * n)
+    return _diagonal(ring, [ring._one] * n)
 
 
 def zeros(ring, n):
-    return diagonal(ring, [ring.zero] * n)
+    return _diagonal(ring, [ring._zero] * n)
 
 
 def diagonal(ring, entries):
-    vals, zero = [_bare(ring, e) for e in entries], _bare(ring, ring.zero)
-    n = len(vals)
-    return WittMat._from_raw(ring, tuple(
-        tuple(vals[i] if i == j else zero for j in range(n)) for i in range(n)))
+    return _diagonal(ring, [_bare(ring, e) for e in entries])
 
 
 def p_power_diagonal(ring, exponents):
     """diag(p^{e_0}, ..., p^{e_{n-1}}); exponents >= N give zero entries."""
-    return diagonal(ring, [ring.p_power(e) for e in exponents])
+    return _diagonal(ring, [_bare(ring, ring.p_power(e)) for e in exponents])
+
+
+def _diagonal(ring, vals):
+    """The diagonal matrix of a list of bare values."""
+    n, zero = len(vals), ring._zero
+    return WittMat._from_raw(ring, tuple(
+        [tuple([zero] * i + [v] + [zero] * (n - 1 - i)) for i, v in enumerate(vals)]))
 
 
 def permutation_matrix(ring, perm):

@@ -72,8 +72,8 @@ def snf(A):
     """Full diagonalization with transforms; verifies the reconstruction."""
     ring = A.ring
     exps, _, _, L, R = _eliminate(A, with_transforms=True)
-    left = WittMat._make(ring, tuple(tuple(r) for r in L))
-    right = WittMat._make(ring, tuple(tuple(r) for r in R))
+    left = WittMat._from_raw(ring, tuple(map(tuple, L)))
+    right = WittMat._from_raw(ring, tuple(map(tuple, R)))
     divisors = Cochar(A.n, tuple(reversed(exps)))
     target = p_power_diagonal(ring, divisors.exponents)
     if left * A * right != target:

@@ -118,12 +118,12 @@ def suite_snf(p=2, m=1, n=2, r=1, samples=200, seed=DEFAULT_SEED):
         gamma = strata[rng.randrange(len(strata))]
         A = sample_orbit(ring, gamma, rng)
         res = snf(A)
-        roundtrip.record(res.divisors == gamma,
-                         {"gamma": list(gamma.exponents),
-                          "got": list(res.divisors.exponents), "seed_index": k})
-        recon.record(res.left * A * res.right
-                     == p_power_diagonal(ring, res.divisors.exponents),
-                     {"seed_index": k})
+        ok = res.divisors == gamma  # a failure carries A, for classify --input
+        roundtrip.record(ok, {"gamma": list(gamma.exponents),
+                              "got": list(res.divisors.exponents), "seed_index": k,
+                              "matrix": None if ok else mat_to_obj(A)})
+        ok = res.left * A * res.right == p_power_diagonal(ring, res.divisors.exponents)
+        recon.record(ok, {"seed_index": k, "matrix": None if ok else mat_to_obj(A)})
         sumrule.record(res.divisors.total == A.det().valuation(),
                        {"seed_index": k})
         if n <= 3:

@@ -67,10 +67,13 @@ def _int_val(c, p, N):
 
 
 class WittRing:
-    """Descriptor and operation table for W_N(F_{p^m})."""
+    """Descriptor and operation table for W_N(F_{p^m}).
+
+    `_mul`, `_sub`, `_one` and `_zero` are the ring on bare values: ints mod
+    p^N for m = 1, coefficient tuples (the generated kernels) for m > 1."""
 
     __slots__ = ("field", "p", "m", "N", "pN", "key", "phi", "_mul", "_dot", "_sub",
-                 "_sigma_p", "_sigma_N", "_teich", "_p_powers", "zero", "one")
+                 "_sigma_p", "_sigma_N", "_teich", "_p_powers", "zero", "one", "_zero", "_one")
 
     def __init__(self, p, N, m=1, modulus=None):
         if N < 1:
@@ -79,10 +82,11 @@ class WittRing:
         self.p = p
         self.m = m
         self.N = N
-        self.pN = p ** N
+        self.pN = pN = p ** N
         self.key = (p, m, N, self.field.modulus)
         self.phi = self._lift_modulus() if m > 1 else None
-        self._mul = self._dot = self._sub = self._sigma_p = self._sigma_N = None
+        self._mul, self._sub = (lambda a, b: a * b % pN), (lambda a, b: (a - b) % pN)
+        self._dot = self._sigma_p = self._sigma_N = None
         if m > 1:
             self._mul, self._dot, self._sub, linear = _kernels(self.phi, self.pN)
             sigma = self._sigma_powers()
@@ -94,6 +98,7 @@ class WittRing:
                                for e in range(N))
         self.zero = WittElem._make(self, (0,) * m)
         self.one = self._p_powers[0]
+        self._zero, self._one = (0, 1) if m == 1 else (self.zero.coeffs, self.one.coeffs)
 
     def __eq__(self, other):
         return isinstance(other, WittRing) and self.key == other.key

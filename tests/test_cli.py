@@ -1,14 +1,16 @@
 import concurrent.futures
+import dataclasses
 import json
 import os
 
 import pytest
 
 from wittlat import cli
+from wittlat import verify as verify_mod
 from wittlat.cli import main
 from wittlat.dimension import TinyCensus
 from wittlat.matrix import identity, mat_from_obj, mat_to_obj, p_power_diagonal
-from wittlat.snf import divisor_type
+from wittlat.snf import Cochar, divisor_type
 from wittlat.witt import witt_ring
 
 
@@ -135,6 +137,55 @@ def test_degenerate_incomparable(capsys):
 
 def test_degenerate_rejects_zero_t_on_empty_chain(capsys):
     _assert_usage_error(capsys, ["degenerate", "--from", "2,0", "--to", "2,0", "--t", "0"])
+
+
+def test_degenerate_t_as_coefficient_list(capsys):
+    # t outside F_p for m > 1: --t 5 reads as (5, 0), which is out of range
+    base = ["degenerate", "--from", "1,1", "--to", "2,0", "--p", "3", "--m", "2"]
+    _assert_usage_error(capsys, base + ["--t", "5"])
+    code, out = run(capsys, *base, "--t", "2,1")
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["t"] == [2, 1] and len(obj["steps"]) == 1
+    deformed = mat_from_obj(obj["steps"][0]["deformed"])
+    assert divisor_type(deformed).exponents == (2, 0)
+    # a single int keeps its meaning: --t 2 is (2, 0)
+    assert run(capsys, *base, "--t", "2") == run(capsys, *base, "--t", "2,0")
+
+
+@pytest.mark.parametrize("t", ["2,x", ",", "1,", "", "1,2,0", "0,0", "0,3", "1,-1"])
+def test_degenerate_rejects_malformed_t_list(capsys, t):
+    _assert_usage_error(capsys, ["degenerate", "--from", "1,1", "--to", "2,0",
+                                 "--p", "3", "--m", "2", "--t", t])
+
+
+def test_verify_snf_violation_replays_through_classify(tmp_path, capsys, monkeypatch):
+    # a faulty snf on the third sample: both of its examples carry the input
+    # matrix, and classify --input on it recovers the sampled divisor type
+    real, seen = verify_mod.snf, []
+
+    def faulty(A):
+        seen.append(A)
+        res = real(A)
+        if len(seen) != 3:
+            return res
+        wrong = Cochar(A.n, (A.n + 5,) + (0,) * (A.n - 1))
+        return dataclasses.replace(res, divisors=wrong, left=identity(A.ring, A.n))
+
+    monkeypatch.setattr(verify_mod, "snf", faulty)
+    code, out = run(capsys, "verify", "--suite", "snf", "--p", "3", "--m", "2",
+                    "--n", "3", "--r", "1", "--samples", "5", "--seed", "4")
+    assert code == 1
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    (ex,) = checks["orbit_roundtrip_recovers_divisors"]["examples"]
+    (rec,) = checks["transform_reconstruction"]["examples"]
+    assert ex["seed_index"] == rec["seed_index"] == 2 and ex["matrix"] == rec["matrix"]
+    assert mat_from_obj(ex["matrix"]) == seen[2]
+    path = tmp_path / "violation.json"
+    path.write_text(json.dumps(ex["matrix"]))
+    code, out = run(capsys, "classify", "--input", str(path), "--r", "1")
+    assert code == 0
+    assert json.loads(out)["divisors"] == ex["gamma"] != ex["got"]
 
 
 def test_dims_subregular(capsys):

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -6,7 +7,7 @@ from wittlat.degeneration import (deformation_matrix, degeneration_chain,
                                   embed_witness, transfer_witness)
 from wittlat.matrix import WittMat, identity, in_group, GroupShape, p_power_diagonal
 from wittlat.snf import Cochar, divisor_type
-from wittlat.strata import dominance_leq, enumerate_strata
+from wittlat.strata import dominance_leq, enumerate_strata, regular_cochar
 from wittlat.witt import witt_ring
 
 
@@ -134,17 +135,18 @@ def test_chain_rejects_zero_t_even_when_empty():
 
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_chain_steps_match_public_witnesses(m):
-    # a chain lifts xi(t) and xi(t^-1) once; each step must still equal the
-    # per-call public constructions at the same parameters
+    # a chain lifts xi(t) and xi(t^-1) once and writes g^-1 in closed form;
+    # each step must still equal the per-call public constructions at the
+    # same parameters, whose y comes from the adjugate inverse
     for p in (2, 3, 5):
         F = witt_ring(p, 1, m).field
         ts = [t for t in F.elements() if any(t)][:3]
-        for n, r in [(2, 2), (3, 1), (4, 1)]:
+        for n, r in itertools.product((2, 3, 4), (1, 2)):
             ring = witt_ring(p, n * r + 1, m)
-            src, dst = Cochar(n, (r,) * n), Cochar(n, (n * r,) + (0,) * (n - 1))
-            for t in ts:
+            dst = regular_cochar(n, r)
+            for src, t in itertools.product(enumerate_strata(n, r).strata, ts):
                 steps = degeneration_chain(ring, src, dst, t)
-                assert steps
+                assert bool(steps) == (src != dst)
                 for s in steps:
                     lower = s.lower.exponents
                     w = transfer_witness(ring, lower[s.i], lower[s.j], s.b, t)

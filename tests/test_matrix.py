@@ -8,7 +8,7 @@ import pytest
 from wittlat import matrix
 from wittlat.errors import NotAUnitError, RingMismatchError, ShapeError
 from wittlat.cli import _census_matrix
-from wittlat.matrix import (GroupShape, WittMat, _eliminate, elementary_matrix,
+from wittlat.matrix import (GroupShape, WittMat, _bare, _eliminate, elementary_matrix,
                             identity, in_group, mat_from_obj, mat_to_obj,
                             p_power_diagonal, permutation_matrix, zeros)
 from wittlat.snf import Cochar, divisor_type, snf
@@ -570,8 +570,9 @@ def _eliminate_with_column_ops(A, with_transforms):
                                    for m in (1, 2, 3)])
 def test_eliminate_matches_column_op_oracle(p, N, m):
     # random, orbit and structured inputs: every value a caller reads (pivot
-    # valuations, swap sign, M's diagonal, L and R) equals the oracle's, and
-    # M is upper-triangular
+    # valuations, swap sign, M's diagonal, L and R, the last two as the bare
+    # values of the oracle's entries) equals the oracle's, and M is
+    # upper-triangular
     R = witt_ring(p, N, m)
     rng = random.Random(700 + 10 * p + m)
     for n in range(1, 8):
@@ -583,6 +584,9 @@ def test_eliminate_matches_column_op_oracle(p, N, m):
             for with_transforms in (False, True):
                 exps, sign, M, L, right = _eliminate(A, with_transforms)
                 want = _eliminate_with_column_ops(A, with_transforms)
+                if with_transforms:  # _eliminate's L and R hold bare values
+                    want = want[:3] + tuple([[_bare(R, e) for e in row] for row in T]
+                                            for T in want[3:])
                 assert (exps, sign, L, right) == (want[0], want[1], want[3], want[4]), A
                 assert [M[k][k] for k in range(n)] == [want[2][k][k] for k in range(n)], A
                 assert all(M[i][j].is_zero() for i in range(n) for j in range(i)), A

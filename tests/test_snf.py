@@ -1,9 +1,11 @@
+import hashlib
+import json
 import pickle
 import random
 
 import pytest
 
-from wittlat.matrix import GroupShape, WittMat, p_power_diagonal, zeros
+from wittlat.matrix import GroupShape, WittMat, mat_to_obj, p_power_diagonal, zeros
 from wittlat.snf import Cochar, divisor_type, minor_valuations, snf
 from wittlat.strata import (classify, enumerate_strata, in_orbit_closure,
                             sample_cover, sample_group, sample_orbit)
@@ -75,6 +77,29 @@ def test_snf_inverts_each_pivot_unit_once(monkeypatch):
             calls.clear()
             assert snf(A).divisors.exponents == gamma
             assert len(calls) == sum(e < R.N for e in gamma)
+
+
+# SHA-256 over the JSON of [left, right] for snf on seeded orbit samples:
+# p in (2, 3, 5), m in (1, 2, 3), n = 1..6, every stratum at r = 1 and 2,
+# recorded while L and R were still built from WittElem operations
+_SNF_TRANSFORMS_SHA256 = "593c6a4b37e2143e57410396d05ccb15996205072449006a4ff74ec3dc80903f"
+
+
+def test_snf_transforms_are_pinned():
+    # no golden CLI command prints a transform, so this pins L and R
+    digest = hashlib.sha256()
+    for p in (2, 3, 5):
+        for m in (1, 2, 3):
+            for n in range(1, 7):
+                for r in (1, 2):
+                    ring = witt_ring(p, n * r + 1, m)
+                    rng = random.Random(1000 * p + 100 * m + 10 * n + r)
+                    strata = enumerate_strata(n, r).strata if n > 1 else [Cochar(1, (r,))]
+                    for gamma in strata:
+                        res = snf(sample_orbit(ring, gamma, rng))
+                        digest.update(json.dumps([mat_to_obj(res.left), mat_to_obj(res.right)],
+                                                 sort_keys=True).encode())
+    assert digest.hexdigest() == _SNF_TRANSFORMS_SHA256
 
 
 def test_roundtrip_oracle():
