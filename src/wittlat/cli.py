@@ -297,6 +297,11 @@ _OPTION_MINIMA = {"samples": 0, "jobs": 1, "N": 1}
 
 
 def main(argv=None):
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for k in range(len(argv) - 1, 0, -1):  # argparse reads the -1,0 of `--t -1,0` as an option
+        prev, arg = argv[k - 1], argv[k]
+        if arg[:1] == "-" and arg[1:2].isdigit() and prev[:2] == "--" and "=" not in prev:
+            argv[k - 1:k + 1] = [prev + "=" + arg]
     parser = build_parser()
     args = parser.parse_args(argv)
     for name, lo in _OPTION_MINIMA.items():

@@ -47,36 +47,23 @@ def _prime_factors(n):
 # -- fixed-degree residues in (Z/mod)[x]/(f), f monic of degree m ---------
 # Shared by F_{p^m} and its irreducibility test (mod = p, f the field
 # modulus or a candidate) and by the Witt ring (mod = p^k, f the lifted
-# modulus or, while lifting, the field modulus) through kernels built
-# once per m; f enters only through red[k] = x^(m+k) mod f, k = 0..m-2.
+# modulus or, while lifting, the field modulus) through kernels built once
+# per m, and per (m, n) for n x n matrices over the ring; f enters only
+# through red[k] = x^(m+k) mod f, k = 0..m-2.
 
 @functools.cache
 def _mulmod_factory(m):
-    """make(red, mod) -> (mul, dot, sub, linear) for degree m > 1: mul(a, b) =
-    a*b, dot(ra, cb) = sum_k ra[k]*cb[k], sub(a, b) = a - b, and linear(img, k)
-    binds the map a -> sum_i a_i*img[i] mod k (img[i] the image of x^i); each
-    output coefficient is reduced once."""
-    idx, hi = range(m), range(m - 1)
+    """make(red, mod) -> (mul, sub, linear) for degree m > 1: mul(a, b) = a*b,
+    sub(a, b) = a - b, and linear(img, k) binds the map a -> sum_i a_i*img[i]
+    mod k (img[i] the image of x^i); each output coefficient is reduced once."""
+    idx = range(m)
     a, b = ", ".join(f"a{i}" for i in idx), ", ".join(f"b{i}" for i in idx)
-    conv = [" + ".join(f"a{i}*b{k - i}" for i in idx if 0 <= k - i < m)
-            for k in range(2 * m - 1)]
-    out = ", ".join(f"(c{j}" + "".join(f" + c{m + k}*r{k}_{j}" for k in hi) + ") % mod"
-                    for j in idx)
-    red = ", ".join("(" + ", ".join(f"r{k}_{j}" for j in idx) + ")" for k in hi)
     img = ", ".join("(" + ", ".join(f"s{i}_{j}" for j in idx) + ")" for i in idx)
     lin = ", ".join("(" + " + ".join(f"a{i}*s{i}_{j}" for i in idx) + ") % k" for j in idx)
-    src = "\n".join([
-        "def make(red, mod):",
-        f"    [{red}] = red",
+    return _compiled(m, [
         "    def mul(a, b):",
         f"        ({a}), ({b}) = a, b",
-        *(f"        c{k} = {c}" for k, c in enumerate(conv)),
-        f"        return ({out})",
-        "    def dot(ra, cb):",
-        "        " + " = ".join(f"c{k}" for k in range(2 * m - 1)) + " = 0",
-        f"        for ({a}), ({b}) in zip(ra, cb):",
-        *(f"            c{k} += {c}" for k, c in enumerate(conv)),
-        f"        return ({out})",
+        *_combine(m, [(1, a.split(", "), b.split(", "))], "return ", "        "),
         "    def sub(a, b):",
         f"        ({a}), ({b}) = a, b",
         "        return (" + ", ".join(f"(a{i} - b{i}) % mod" for i in idx) + ")",
@@ -86,21 +73,88 @@ def _mulmod_factory(m):
         f"            ({a}) = a",
         f"            return ({lin})",
         "        return apply",
-        "    return mul, dot, sub, linear"])
-    ns = {}
-    exec(compile(src, f"<mulmod m={m}>", "exec"), ns)
+        "    return mul, sub, linear"], f"<mulmod m={m}>")
+
+
+def _compiled(m, body, filename):
+    """make(red, mod), its body given, compiled; red[k][j] is read as r{k}_{j}."""
+    rows = ", ".join("(" + ", ".join(f"r{k}_{j}" for j in range(m)) + ")" for k in range(m - 1))
+    ns, head = {}, ["def make(red, mod):"] + [f"    [{rows}] = red"] * (m > 1)
+    exec(compile("\n".join(head + body), filename, "exec"), ns)
     return ns["make"]
 
 
-def _kernels(f, mod):
-    """(mul, dot, sub, linear) on residues mod the monic f of degree m > 1 and
-    mod `mod`."""
+def _combine(m, terms, target, ind):
+    """Lines that set `target` ("v = " or "return ") to sum(s * x * y for s, x, y
+    in terms): over Z for m = 1, a tuple reduced once through red for m > 1."""
+    def signed(products):
+        return "".join(f" {'+' if s > 0 else '-'} {q}" for s, q in products).lstrip(" +")
+    if m == 1:
+        return [f"{ind}{target}" + signed([(s, f"{x[0]}*{y[0]}") for s, x, y in terms])]
+    lines = [f"{ind}c{k} = " + signed([(s, f"{x[i]}*{y[k - i]}") for s, x, y in terms
+                                         for i in range(m) if 0 <= k - i < m])
+             for k in range(2 * m - 1)]
+    out = ", ".join(f"(c{j}" + "".join(f" + c{m + k}*r{k}_{j}" for k in range(m - 1)) + ") % mod"
+                    for j in range(m))
+    return lines + [f"{ind}{target}({out})"]
+
+
+@functools.cache
+def _matrix_factory(m, n):
+    """make(red, mod) -> (matmul, det) on n x n matrices of bare values mod
+    `mod` (ints for m = 1, residue tuples for m > 1).  matmul(A, B) unpacks B
+    once and computes each row of A*B straight-line (O(n^2 m^2) products of
+    source), one reduction per entry.  det(A), None for n > 4, returns the
+    coefficients of the expansion along row 0 over the minors of the rows
+    below, each computed once: over Z and reduced at the end for m = 1,
+    reduced once per minor for m > 1."""
+    def ent(v, *ij):  # the coefficient names of one entry
+        name = v + "_".join(map(str, ij))
+        return [f"{name}_{t}" for t in range(m)] if m > 1 else [name]
+
+    def tup(items):
+        return "(" + "".join(f"{x}, " for x in items) + ")"
+
+    def pat(v, *ij):
+        return tup(ent(v, *ij)) if m > 1 else ent(v, *ij)[0]
+
+    mat = tup(tup(pat("b", i, j) for j in range(n)) for i in range(n))  # B, or det's A
+    src = ["    def matmul(A, B):", f"        {mat} = B", "        out = []",
+           f"        for {tup(pat('a', k) for k in range(n))} in A:"]
+    for j in range(n):
+        src += _combine(m, [(1, ent("a", k), ent("b", k, j)) for k in range(n)],
+                        f"e{j} = ", " " * 12)
+    end = " % mod" if m == 1 else ""  # m > 1 values are reduced already
+    src += [f"            out.append({tup(f'e{j}{end}' for j in range(n))})",
+            "        return tuple(out)"]
+    if n <= 4:
+        src += ["    def det(A):", f"        {mat} = A"]
+        minors = {(j,): ent("b", n - 1, j) for j in range(n)}  # those of the last row
+        for i in range(n - 2, -1, -1):  # minors of rows i.. on column sets of size n - i
+            for cols in itertools.combinations(range(n), n - i):
+                terms = [((-1) ** k, ent("b", i, j), minors[cols[:k] + cols[k + 1:]])
+                         for k, j in enumerate(cols)]
+                minors[cols] = ent("d" + "".join(map(str, cols)))
+                src += _combine(m, terms, ", ".join(minors[cols]) + " = ", " " * 8)
+        src.append(f"        return {tup(t + end for t in minors[tuple(range(n))])}")
+    src.append("    return matmul, " + ("det" if n <= 4 else "None"))
+    return _compiled(m, src, f"<matrix m={m} n={n}>")
+
+
+def _red_table(f, mod):
+    """red[k] = x^(m+k) mod the monic f of degree m > 1 and mod `mod`, k = 0..m-2."""
     m = len(f) - 1
     red = [[-c % mod for c in f[:m]]]  # x^m mod f; then x^(m+k+1) = x * x^(m+k)
     while len(red) < m - 1:
         r = red[-1]
         red.append([-r[-1] * f[0] % mod] + [(r[j - 1] - r[-1] * f[j]) % mod for j in range(1, m)])
-    return _mulmod_factory(m)(red, mod)
+    return red
+
+
+def _kernels(f, mod):
+    """(red, mul, sub, linear) mod the monic f of degree m > 1 and mod `mod`."""
+    red = _red_table(f, mod)
+    return (red, *_mulmod_factory(len(f) - 1)(red, mod))
 
 
 def _powmod(a, e, mul):
@@ -126,7 +180,7 @@ def is_irreducible(coeffs, p):
         return False
     if m == 1:
         return True
-    mul, _, sub, _ = _kernels(f, p)
+    _, mul, sub, _ = _kernels(f, p)
     x, one, q = (0, 1) + (0,) * (m - 2), (1,) + (0,) * (m - 1), p ** m
     return _powmod(x, q, mul) == x and all(
         _powmod(sub(_powmod(x, p ** (m // ell), mul), x), q - 1, mul) == one
@@ -165,7 +219,7 @@ class FieldDescriptor:
                 raise ValueError("modulus is not irreducible over Z/p")
         self.modulus = modulus
         self.key = (p, m, modulus)
-        self._mul = _kernels(modulus, p)[0] if m > 1 else None
+        self._mul = _kernels(modulus, p)[1] if m > 1 else None
 
     def __eq__(self, other):
         return isinstance(other, FieldDescriptor) and self.key == other.key

@@ -1,14 +1,13 @@
 """Square matrices over a truncated Witt ring.
 
 A matrix stores bare values (ints for m = 1, coefficient tuples for m > 1)
-and builds its WittElem `rows` only when they are read.  Provides the one
-full-pivot elimination behind both the elementary-divisor type (snf.py) and
-the m > 1, n > 4 determinant, exact determinants (for m = 1, fraction-free
-Bareiss elimination over Z on the integer lifts; for m > 1, cofactor
-expansion on bare coefficient tuples with the ring's kernels for n <= 4 and
-that elimination otherwise), minors, the corner functions (the (0,0) entry
-and its complementary minor), inverses via the adjugate, and membership
-tests for the classical subgroup shapes of GL_n.
+and builds its WittElem `rows` only when they are read.  Products and the
+n <= 4 determinants are the ring's kernels generated per (m, n) in field.py.
+Provides the one full-pivot elimination behind both the elementary-divisor
+type (snf.py) and the m > 1, n > 4 determinant (for m = 1, fraction-free
+Bareiss elimination over Z on the integer lifts), minors, the corner
+functions (the (0,0) entry and its complementary minor), inverses via the
+adjugate, and membership tests for the classical subgroup shapes of GL_n.
 """
 
 import enum
@@ -110,18 +109,11 @@ class WittMat:
     # -- arithmetic -----------------------------------------------------------
 
     def __mul__(self, other):
-        """Product on raw values: each entry is accumulated unreduced over k
-        and reduced once (mod p^N for m = 1, by the ring's dot kernel else)."""
+        """Product on raw values by the ring's generated n x n kernel: each
+        entry is accumulated unreduced over k and reduced once."""
         self._check_compatible(other)
         ring = self.ring
-        cols = tuple(zip(*other._raw))
-        if ring.m == 1:
-            pN = ring.pN
-            return WittMat._from_raw(ring, tuple(
-                [tuple([sum(map(operator.mul, ra, cb)) % pN for cb in cols]) for ra in self._raw]))
-        dot = ring._dot
-        return WittMat._from_raw(ring, tuple(
-            [tuple([dot(ra, cb) for cb in cols]) for ra in self._raw]))
+        return WittMat._from_raw(ring, ring._matrix_kernels(self.n)[0](self._raw, other._raw))
 
     def __add__(self, other):
         self._check_compatible(other)
@@ -204,9 +196,6 @@ def _det_int(rows, pN):
     elimination over Z (Math. Comp. 22, 1968).  Exact for any n, since the
     determinant is an integer polynomial in the entries."""
     n = len(rows)
-    if n == 2:
-        (a, b), (c, d) = rows
-        return (a * d - b * c) % pN
     M = [list(r) for r in rows]
     sign, prev = 1, 1
     for k in range(n - 1):
@@ -227,32 +216,19 @@ def _det_int(rows, pN):
 
 
 def _det_coeffs(rows, ring):
-    """det, as a coefficient tuple, of a matrix given by rows of bare values.
-    For m = 1 it is _det_int.  For m > 1 and n <= 4 it is the expansion along
-    row 0, one dot product with the signed minors, the sign (-1)^j being a
-    swap of the minor's first two rows; above, the signed product of the
-    diagonal of the triangular M that _eliminate leaves (a zero lands there
-    when a pivot search finds nothing).  Its quotients are defined only up to
-    a pivot's annihilator, but every choice is a row operation of det 1."""
+    """det, as a coefficient tuple, of rows of bare values: the ring's kernel
+    for n <= 4; above, _det_int for m = 1 and, for m > 1, the signed product
+    of the diagonal of the triangular M that _eliminate leaves (a zero lands
+    there when a pivot search finds nothing).  Its quotients are defined only
+    up to a pivot's annihilator, but every choice is a row operation of det 1."""
+    n = len(rows)
+    if n <= 4:
+        return ring._matrix_kernels(n)[1](rows)
     if ring.m == 1:
         return (_det_int(rows, ring.pN),)
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        (a, b), (c, d) = rows
-        return ring._sub(ring._mul(a, d), ring._mul(b, c))
-    if n > 4:
-        _, sign, M, _, _ = _eliminate(WittMat._from_raw(ring, rows), with_transforms=False)
-        d = functools.reduce(operator.mul, [M[k][k] for k in range(1, n)], M[0][0])
-        return (-d if sign < 0 else d).coeffs
-    cofactors = []
-    for j in range(n):
-        minor = [r[:j] + r[j + 1:] for r in rows[1:]]
-        if j % 2:
-            minor[0], minor[1] = minor[1], minor[0]
-        cofactors.append(_det_coeffs(minor, ring))
-    return ring._dot(rows[0], cofactors)
+    _, sign, M, _, _ = _eliminate(WittMat._from_raw(ring, rows), with_transforms=False)
+    d = functools.reduce(operator.mul, [M[k][k] for k in range(1, n)], M[0][0])
+    return (-d if sign < 0 else d).coeffs
 
 
 # -- elimination -------------------------------------------------------------------

@@ -12,8 +12,9 @@ import random
 from dataclasses import dataclass
 
 from .errors import NotInCoverError, ParameterMismatchError
-from .matrix import GroupShape, WittMat, _det_coeffs, in_group
+from .matrix import GroupShape, WittMat, _bare, _det_coeffs, in_group
 from .snf import Cochar, divisor_type
+from .witt import _draw_below
 
 
 def regular_cochar(n, r):
@@ -168,11 +169,11 @@ def _as_rng(seed_or_rng):
 
 def _random_raw(ring, n, rng):
     """n x n bare values, drawn row by row as ring.random draws entries."""
-    draw, pN, m = rng.randrange, ring.pN, ring.m
-    if m == 1:
-        return tuple([tuple([draw(pN) for _ in range(n)]) for _ in range(n)])
-    return tuple([tuple([tuple([draw(pN) for _ in range(m)]) for _ in range(n)])
-                  for _ in range(n)])
+    m = ring.m
+    vals = _draw_below(rng, ring.pN, n * n * m)
+    if m > 1:
+        vals = [tuple(vals[k:k + m]) for k in range(0, n * n * m, m)]
+    return tuple([tuple(vals[k:k + n]) for k in range(0, n * n, n)])
 
 
 def sample_group(ring, n, shape, seed):
@@ -230,14 +231,9 @@ def sample_orbit(ring, gamma, seed):
     x = sample_group(ring, n, GroupShape.FULL, rng)
     y = sample_group(ring, n, GroupShape.FULL, rng)
     # diag(p^gamma) * y scales row i of y by p^gamma_i (0 once gamma_i >= N)
-    pN = ring.pN
-    scale = [pow(ring.p, e, pN) for e in gamma.exponents]
-    if ring.m == 1:
-        dy = tuple([tuple([c * f % pN for c in r]) for r, f in zip(y._raw, scale)])
-    else:
-        dy = tuple([tuple([tuple([a * f % pN for a in c]) for c in r])
-                    for r, f in zip(y._raw, scale)])
-    return x * WittMat._from_raw(ring, dy)
+    mul, scale = ring._mul, [_bare(ring, ring.p_power(e)) for e in gamma.exponents]
+    return x * WittMat._from_raw(ring, tuple(
+        [tuple([mul(f, c) for c in r]) for r, f in zip(y._raw, scale)]))
 
 
 def sample_cover(ring, n, r, seed):

@@ -12,22 +12,23 @@ its norm:
 Norm(u) = u * prod_{k=1}^{m-1} sigma^k(u) is a scalar n of Z/p^N, and
 u^-1 = n^-1 * prod_{k=1}^{m-1} sigma^k(u).
 
-Each ring memoises the Teichmueller lifts xi(b) mod p^N, keyed by the
-residue b: at most q entries, each filled on first use.  Any lift y of b
-is xi(b) mod p, so y^(p^(N-1)) = sigma^(N-1)(xi(b)) mod p^N and
-xi(b) = sigma^-(N-1)(b^(p^(N-1))).  The digit codecs are then lookups and
-sigma-table maps: the Witt digits a_i = F^i(b_i) of sum_i p^i xi(b_i),
-and from_digits sums p^i xi(F^-i(a_i)), since sigma^-i(xi(a)) =
-xi(F^-i(a)).  For m = 1 sigma is the identity and the whole ring is
-Z/p^N under the integer codec.
+Each ring memoises, per residue b, the Teichmueller lift xi(b) mod p^N
+and the conjugates F^j(b): at most q entries, each filled on first use.
+Any lift y of b is xi(b) mod p, so y^(p^(N-1)) = sigma^(N-1)(xi(b)) mod p^N
+and xi(b) = sigma^-(N-1)(b^(p^(N-1))).  The digit codecs are then lookups:
+the Witt digits a_i = F^i(b_i) of sum_i p^i xi(b_i), and from_digits sums
+p^i xi(F^-i(a_i)), since sigma^-i(xi(a)) = xi(F^-i(a)), from a second
+table of those N terms per residue.  For m = 1 sigma is the identity and
+the whole ring is Z/p^N under the integer codec.
 """
 
 import math
 import operator
+import random
 import threading
 
 from .errors import CodecUnsupportedError, NotAUnitError, RingMismatchError
-from .field import FieldDescriptor, _kernels, _powmod, default_modulus
+from .field import FieldDescriptor, _kernels, _matrix_factory, _powmod, default_modulus
 
 _RING_CACHE = {}
 _RING_LOCK = threading.Lock()
@@ -66,14 +67,31 @@ def _int_val(c, p, N):
     return v
 
 
+def _draw_below(rng, bound, count):
+    """[rng.randrange(bound) for _ in range(count)], bound >= 1, with the rule
+    of random.Random inline when type(rng) keeps its randrange and _randbelow."""
+    if (type(rng).randrange is random.Random.randrange
+            and type(rng)._randbelow is random.Random._randbelow_with_getrandbits):
+        getrandbits, k, out = rng.getrandbits, bound.bit_length(), []
+        for _ in range(count):
+            r = getrandbits(k)
+            while r >= bound:
+                r = getrandbits(k)
+            out.append(r)
+        return out
+    return [rng.randrange(bound) for _ in range(count)]
+
+
 class WittRing:
     """Descriptor and operation table for W_N(F_{p^m}).
 
     `_mul`, `_sub`, `_one` and `_zero` are the ring on bare values: ints mod
-    p^N for m = 1, coefficient tuples (the generated kernels) for m > 1."""
+    p^N for m = 1, coefficient tuples (the generated kernels) for m > 1.
+    `_matrix_kernels(n)` binds the n x n product and determinant on first use."""
 
-    __slots__ = ("field", "p", "m", "N", "pN", "key", "phi", "_mul", "_dot", "_sub",
-                 "_sigma_p", "_sigma_N", "_teich", "_p_powers", "zero", "one", "_zero", "_one")
+    __slots__ = ("field", "p", "m", "N", "pN", "key", "phi", "_mul", "_sub", "_red", "_matrix",
+                 "_sigma_p", "_sigma_N", "_teich", "_digit_rows", "_p_powers", "zero", "one",
+                 "_zero", "_one")
 
     def __init__(self, p, N, m=1, modulus=None):
         if N < 1:
@@ -86,14 +104,14 @@ class WittRing:
         self.key = (p, m, N, self.field.modulus)
         self.phi = self._lift_modulus() if m > 1 else None
         self._mul, self._sub = (lambda a, b: a * b % pN), (lambda a, b: (a - b) % pN)
-        self._dot = self._sigma_p = self._sigma_N = None
+        self._red, self._sigma_p, self._sigma_N = [], None, None
         if m > 1:
-            self._mul, self._dot, self._sub, linear = _kernels(self.phi, self.pN)
+            self._red, self._mul, self._sub, linear = _kernels(self.phi, pN)
             sigma = self._sigma_powers()
             # entry j applies sigma^j, so entry -j applies sigma^-j
             self._sigma_p = tuple(linear(images, p) for images in sigma)
             self._sigma_N = tuple(linear(images, self.pN) for images in sigma)
-        self._teich = {}
+        self._teich, self._digit_rows, self._matrix = {}, {}, {}
         self._p_powers = tuple(WittElem._make(self, (p ** e,) + (0,) * (m - 1))
                                for e in range(N))
         self.zero = WittElem._make(self, (0,) * m)
@@ -123,7 +141,7 @@ class WittRing:
         """Phi = prod over the Frobenius orbit of (X - tau), tau the
         Teichmueller lift of the field generator in a scratch quotient."""
         p, m, N, pN = self.p, self.m, self.N, self.pN
-        mul0, _, sub0, _ = _kernels(self.field.modulus, pN)  # naive monic lift f0
+        _, mul0, sub0, _ = _kernels(self.field.modulus, pN)  # naive monic lift f0
 
         gen = (0, 1) + (0,) * (m - 2)
         roots = [_powmod(gen, self.field.q ** (N - 1), mul0)]  # tau
@@ -158,18 +176,26 @@ class WittRing:
             raise RuntimeError("Frobenius on the lifted modulus does not have order m")
         return tuple(table)
 
-    def _teichmuller_lift(self, a):
-        """Coefficients of xi(a) mod p^N for a canonical residue a, from the
-        memo; a missing entry is sigma^-(N-1)(a^(p^(N-1)))."""
-        xi = self._teich.get(a)
-        if xi is None:
+    def _teich_entry(self, a):
+        """(xi(a) mod p^N, (F^0(a), ..., F^(m-1)(a))) for a canonical residue
+        a, from the memo; a missing xi(a) is sigma^-(N-1)(a^(p^(N-1)))."""
+        entry = self._teich.get(a)
+        if entry is None:
             N, pN, e = self.N, self.pN, self.p ** (self.N - 1)
             if self.m == 1:
-                xi = (pow(a[0], e, pN),)
+                entry = (pow(a[0], e, pN),), (a,)
             else:
-                xi = self._sigma_N[(1 - N) % self.m](_powmod(a, e, self._mul))
-            self._teich[a] = xi
-        return xi
+                entry = (self._sigma_N[(1 - N) % self.m](_powmod(a, e, self._mul)),
+                         tuple([s(a) for s in self._sigma_p]))
+            self._teich[a] = entry
+        return entry
+
+    def _matrix_kernels(self, n):
+        """(matmul, det) of field._matrix_factory for size n, bound on first use."""
+        kernels = self._matrix.get(n)
+        if kernels is None:
+            kernels = self._matrix[n] = _matrix_factory(self.m, n)(self._red, self.pN)
+        return kernels
 
     # -- element construction --------------------------------------------------
 
@@ -192,25 +218,31 @@ class WittRing:
 
     def teichmuller(self, a):
         """The multiplicative representative of a field element."""
-        return WittElem._make(self, self._teichmuller_lift(self.field.elem(a)))
+        try:
+            return WittElem._make(self, self._teich[a][0])
+        except (KeyError, TypeError):  # not seen, or not canonical: the field checks it
+            return WittElem._make(self, self._teich_entry(self.field.elem(a))[0])
 
     def from_digits(self, digits):
-        """Inverse of WittElem.digits(): sum_i p^i xi(F^-i(a_i))."""
-        digits = [self.field.elem(d) for d in digits]
-        if len(digits) != self.N:
+        """Inverse of WittElem.digits(): sum_i p^i xi(F^-i(a_i)).  The row of a
+        residue a in the memo `_digit_rows` lists the N terms p^i xi(F^-i(a))."""
+        table, rows, p, pN = self._digit_rows, [], self.p, self.pN
+        for d in digits:
+            try:
+                rows.append(table[d])
+            except (KeyError, TypeError):  # not seen, or not canonical: the field checks it
+                a = self.field.elem(d)
+                frob = self._teich_entry(a)[1]
+                rows.append(table.setdefault(a, tuple(
+                    tuple([p ** i * c % pN for c in self._teich_entry(frob[-i % self.m])[0]])
+                    for i in range(self.N))))
+        if len(rows) != self.N:
             raise ValueError(f"expected {self.N} digits")
-        p, m, pN = self.p, self.m, self.pN
-        acc, pe = [0] * m, 1
-        for i, a in enumerate(digits):
-            if any(a):
-                if m > 1:
-                    a = self._sigma_p[-i % m](a)
-                acc = [x + pe * c for x, c in zip(acc, self._teichmuller_lift(a))]
-            pe *= p
-        return WittElem._make(self, tuple([x % pN for x in acc]))
+        return WittElem._make(self, tuple(
+            [sum(c) % pN for c in zip(*[terms[i] for i, terms in enumerate(rows)])]))
 
     def random(self, rng):
-        return WittElem._make(self, tuple(rng.randrange(self.pN) for _ in range(self.m)))
+        return WittElem._make(self, tuple(_draw_below(rng, self.pN, self.m)))
 
     def random_unit(self, rng):
         # unit iff the residue is nonzero; resample just the residue part
@@ -388,21 +420,18 @@ class WittElem:
         p = ring.p
         # each coefficient is congruent to that of xi(b) mod p, so the
         # quotient is exact; later steps read only residues mod p
-        z, out, lift = self.coeffs, [], ring._teichmuller_lift
+        z, out, teich, entry = self.coeffs, [], ring._teich, ring._teich_entry
         for _ in range(ring.N):
             b = tuple([c % p for c in z])
-            z = [(c - t) // p for c, t in zip(z, lift(b))]
+            z = [(c - t) // p for c, t in zip(z, (teich.get(b) or entry(b))[0])]
             out.append(b)
         return tuple(out)
 
     def digits(self):
-        """Standard Witt coordinates (a_0, ..., a_{N-1}), a_i = b_i^(p^i)."""
-        ring = self.ring
-        raw = self.teichmuller_digits()
-        if ring.m == 1:
-            return raw
-        sigma, m = ring._sigma_p, ring.m
-        return tuple([sigma[i % m](b) for i, b in enumerate(raw)])
+        """Standard Witt coordinates (a_0, ..., a_{N-1}), a_i = b_i^(p^i),
+        read from the memo entries that teichmuller_digits filled."""
+        teich, m = self.ring._teich, self.ring.m
+        return tuple([teich[b][1][i % m] for i, b in enumerate(self.teichmuller_digits())])
 
     def to_int(self):
         """Integer codec W_N(F_p) = Z/p^N; only defined for m = 1."""

@@ -159,6 +159,27 @@ def test_degenerate_rejects_malformed_t_list(capsys, t):
                                  "--p", "3", "--m", "2", "--t", t])
 
 
+@pytest.mark.parametrize("argv", [
+    ["--t", "-1,0"], ["--t", "-1"], ["--p", "3", "--m", "2", "--t", "-1,2"]])
+def test_degenerate_rejects_dash_led_t_in_one_line(capsys, argv):
+    # a value that starts with '-' reaches the parser, as --t=-1,0 does
+    _assert_usage_error(capsys, ["degenerate", "--from", "1,1", "--to", "2,0"] + argv)
+
+
+@pytest.mark.parametrize("argv", [["--from", "-1,3", "--to", "2,0"],
+                                  ["--from", "1,1", "--to", "-2,4"],
+                                  ["--from", "-1", "--to", "2"]])
+def test_degenerate_rejects_dash_led_exponents_in_one_line(capsys, argv):
+    _assert_usage_error(capsys, ["degenerate"] + argv)
+
+
+def test_dash_led_values_keep_other_arguments(capsys):
+    # a value given with `=` and a plain negative number read as before
+    base = ["degenerate", "--from", "1,1", "--to", "2,0", "--p", "3", "--m", "2"]
+    assert run(capsys, *base, "--t=1,2") == run(capsys, *base, "--t", "1,2")
+    _assert_usage_error(capsys, base + ["--N", "-3"])
+
+
 def test_verify_snf_violation_replays_through_classify(tmp_path, capsys, monkeypatch):
     # a faulty snf on the third sample: both of its examples carry the input
     # matrix, and classify --input on it recovers the sampled divisor type

@@ -11,13 +11,15 @@ import pickle
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from wittlat import field, witt
 from wittlat.field import FieldDescriptor
-from wittlat.matrix import WittMat
+from wittlat.matrix import GroupShape, WittMat
+from wittlat.strata import sample_group
 from wittlat.witt import WittRing, witt_ring
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -151,24 +153,47 @@ def test_field_kernels_match_schoolbook(p, m):
 def test_factory_compiles_once_per_degree(monkeypatch):
     compiled = []
 
-    def counting_compile(source, *args, **kwargs):
-        compiled.append(source)
-        return compile(source, *args, **kwargs)
+    def counting_compile(source, filename, *args, **kwargs):
+        compiled.append(filename)
+        return compile(source, filename, *args, **kwargs)
 
     monkeypatch.setattr(field, "compile", counting_compile, raising=False)
     field._mulmod_factory.cache_clear()
+    field._matrix_factory.cache_clear()
     rng = random.Random(9)
     for p, N in ((2, 1), (2, 4), (3, 2), (5, 3)):
         R = WittRing(p, N, 3)
         x = R.random_unit(rng)
         x.inverse(), x.frobenius(), x.verschiebung(), R.from_digits(x.digits())
         # the sigma^j maps and sub are closures of the one compiled source
-        kernels = (R._mul, R._dot, R._sub) + R._sigma_p + R._sigma_N
+        kernels = (R._mul, R._sub) + R._sigma_p + R._sigma_N
         assert {f.__code__.co_filename for f in kernels} == {"<mulmod m=3>"}
     FieldDescriptor(7, 3)
-    assert len(compiled) == 1
+    assert compiled == ["<mulmod m=3>"]
     WittRing(2, 3, 2)
+    assert compiled == ["<mulmod m=3>", "<mulmod m=2>"]
+    # the matrix kernels: nothing at ring construction, then one compile per
+    # (m, n), shared by every ring of degree m and by products, dets and minors
+    rings = [WittRing(p, N, m) for m in (1, 2, 3) for p, N in ((2, 3), (3, 2))]
     assert len(compiled) == 2
+    for _ in range(2):
+        for R in rings:
+            for n in range(1, 7):
+                A = sample_group(R, n, GroupShape.FULL, rng)
+                A * A, A.det(), A.corner_minor() if n > 1 else None
+    want = sorted(f"<matrix m={m} n={n}>" for m in (1, 2, 3) for n in range(1, 7))
+    assert sorted(compiled[2:]) == want
+    assert all(R._matrix_kernels(n)[1] is None for R in rings for n in (5, 6))
+
+
+def test_matrix_kernels_for_m4_n12_generate_in_under_50ms():
+    # the largest generated product in the tests; det is generated for n <= 4 only
+    times = []
+    for _ in range(3):
+        t0 = time.perf_counter()
+        field._matrix_factory.__wrapped__(4, 12)
+        times.append(time.perf_counter() - t0)
+    assert min(times) < 0.05, times
 
 
 def test_pickled_rings_rebuild_their_kernels():
@@ -197,11 +222,47 @@ def test_unpickled_ring_is_the_shared_instance(m):
 
 def test_import_loads_no_pool_and_compiles_no_kernel():
     code = ("import sys, wittlat, wittlat.cli, wittlat.verify\n"
-            "from wittlat.field import _mulmod_factory\n"
+            "from wittlat.field import _matrix_factory, _mulmod_factory\n"
             "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)),"
-            " _mulmod_factory.cache_info().misses)")
+            " _mulmod_factory.cache_info().misses, _matrix_factory.cache_info().misses)")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["[]", "0"]
+    assert proc.stdout.split() == ["[]", "0", "0"]
+
+
+def _mult_matrix(a, phi, mod):
+    """The m x m integer matrix of x -> a*x on the power basis mod (phi, mod)."""
+    m = len(a)
+    cols = [_mulmod(a, (0,) * j + (1,) + (0,) * (m - 1 - j), phi, mod) for j in range(m)]
+    return [[cols[j][i] for j in range(m)] for i in range(m)]
+
+
+@pytest.mark.parametrize("p,m", [(p, m) for p in (2, 3, 5) for m in (2, 3, 4)])
+def test_small_det_kernel_against_restriction_of_scalars(p, m):
+    # det(Res A) == N(det A) mod p^N: Res A is the nm x nm integer matrix of A
+    # over Z/p^N and the norm N(d) the determinant of x -> d*x; both dets are
+    # sympy's over Z, so the oracle shares no code with wittlat's determinants
+    sympy = pytest.importorskip("sympy")
+    N = 3
+    R = witt_ring(p, N, m)
+    phi, pN = R.phi, R.pN
+    rng = random.Random(p * 10 + m)
+    for n in range(1, 5):
+        for kind in range(3):
+            rows = [[tuple(rng.randrange(pN) for _ in range(m)) for _ in range(n)]
+                    for _ in range(n)]
+            if kind == 1:  # a row times p: a non-unit determinant
+                i = rng.randrange(n)
+                rows[i] = [tuple(p * c % pN for c in e) for e in rows[i]]
+            elif kind == 2 and n > 1:  # two equal rows: determinant zero
+                rows[0] = rows[-1]
+            A = WittMat._from_raw(R, tuple(tuple(r) for r in rows))
+            blocks = [[_mult_matrix(e, phi, pN) for e in r] for r in rows]
+            res = sympy.Matrix(n * m, n * m, lambda i, j: blocks[i // m][j // m][i % m][j % m])
+            d = A.det().coeffs
+            norm = sympy.Matrix(_mult_matrix(d, phi, pN)).det()
+            assert (res.det() - norm) % pN == 0, (p, m, n, rows)
+            if kind == 2 and n > 1:
+                assert not any(d)

@@ -378,11 +378,12 @@ def _mul_reference(A, B):
     return WittMat(ring, out)
 
 
-@pytest.mark.parametrize("p,N,m", [(2, 4, 1), (5, 3, 1), (2, 3, 2), (3, 3, 2), (2, 3, 3)])
+@pytest.mark.parametrize("p,N,m", [(2, 4, 1), (5, 3, 1), (2, 3, 2), (3, 3, 2), (2, 3, 3),
+                                   (3, 2, 3), (2, 2, 4), (5, 2, 4)])
 def test_mul_kernel_against_entrywise_reference(p, N, m):
     R = witt_ring(p, N, m)
     rng = random.Random(50 + p + m)
-    for n in range(1, 5):
+    for n in range(1, 8):
         for _ in range(8):
             A, B = _random_mat(R, n, rng), _random_mat(R, n, rng)
             assert A * B == _mul_reference(A, B)
@@ -409,6 +410,20 @@ def test_full_sampler_matches_reference_stream(p, N, m):
             assert A == _full_sample_reference(R, n, ref)
             assert fast.draws == ref.draws and fast.draws % (n * n * m) == 0
             assert fast.random() == ref.random()
+
+
+@pytest.mark.parametrize("p,N,m", [(2, 3, 1), (3, 4, 1), (2, 3, 2), (3, 2, 3)])
+def test_samplers_draw_the_same_with_and_without_a_randrange_override(p, N, m):
+    # random.Random takes the getrandbits draws, _CountingRandom its randrange
+    R = witt_ring(p, N, m)
+
+    def draws(n, rng):
+        gamma = Cochar(n, tuple(range(n - 1, -1, -1)))
+        return (sample_group(R, n, GroupShape.FULL, rng), sample_orbit(R, gamma, rng),
+                R.random(rng), rng.random())
+    for n in range(1, 5):
+        for seed in range(4):
+            assert draws(n, random.Random(seed)) == draws(n, _CountingRandom(seed))
 
 
 @pytest.mark.parametrize("rows", [[], [[1, 2], [3]], [[1, 2]], [[1, 2, 3], [4, 5, 6]]])

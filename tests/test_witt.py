@@ -138,7 +138,7 @@ def test_teichmuller_lift_matches_q_power_reference(p, m):
         residues = list(F.elements()) if F.q <= 125 else [F.random(rng) for _ in range(6)]
         for a in residues:
             full = _full_lift(R, a)
-            assert R._teichmuller_lift(a) == full.coeffs
+            assert R._teich_entry(a)[0] == full.coeffs
             assert R.teichmuller(a) == full
         for _ in range(20):
             x = R.random(rng)
@@ -389,7 +389,7 @@ def _teichmuller_digits_reduced(x):
     p, z, out = R.p, x.coeffs, []
     for k in range(R.N, 0, -1):
         b, pk = tuple(c % p for c in z), p ** k
-        z = tuple((c - t) % pk // p for c, t in zip(z, R._teichmuller_lift(b)))
+        z = tuple((c - t) % pk // p for c, t in zip(z, R._teich_entry(b)[0]))
         out.append(b)
     return tuple(out)
 
@@ -417,3 +417,153 @@ def test_explicit_default_modulus_is_the_shared_ring():
     assert len(witt._RING_CACHE) == size + 1
     with pytest.raises(ValueError):
         witt_ring(4, 2, 2, (1, 1, 1))  # p is validated before the default is sought
+
+
+# -- digit tables and exact-stream draws -------------------------------------------
+
+# (p, m, N) with q^N <= 4096, m = 1..3
+SMALL_RINGS = [(p, m, N) for p in (2, 3, 5, 7) for m in (1, 2, 3)
+               for N in range(1, 13) if p ** (m * N) <= 4096]
+
+
+@pytest.mark.parametrize("p,m,N", SMALL_RINGS)
+def test_digits_roundtrip_every_element(p, m, N):
+    R = witt_ring(p, N, m)
+    for coeffs in itertools.product(range(R.pN), repeat=m):
+        x = R.from_coeffs(coeffs)
+        assert R.from_digits(x.digits()) == x, coeffs
+    # one table row per residue: at most q entries each
+    assert len(R._teich) <= R.field.q and len(R._digit_rows) <= R.field.q
+
+
+def _codec_cases():
+    R1, R2 = witt_ring(3, 3), witt_ring(2, 3, 2)
+    return [
+        (R1, "from_digits", [(1,), (2,)]),            # too short
+        (R1, "from_digits", [(1,)] * 4),              # too long
+        (R1, "from_digits", [(3,), (0,), (0,)]),      # out of range
+        (R1, "from_digits", [(-1,), (0,), (0,)]),
+        (R1, "from_digits", [(1, 0), (0,), (0,)]),    # too many coefficients
+        (R1, "from_digits", [1.5, (0,), (0,)]),
+        (R1, "from_digits", [None, (0,), (0,)]),
+        (R1, "from_digits", [("a",), (0,), (0,)]),
+        (R1, "from_digits", 5),
+        (R1, "from_digits", [(1,), (3,)]),            # a bad digit before the length
+        (R1, "from_digits", [(1,), (2,), (9,), (1, 1)]),
+        (R1, "from_digits", [2, [1], (True,)]),       # not canonical, but valid
+        (R1, "from_digits", [(2.0,), (1,), (0,)]),
+        (R2, "from_digits", [(1, 0), (1, 1)]),
+        (R2, "from_digits", [(1, 0), (1, 2), (0, 0)]),
+        (R2, "from_digits", [(1,), (1, 1), (0, 0)]),
+        (R2, "from_digits", [(1, 0, 0), (1, 1), (0, 0)]),
+        (R2, "from_digits", [([1], 0), (1, 1), (0, 0)]),
+        (R2, "from_digits", [(None, 0), (1, 1), (0, 0)]),
+        (R2, "from_digits", [1, (1, 1), (0, 0)]),     # an int k reads as (k, 0)
+        (R2, "from_digits", [[1, 1], (True, False), (1.0, 1)]),
+        (R2, "from_digits", [(1, 1), (0, 1), (9, 9), (0, 0)]),
+        (R1, "teichmuller", (3,)),
+        (R1, "teichmuller", 2),
+        (R1, "teichmuller", [2]),
+        (R2, "teichmuller", (1, 2)),
+        (R2, "teichmuller", (1,)),
+        (R2, "teichmuller", [1, 1]),
+        (R2, "teichmuller", (True, 1)),
+        (R2, "teichmuller", ([1], 0)),
+        (R2, "teichmuller", None),
+    ]
+
+
+_NOT_INT = "int() argument must be a string, a bytes-like object or a real number, not"
+# recorded with the codecs that validated every digit through FieldDescriptor.elem
+_CODEC_OUTCOMES = [
+    ("ValueError", "expected 3 digits"),
+    ("ValueError", "expected 3 digits"),
+    ("ValueError", "coefficients must lie in [0, 3)"),
+    ("ValueError", "coefficients must lie in [0, 3)"),
+    ("ValueError", "expected 1 coefficients"),
+    ("TypeError", "'float' object is not iterable"),
+    ("TypeError", "'NoneType' object is not iterable"),
+    ("ValueError", "invalid literal for int() with base 10: 'a'"),
+    ("TypeError", "'int' object is not iterable"),
+    ("ValueError", "coefficients must lie in [0, 3)"),
+    ("ValueError", "coefficients must lie in [0, 3)"),
+    ("ok", (11,)),
+    ("ok", (2,)),
+    ("ValueError", "expected 3 digits"),
+    ("ValueError", "coefficients must lie in [0, 2)"),
+    ("ValueError", "expected 2 coefficients"),
+    ("ValueError", "expected 2 coefficients"),
+    ("TypeError", f"{_NOT_INT} 'list'"),
+    ("TypeError", f"{_NOT_INT} 'NoneType'"),
+    ("ok", (1, 2)),
+    ("ok", (5, 3)),
+    ("ValueError", "coefficients must lie in [0, 2)"),
+    ("ValueError", "coefficients must lie in [0, 3)"),
+    ("ok", (26,)),
+    ("ok", (26,)),
+    ("ValueError", "coefficients must lie in [0, 2)"),
+    ("ValueError", "expected 2 coefficients"),
+    ("ok", (7, 7)),
+    ("ok", (7, 7)),
+    ("TypeError", f"{_NOT_INT} 'list'"),
+    ("TypeError", "'NoneType' object is not iterable"),
+]
+
+
+def _codec_outcome(R, name, arg):
+    try:
+        return "ok", getattr(R, name)(arg).coeffs
+    except Exception as exc:  # the type and message are what is compared
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize("warm", [False, True])
+def test_codec_errors_match_on_cold_and_warm_tables(warm):
+    # malformed digits raise what FieldDescriptor.elem raises, first bad digit
+    # first and the length after; valid non-canonical digits keep their value
+    cases = _codec_cases()
+    for R in {id(R): R for R, _, _ in cases}.values():
+        R._teich.clear()
+        R._digit_rows.clear()
+        if warm:
+            for a in R.field.elements():
+                R.from_digits([a] * R.N)
+                R.teichmuller(a)
+    assert [_codec_outcome(*c) for c in cases] == _CODEC_OUTCOMES
+    if warm:  # the canonical lookups filled nothing beyond the residues
+        assert all(len(R._digit_rows) == R.field.q for R, _, _ in cases)
+
+
+class _Sub(random.Random):
+    pass
+
+
+class _OwnRandrange(random.Random):
+    calls = 0
+
+    def randrange(self, *args, **kwargs):
+        self.calls += 1
+        return super().randrange(*args, **kwargs)
+
+
+class _OwnRandom(random.Random):
+    # overriding random() alone makes _randbelow the getrandbits-free rule
+    def random(self):
+        return super().random()
+
+
+# every p^N of the rings in the tests, and bound 1
+MODULI = sorted({1} | {p ** N for p in (2, 3, 5, 7) for N in range(1, 17)})
+
+
+@pytest.mark.parametrize("cls", [random.Random, _Sub, _OwnRandrange, _OwnRandom])
+def test_draw_below_matches_randrange_stream(cls):
+    for bound in MODULI:
+        for seed in range(4):
+            fast, ref = cls(seed), cls(seed)
+            assert witt._draw_below(fast, bound, 16) == [ref.randrange(bound) for _ in range(16)]
+            assert fast.getstate() == ref.getstate()
+    if cls is _OwnRandrange:  # the override is called once per draw
+        rng = cls(0)
+        witt._draw_below(rng, 8, 5)
+        assert rng.calls == 5
