@@ -261,6 +261,8 @@ def _eliminate(A, with_transforms):
     Clearing row i below pivot k zeroes M[i][k] (q * M[k][k] is M[i][k]
     exactly) and rewrites only the columns right of k: those left of k hold
     zero in both rows.  Pivot valuations never decrease (see _find_pivot).
+    One ring._divider per pivot gives the quotients of both M and the
+    transforms; L and R updates skip entries whose multiplicand is zero.
 
     Returns (exps, sign, M, L, R).  exps are the pivot valuations in pivot
     order, padded with N once no pivot is left; sign is that of the swaps, so
@@ -270,14 +272,14 @@ def _eliminate(A, with_transforms):
     e = exps reversed (descending); without, L and R are None.
     """
     ring = A.ring
-    n, N = A.n, ring.N
+    n, N, m1 = A.n, ring.N, ring.m == 1
     M = [list(r) for r in A.rows]
-    zero = ring.zero
+    zero, make = ring.zero, WittElem._make
     L = R = None
     if with_transforms:
-        sub, mul, eye = ring._sub, ring._mul, identity(ring, n)._raw
+        sub, mul, bzero, eye = ring._sub, ring._mul, ring._zero, identity(ring, n)._raw
         L, R = [list(r) for r in eye], [list(r) for r in eye]
-    exps, dividers, sign = [], [], 1
+    exps, sign = [], 1
     for k in range(n):
         found = _find_pivot(M, k, n, N, exps[-1] if exps else 0)
         if found is None:
@@ -297,33 +299,36 @@ def _eliminate(A, with_transforms):
                 for row in R:
                     row[k], row[pj] = row[pj], row[k]
         exps.append(v)
-        # kept for the unit normalization (M[k][k] is final from here on);
-        # without transforms the last pivot, which clears nothing, needs none
-        divide = ring.divider(M[k][k]) if with_transforms or k + 1 < n else None
-        dividers.append(divide)
+        if k + 1 == n and not with_transforms:
+            break  # the last pivot clears nothing
+        Mk = M[k]
+        c = Mk[k].coeffs
+        divide, w = ring._divider(c[0] if m1 else c)  # w inverts the pivot's unit part
         for i in range(k + 1, n):
             if M[i][k].is_zero():
                 continue
-            q = divide(M[i][k])
+            c = M[i][k].coeffs
+            q = divide(c[0] if m1 else c)
+            qe = make(ring, (q,) if m1 else q)
             M[i][k] = zero
-            M[i][k + 1:] = [x - q * y for x, y in zip(M[i][k + 1:], M[k][k + 1:])]
+            M[i][k + 1:] = [x - qe * y for x, y in zip(M[i][k + 1:], Mk[k + 1:])]
             if with_transforms:
-                q = _bare(ring, q)
-                L[i] = [sub(x, mul(q, y)) for x, y in zip(L[i], L[k])]
+                L[i] = [x if y == bzero else sub(x, mul(q, y)) for x, y in zip(L[i], L[k])]
         if with_transforms:
+            # R's column k is final once it has cleared the pivot's row: later
+            # pivots neither read nor write it, so its unit is normalized here
+            live = [row for row in R if row[k] != bzero]
             for j in range(k + 1, n):
-                if M[k][j].is_zero():
+                if Mk[j].is_zero():
                     continue
-                q = _bare(ring, divide(M[k][j]))
-                for row in R:
+                c = Mk[j].coeffs
+                q = divide(c[0] if m1 else c)
+                for row in live:
                     row[j] = sub(row[j], mul(q, row[k]))
-    if with_transforms:
-        # normalize units into the right transform: diag entry p^v * u -> p^v
-        for k, divide in enumerate(dividers):
-            w = _bare(ring, divide(ring.p_power(exps[k])))  # inverse of the unit part
-            if w != ring._one:
-                for row in R:
+            if w != ring._one:  # diag entry p^v * u -> p^v
+                for row in live:
                     row[k] = mul(row[k], w)
+    if with_transforms:
         # exponents came out ascending; reverse to sort them descending
         L.reverse()
         for row in R:
@@ -334,11 +339,11 @@ def _eliminate(A, with_transforms):
 # -- constructors ---------------------------------------------------------------
 
 def identity(ring, n):
-    return _diagonal(ring, [ring._one] * n)
+    return p_power_diagonal(ring, (0,) * n)
 
 
 def zeros(ring, n):
-    return _diagonal(ring, [ring._zero] * n)
+    return p_power_diagonal(ring, (ring.N,) * n)
 
 
 def diagonal(ring, entries):
@@ -346,13 +351,24 @@ def diagonal(ring, entries):
 
 
 def p_power_diagonal(ring, exponents):
-    """diag(p^{e_0}, ..., p^{e_{n-1}}); exponents >= N give zero entries."""
-    return _diagonal(ring, [_bare(ring, ring.p_power(e)) for e in exponents])
+    """diag(p^{e_0}, ..., p^{e_{n-1}}); exponents >= N give zero entries.
+
+    One shared matrix per ring and exponent tuple, memoised in ring._diagonals
+    when no exponent exceeds N: at most (N + 1)^n matrices per size n."""
+    key = tuple(map(operator.index, exponents))
+    A = ring._diagonals.get(key)
+    if A is None:
+        A = _diagonal(ring, [_bare(ring, ring.p_power(e)) for e in key])
+        if max(key) <= ring.N:
+            ring._diagonals[key] = A
+    return A
 
 
 def _diagonal(ring, vals):
-    """The diagonal matrix of a list of bare values."""
+    """The diagonal matrix of a nonempty list of bare values."""
     n, zero = len(vals), ring._zero
+    if not n:
+        raise ShapeError("matrix must be square and nonempty")
     return WittMat._from_raw(ring, tuple(
         [tuple([zero] * i + [v] + [zero] * (n - 1 - i)) for i, v in enumerate(vals)]))
 

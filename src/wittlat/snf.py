@@ -74,7 +74,7 @@ def snf(A):
     exps, _, _, L, R = _eliminate(A, with_transforms=True)
     left = WittMat._from_raw(ring, tuple(map(tuple, L)))
     right = WittMat._from_raw(ring, tuple(map(tuple, R)))
-    divisors = Cochar(A.n, tuple(reversed(exps)))
+    divisors = Cochar._make(A.n, tuple(reversed(exps)))  # ascending exps: sorted
     target = p_power_diagonal(ring, divisors.exponents)
     if left * A * right != target:
         raise RuntimeError("diagonalization self-check failed")

@@ -57,14 +57,20 @@ def witt_ring(p, N, m=1, modulus=None):
     return ring
 
 
-def _int_val(c, p, N):
-    if c == 0:
-        return N
-    v = 0
-    while c % p == 0:
-        c //= p
-        v += 1
-    return v
+def _valuation(p, N, m):
+    """The valuation of bare values mod p^N: the p-adic order of an int for
+    m = 1, of the gcd of a coefficient tuple for m > 1; N for zero."""
+    def val(c):
+        if m > 1:
+            c = math.gcd(*c)
+        if c == 0:
+            return N
+        v = 0
+        while c % p == 0:
+            c //= p
+            v += 1
+        return v
+    return val
 
 
 def _draw_below(rng, bound, count):
@@ -85,13 +91,15 @@ def _draw_below(rng, bound, count):
 class WittRing:
     """Descriptor and operation table for W_N(F_{p^m}).
 
-    `_mul`, `_sub`, `_one` and `_zero` are the ring on bare values: ints mod
-    p^N for m = 1, coefficient tuples (the generated kernels) for m > 1.
-    `_matrix_kernels(n)` binds the n x n product and determinant on first use."""
+    `_mul`, `_sub`, `_val`, `_inv`, `_divider`, `_one` and `_zero` are the
+    ring on bare values: ints mod p^N for m = 1, coefficient tuples (the
+    generated kernels) for m > 1.  `_matrix_kernels(n)` binds the n x n
+    product and determinant on first use; `_diagonals` is the memo of
+    matrix.p_power_diagonal."""
 
-    __slots__ = ("field", "p", "m", "N", "pN", "key", "phi", "_mul", "_sub", "_red", "_matrix",
-                 "_sigma_p", "_sigma_N", "_teich", "_digit_rows", "_p_powers", "zero", "one",
-                 "_zero", "_one")
+    __slots__ = ("field", "p", "m", "N", "pN", "key", "phi", "_mul", "_sub", "_val", "_inv",
+                 "_red", "_matrix", "_diagonals", "_sigma_p", "_sigma_N", "_teich",
+                 "_digit_rows", "_p_powers", "zero", "one", "_zero", "_one")
 
     def __init__(self, p, N, m=1, modulus=None):
         if N < 1:
@@ -104,14 +112,16 @@ class WittRing:
         self.key = (p, m, N, self.field.modulus)
         self.phi = self._lift_modulus() if m > 1 else None
         self._mul, self._sub = (lambda a, b: a * b % pN), (lambda a, b: (a - b) % pN)
+        self._val, self._inv = _valuation(p, N, m), (lambda u: pow(u, -1, pN))
         self._red, self._sigma_p, self._sigma_N = [], None, None
         if m > 1:
             self._red, self._mul, self._sub, linear = _kernels(self.phi, pN)
+            self._inv = self._norm_inverse
             sigma = self._sigma_powers()
             # entry j applies sigma^j, so entry -j applies sigma^-j
             self._sigma_p = tuple(linear(images, p) for images in sigma)
             self._sigma_N = tuple(linear(images, self.pN) for images in sigma)
-        self._teich, self._digit_rows, self._matrix = {}, {}, {}
+        self._teich, self._digit_rows, self._matrix, self._diagonals = {}, {}, {}, {}
         self._p_powers = tuple(WittElem._make(self, (p ** e,) + (0,) * (m - 1))
                                for e in range(N))
         self.zero = WittElem._make(self, (0,) * m)
@@ -190,6 +200,22 @@ class WittRing:
             self._teich[a] = entry
         return entry
 
+    def _norm_inverse(self, u):
+        """_inv for m > 1: u^-1 = Norm(u)^-1 * conj for a unit u, where
+        conj = prod_{k=1}^{m-1} sigma^k(u); checked by one product."""
+        mul, pN, sigma = self._mul, self.pN, self._sigma_N
+        conj = sigma[1](u)
+        for k in range(2, self.m):
+            conj = mul(conj, sigma[k](u))
+        norm = mul(u, conj)
+        if any(norm[1:]):
+            raise RuntimeError("norm of a unit is not a scalar")
+        n_inv = pow(norm[0], -1, pN)
+        y = tuple([c * n_inv % pN for c in conj])
+        if mul(u, y) != self._one:
+            raise RuntimeError("norm inverse failed its check")
+        return y
+
     def _matrix_kernels(self, n):
         """(matmul, det) of field._matrix_factory for size n, bound on first use."""
         kernels = self._matrix.get(n)
@@ -245,7 +271,7 @@ class WittRing:
         return WittElem._make(self, tuple(_draw_below(rng, self.pN, self.m)))
 
     def random_unit(self, rng):
-        # unit iff the residue is nonzero; resample just the residue part
+        # unit iff the residue is nonzero; redraw the whole element until it is
         while True:
             a = self.random(rng)
             if a.is_unit():
@@ -257,26 +283,37 @@ class WittRing:
             self, tuple(p * rng.randrange(self.pN // p) % self.pN for _ in range(self.m)))
 
     def divider(self, b):
-        """The map a -> some q with q*b == a, for valuation(a) >= valuation(b).
+        """`_divider(b)[0]` on WittElems: a -> some q with q*b == a."""
+        m1 = self.m == 1
+        divide = self._divider(b.coeffs[0] if m1 else b.coeffs)[0]
 
-        b's unit part is inverted once, so one divider clears a whole pivot
-        row and column.  Quotients are only defined up to the annihilator of
-        b; any solution is returned, which is all elimination algorithms need.
-        For a unit b it is one product, a -> b^-1 * a, defined for every a.
-        """
-        v = b.valuation()
+        def divide_elems(a):
+            b._common_ring(a)
+            q = divide(a.coeffs[0] if m1 else a.coeffs)
+            return WittElem._make(self, (q,) if m1 else q)
+        return divide_elems
+
+    def _divider(self, b):
+        """(divide, w) for a nonzero bare b: divide(a) is some q with q*b == a,
+        for valuation(a) >= valuation(b), and w inverts b's unit part b / p^v,
+        once for a whole pivot row and column.  Quotients are only defined up
+        to the annihilator of b; any solution is returned.  For a unit b it is
+        one product, a -> w * a, defined for every a."""
+        v = self._val(b)
         if v >= self.N:
             raise ZeroDivisionError("division by zero in W_N")
+        mul = self._mul
         if v == 0:
-            return b.inverse().__mul__
-        pv = self.p ** v
-        unit_inv = WittElem._make(self, tuple(c // pv for c in b.coeffs)).inverse()
+            w = self._inv(b)
+            return (lambda a: mul(w, a)), w
+        pv, val, m1 = self.p ** v, self._val, self.m == 1
+        w = self._inv(b // pv if m1 else tuple([c // pv for c in b]))
 
         def divide(a):
-            if a.valuation() < v:
+            if val(a) < v:
                 raise ValueError("exact division requires valuation(a) >= valuation(b)")
-            return WittElem._make(self, tuple(c // pv for c in a.coeffs)) * unit_inv
-        return divide
+            return mul(a // pv if m1 else tuple([c // pv for c in a]), w)
+        return divide, w
 
 
 class WittElem:
@@ -347,21 +384,8 @@ class WittElem:
         ring = self.ring
         if not self.is_unit():
             raise NotAUnitError(f"{self!r} is not a unit")
-        if ring.m == 1:
-            return WittElem._make(ring, (pow(self.coeffs[0], -1, ring.pN),))
-        # u^-1 = Norm(u)^-1 * conj, conj = prod_{k=1}^{m-1} sigma^k(u)
-        mul, pN, sigma = ring._mul, ring.pN, ring._sigma_N
-        conj = sigma[1](self.coeffs)
-        for k in range(2, ring.m):
-            conj = mul(conj, sigma[k](self.coeffs))
-        norm = mul(self.coeffs, conj)
-        if any(norm[1:]):
-            raise RuntimeError("norm of a unit is not a scalar")
-        n_inv = pow(norm[0], -1, pN)
-        y = WittElem._make(ring, tuple(c * n_inv % pN for c in conj))
-        if self * y != ring.one:
-            raise RuntimeError("norm inverse failed its check")
-        return y
+        c = self.coeffs
+        return WittElem._make(ring, (ring._inv(c[0]),) if ring.m == 1 else ring._inv(c))
 
     def __eq__(self, other):
         if not isinstance(other, WittElem):
@@ -392,9 +416,7 @@ class WittElem:
     def valuation(self):
         """Index of the first nonzero Witt digit; N for the zero element."""
         ring = self.ring
-        if ring.m == 1:
-            return _int_val(self.coeffs[0], ring.p, ring.N)
-        return _int_val(math.gcd(*self.coeffs), ring.p, ring.N)
+        return ring._val(self.coeffs[0] if ring.m == 1 else self.coeffs)
 
     def residue(self):
         p = self.ring.p

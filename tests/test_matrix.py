@@ -8,8 +8,8 @@ import pytest
 from wittlat import matrix
 from wittlat.errors import NotAUnitError, RingMismatchError, ShapeError
 from wittlat.cli import _census_matrix
-from wittlat.matrix import (GroupShape, WittMat, _bare, _eliminate, elementary_matrix,
-                            identity, in_group, mat_from_obj, mat_to_obj,
+from wittlat.matrix import (GroupShape, WittMat, _bare, _eliminate, diagonal,
+                            elementary_matrix, identity, in_group, mat_from_obj, mat_to_obj,
                             p_power_diagonal, permutation_matrix, zeros)
 from wittlat.snf import Cochar, divisor_type, snf
 from wittlat.strata import sample_group, sample_orbit
@@ -433,6 +433,58 @@ def test_from_ints_rejects_empty_ragged_or_nonsquare(rows):
             WittMat.from_ints(R, rows)
 
 
+_EMPTY_CONSTRUCTORS = {
+    "identity(R, 0)": lambda R: identity(R, 0),
+    "identity(R, -1)": lambda R: identity(R, -1),
+    "zeros(R, 0)": lambda R: zeros(R, 0),
+    "diagonal(R, [])": lambda R: diagonal(R, []),
+    "p_power_diagonal(R, [])": lambda R: p_power_diagonal(R, []),
+    "permutation_matrix(R, [])": lambda R: permutation_matrix(R, []),
+}
+
+
+@pytest.mark.parametrize("name", list(_EMPTY_CONSTRUCTORS))
+def test_empty_diagonal_constructors_raise_shape_error(name):
+    # they returned a 0 x 0 matrix whose det, snf, product and in_group
+    # raised KeyError(()); now they fail like WittMat and from_ints
+    for R in (witt_ring(2, 3), witt_ring(3, 2, 2)):
+        memo = dict(R._diagonals)
+        with pytest.raises(ShapeError, match="^matrix must be square and nonempty$"):
+            _EMPTY_CONSTRUCTORS[name](R)
+        assert R._diagonals == memo
+
+
+def test_p_power_diagonals_are_built_once_per_ring_and_exponents():
+    for R in (witt_ring(2, 3), witt_ring(3, 2, 2)):
+        N = R.N
+        D = p_power_diagonal(R, (2, 0, N))
+        assert p_power_diagonal(R, [2, 0, N]) is D
+        assert p_power_diagonal(R, iter((2, 0, N))) is D
+        assert p_power_diagonal(R, (True + 1, False, N)) is D  # keyed by operator.index
+        assert D == WittMat._make(R, ((R.p_power(2), R.zero, R.zero),
+                                      (R.zero, R.one, R.zero), (R.zero, R.zero, R.zero)))
+        for n in range(1, 5):
+            assert identity(R, n) is identity(R, n) is p_power_diagonal(R, (0,) * n)
+            assert zeros(R, n) is p_power_diagonal(R, (N,) * n)
+        # exponents above N give the zero entry of exponent N, but no memo entry
+        big = p_power_diagonal(R, (N + 5, 1))
+        assert big == p_power_diagonal(R, (N, 1)) and (N + 5, 1) not in R._diagonals
+        assert max(max(key) for key in R._diagonals) <= N
+
+
+def test_p_power_diagonal_rejects_bad_exponents_on_every_call():
+    R = witt_ring(2, 3)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="negative"):
+            p_power_diagonal(R, (1, -1))
+        assert (1, -1) not in R._diagonals
+    p_power_diagonal(R, (1, 0))
+    assert (1, 0) in R._diagonals
+    for bad in ((1.0, 0), (5.0, 0), ("1", 0)):
+        with pytest.raises(TypeError):
+            p_power_diagonal(R, bad)
+
+
 @pytest.mark.parametrize("bad", [1.5, 2.0, "3", None, (1,)])
 def test_from_ints_and_from_int_reject_non_integers(bad):
     for R in (witt_ring(2, 3), witt_ring(2, 3, 2)):
@@ -638,34 +690,46 @@ def test_bounded_pivot_search_matches_full_scan(p, N, m, monkeypatch):
             assert divisor_type(fresh) == snf(A).divisors, A
 
 
-# WittElem products, differences and valuations that divisor_type spends on
+# Products, differences and valuations that divisor_type spends on
 # census-like sets: 20 census samples for each p in (2, 3, 5) and n = 2..6
 # with m = 1, and 10 for p = 3, n = 2..5 with m = 2 (r = 1, so N = n + 1).
+# Each is counted once where it runs: a WittElem operation (M's row updates)
+# or a ring protocol call outside one (_mul, _sub, _val; the dividers and
+# the m > 1 norm inverse).  Counted on WittElem alone, before the dividers
+# moved onto the protocol, the same sets took (8323, 6246, 4424) for m = 1
+# and (800, 500, 443) for m = 2.  The m = 2 difference is one product per
+# divider (100 here): the norm inverse's Norm(u) product, which was then an
+# uncounted kernel call inside WittElem.inverse; its check product was
+# counted then and is now.
 # When elimination also cleared each pivot's row of M by column operations,
 # the same sets took (products, differences) = (24984, 20827) for m = 1 and
 # (2200, 1700) for m = 2.  With whole-row updates, a pivot search over the
 # whole active block and a guarded unit division they took
 # (products, differences, valuations) = (12479, 10402, 14677) for m = 1 and
 # (1150, 850, 1340) for m = 2.
-_DIVISOR_TYPE_OP_COUNTS = {1: (8323, 6246, 4424), 2: (800, 500, 443)}
+_DIVISOR_TYPE_OP_COUNTS = {1: (8323, 6246, 4424), 2: (900, 500, 443)}
 
 
 def test_divisor_type_op_counts_are_pinned(monkeypatch):
     # machine-independent: dead work coming back shows here without timing
     counts = {"mul": 0, "sub": 0, "valuation": 0}
-    mul, sub, valuation = WittElem.__mul__, WittElem.__sub__, WittElem.valuation
+    depth = [0]  # > 0 inside a counted WittElem operation
 
-    def counting_mul(a, b):
-        counts["mul"] += 1
-        return mul(a, b)
+    def counting_elem(name, op):
+        def counted(a, b):
+            counts[name] += 1
+            depth[0] += 1
+            try:
+                return op(a, b)
+            finally:
+                depth[0] -= 1
+        return counted
 
-    def counting_sub(a, b):
-        counts["sub"] += 1
-        return sub(a, b)
-
-    def counting_valuation(a):
-        counts["valuation"] += 1
-        return valuation(a)
+    def counting_bare(name, op):
+        def counted(*args):
+            counts[name] += not depth[0]
+            return op(*args)
+        return counted
 
     sets = {1: [(p, n, 20) for p in (2, 3, 5) for n in range(2, 7)],
             2: [(3, n, 10) for n in range(2, 6)]}
@@ -675,9 +739,11 @@ def test_divisor_type_op_counts_are_pinned(monkeypatch):
                 for p, n, count in params for k in range(count)]
         counts.update(mul=0, sub=0, valuation=0)
         with monkeypatch.context() as patch:
-            patch.setattr(WittElem, "__mul__", counting_mul)
-            patch.setattr(WittElem, "__sub__", counting_sub)
-            patch.setattr(WittElem, "valuation", counting_valuation)
+            patch.setattr(WittElem, "__mul__", counting_elem("mul", WittElem.__mul__))
+            patch.setattr(WittElem, "__sub__", counting_elem("sub", WittElem.__sub__))
+            for ring in {A.ring for A in mats}:
+                for attr, name in (("_mul", "mul"), ("_sub", "sub"), ("_val", "valuation")):
+                    patch.setattr(ring, attr, counting_bare(name, getattr(ring, attr)))
             for A in mats:
                 divisor_type(A)
         got[m] = (counts["mul"], counts["sub"], counts["valuation"])

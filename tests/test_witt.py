@@ -436,6 +436,115 @@ def test_digits_roundtrip_every_element(p, m, N):
     assert len(R._teich) <= R.field.q and len(R._digit_rows) <= R.field.q
 
 
+@pytest.mark.parametrize("p,m,N", SMALL_RINGS)
+def test_bare_protocol_on_every_element(p, m, N):
+    # _val is the index of the first nonzero Witt digit, _inv(u) * u == one
+    # for every unit u, and _divider(b) divides every a with v(a) >= v(b),
+    # raises ValueError below that and ZeroDivisionError for b == 0
+    R = witt_ring(p, N, m)
+    elems = [c[0] if m == 1 else c for c in itertools.product(range(R.pN), repeat=m)]
+    val = {}
+    for b in elems:
+        digits = R.from_coeffs((b,) if m == 1 else b).digits()
+        val[b] = next((i for i, d in enumerate(digits) if any(d)), N)
+        assert R._val(b) == val[b], b
+        if val[b] == 0:
+            assert R._mul(R._inv(b), b) == R._one, b
+    rng = random.Random(100 * p + 10 * m + N)
+    for b in elems:
+        v = val[b]
+        if v == N:
+            with pytest.raises(ZeroDivisionError, match="^division by zero in W_N$"):
+                R._divider(b)
+            continue
+        divide, w = R._divider(b)
+        pv = p ** v
+        assert R._mul(w, b // pv if m == 1 else tuple(c // pv for c in b)) == R._one, b
+        if len(elems) <= 81:
+            pool = elems
+        else:
+            pool = rng.sample(elems, 6) + [R._mul(b, t) for t in rng.sample(elems, 3)]
+        for a in pool:
+            if val[a] >= v:
+                assert R._mul(divide(a), b) == a, (b, a)
+            else:
+                with pytest.raises(ValueError, match="^exact division requires"):
+                    divide(a)
+
+
+def _inverse_and_divider_cases():
+    out = []
+    for p, N, m in ((2, 3, 1), (3, 2, 2), (2, 2, 3)):
+        R, S = witt_ring(p, N, m), witt_ring(5, 2, 1 if m > 1 else 2)
+        u = R.teichmuller((1,) + (0,) * (m - 1)) + R.p_power(1)
+        out += [
+            (R, "inverse", (R.zero,)),
+            (R, "inverse", (R.p_power(1),)),
+            (R, "inverse", (R.p_power(1) * u,)),
+            (R, "divider", (R.zero,)),
+            (R, "divider", (R.p_power(N),)),
+            (R, "divide", (R.p_power(1), R.one)),
+            (R, "divide", (R.p_power(1) * u, u)),
+            (R, "divide", (R.p_power(N - 1), R.p_power(N - 2))),
+            (R, "divide", (u, 5)),
+            (R, "divide", (u, None)),
+            (R, "divide", (u, S.one)),
+        ]
+    return out
+
+
+_NOT_LOW = ("ValueError", "exact division requires valuation(a) >= valuation(b)")
+_DIV0 = ("ZeroDivisionError", "division by zero in W_N")
+
+
+def _recorded_outcomes(p, N, m, head, other):
+    return [("NotAUnitError", f"W({head[0]}) is not a unit"),
+            ("NotAUnitError", f"W({head[1]}) is not a unit"),
+            ("NotAUnitError", f"W({head[2]}) is not a unit"),
+            _DIV0, _DIV0, _NOT_LOW, _NOT_LOW, _NOT_LOW,
+            ("TypeError", "cannot combine WittElem with int"),
+            ("TypeError", "cannot combine WittElem with NoneType"),
+            ("RingMismatchError",
+             f"ring mismatch: WittRing(p={p}, m={m}, N={N}) vs WittRing(p=5, m={other}, N=2)")]
+
+
+# recorded before WittElem.inverse and WittRing.divider became wrappers
+# over the ring's bare-value _inv and _divider
+_INVERSE_AND_DIVIDER_OUTCOMES = (
+    _recorded_outcomes(2, 3, 1, ("0 mod 2^3", "2 mod 2^3", "6 mod 2^3"), 2)
+    + _recorded_outcomes(3, 2, 2, ("[0, 0] mod 3^2, m=2", "[3, 0] mod 3^2, m=2",
+                                 "[3, 0] mod 3^2, m=2"), 1)
+    + _recorded_outcomes(2, 2, 3, ("[0, 0, 0] mod 2^2, m=3", "[2, 0, 0] mod 2^2, m=3",
+                                 "[2, 0, 0] mod 2^2, m=3"), 1))
+
+
+def test_inverse_and_divider_errors_match_the_recorded_ones():
+    got = []
+    for R, op, args in _inverse_and_divider_cases():
+        try:
+            if op == "inverse":
+                args[0].inverse()
+            elif op == "divider":
+                R.divider(args[0])
+            else:
+                R.divider(args[0])(args[1])
+            got.append(("ok",))
+        except Exception as exc:  # the type and message are what is compared
+            got.append((type(exc).__name__, str(exc)))
+    assert got == _INVERSE_AND_DIVIDER_OUTCOMES
+
+
+def test_non_unit_divider_checks_its_argument_like_the_unit_divider():
+    # a non-unit divisor's map reads only bare values, so it checks a first
+    R, S = witt_ring(2, 3), witt_ring(5, 2, 2)
+    divide = R.divider(R.p_power(1))
+    with pytest.raises(TypeError, match="cannot combine WittElem with int"):
+        divide(5)
+    for a in (S.one, S.zero):
+        with pytest.raises(RingMismatchError):
+            divide(a)
+
+
 def _codec_cases():
     R1, R2 = witt_ring(3, 3), witt_ring(2, 3, 2)
     return [
