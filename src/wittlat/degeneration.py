@@ -10,7 +10,7 @@ dominance relation between exponent vectors of equal total.
 
 from dataclasses import dataclass
 
-from .matrix import WittMat, _bare, identity, p_power_diagonal
+from .matrix import WittMat, identity, p_power_diagonal
 from .snf import Cochar
 from .strata import dominance_leq
 
@@ -24,7 +24,7 @@ def _nonzero_parameter(ring, t):
 
 def _deformation(ring, exponents, j, b, xi, i):
     raw = [list(r) for r in p_power_diagonal(ring, exponents)._raw]
-    raw[j][i] = ring._mul(_bare(ring, ring.p_power(exponents[j] - b)), xi)
+    raw[j][i] = ring._mul(ring.p_power(exponents[j] - b)._v, xi)
     return WittMat._from_raw(ring, tuple(map(tuple, raw)))
 
 
@@ -40,7 +40,7 @@ def deformation_matrix(ring, exponents, j, b, t, i=0):
         raise ValueError("need 0 <= i < j < n")
     if not 0 <= b <= exponents[j]:
         raise ValueError("need 0 <= b <= exponents[j]")
-    return _deformation(ring, exponents, j, b, _bare(ring, ring.teichmuller(t)), i)
+    return _deformation(ring, exponents, j, b, ring.teichmuller(t)._v, i)
 
 
 @dataclass(frozen=True)
@@ -77,8 +77,8 @@ def transfer_witness(ring, r1, rj, b, t):
         raise ValueError("need 0 <= b <= rj")
     if r1 + b - rj < 0:
         raise ValueError("need r1 + b >= rj")
-    return _transfer(ring, r1, rj, b, t, _bare(ring, ring.teichmuller(t)),
-                     _bare(ring, ring.teichmuller(ring.field.inv(t))))[0]
+    return _transfer(ring, r1, rj, b, t, ring.teichmuller(t)._v,
+                     ring.teichmuller(ring.field.inv(t))._v)[0]
 
 
 def _transfer(ring, r1, rj, b, t, xi, xi_inv):
@@ -88,9 +88,9 @@ def _transfer(ring, r1, rj, b, t, xi, xi_inv):
     c = (p^b - 1) xi(t^-1), and g^-1 = [[1 + c xi, -c], [-xi, 1]], its
     adjugate, as det g = 1."""
     mul, sub, one, zero = ring._mul, ring._sub, ring._one, ring._zero
-    c = mul(sub(_bare(ring, ring.p_power(b)), one), xi_inv)
+    c = mul(sub(ring.p_power(b)._v, one), xi_inv)
     f0 = WittMat._from_raw(ring, (
-        (one, sub(zero, mul(_bare(ring, ring.p_power(r1 + b - rj)), c))), (zero, one)))
+        (one, sub(zero, mul(ring.p_power(r1 + b - rj)._v, c))), (zero, one)))
     f1 = p_power_diagonal(ring, (r1 + b, rj - b))
     f2 = WittMat._from_raw(ring, ((one, zero), (xi, one)))
     f3 = WittMat._from_raw(ring, ((one, c), (zero, one)))
@@ -185,8 +185,8 @@ def degeneration_chain(ring, src, dst, t=None):
         raise ValueError("source must be dominated by destination")
     if ring.N < dst.total + 1:
         raise ValueError("ring length must exceed the exponent total")
-    xi = _bare(ring, ring.teichmuller(t))
-    xi_inv = _bare(ring, ring.teichmuller(ring.field.inv(t)))
+    xi = ring.teichmuller(t)._v
+    xi_inv = ring.teichmuller(ring.field.inv(t))._v
     n = src.n
     steps = []
     cur = list(dst.exponents)

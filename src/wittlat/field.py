@@ -3,7 +3,7 @@
 Field elements are tuples of m integers in [0, p): little-endian
 coefficients with respect to the generator of F_p[x]/(modulus).  For m = 1
 the modulus is irrelevant and elements are 1-tuples.  For m > 1 products,
-differences and linear maps (the Witt ring's sigma^j) use straight-line
+sums, differences and linear maps (the Witt ring's sigma^j) use straight-line
 kernels compiled once per degree m, bound to the modulus f by the table
 red[k] = x^(m+k) mod f (the Witt ring binds them to Phi mod p^N).  The
 same kernels run the irreducibility test, Rabin's, behind the search for
@@ -53,9 +53,10 @@ def _prime_factors(n):
 
 @functools.cache
 def _mulmod_factory(m):
-    """make(red, mod) -> (mul, sub, linear) for degree m > 1: mul(a, b) = a*b,
-    sub(a, b) = a - b, and linear(img, k) binds the map a -> sum_i a_i*img[i]
-    mod k (img[i] the image of x^i); each output coefficient is reduced once."""
+    """make(red, mod) -> (mul, add, sub, linear) for degree m > 1: mul(a, b) =
+    a*b, add(a, b) = a + b, sub(a, b) = a - b, and linear(img, k) binds the map
+    a -> sum_i a_i*img[i] mod k (img[i] the image of x^i); each output
+    coefficient is reduced once."""
     idx = range(m)
     a, b = ", ".join(f"a{i}" for i in idx), ", ".join(f"b{i}" for i in idx)
     img = ", ".join("(" + ", ".join(f"s{i}_{j}" for j in idx) + ")" for i in idx)
@@ -64,16 +65,16 @@ def _mulmod_factory(m):
         "    def mul(a, b):",
         f"        ({a}), ({b}) = a, b",
         *_combine(m, [(1, a.split(", "), b.split(", "))], "return ", "        "),
-        "    def sub(a, b):",
-        f"        ({a}), ({b}) = a, b",
-        "        return (" + ", ".join(f"(a{i} - b{i}) % mod" for i in idx) + ")",
+        *[line for op, sign in (("add", "+"), ("sub", "-")) for line in (
+            f"    def {op}(a, b):", f"        ({a}), ({b}) = a, b",
+            "        return (" + ", ".join(f"(a{i} {sign} b{i}) % mod" for i in idx) + ")")],
         "    def linear(img, k):",
         f"        [{img}] = img",
         "        def apply(a):",
         f"            ({a}) = a",
         f"            return ({lin})",
         "        return apply",
-        "    return mul, sub, linear"], f"<mulmod m={m}>")
+        "    return mul, add, sub, linear"], f"<mulmod m={m}>")
 
 
 def _compiled(m, body, filename):
@@ -105,7 +106,7 @@ def _matrix_factory(m, n):
     `mod` (ints for m = 1, residue tuples for m > 1).  matmul(A, B) unpacks B
     once and computes each row of A*B straight-line (O(n^2 m^2) products of
     source), one reduction per entry.  det(A), None for n > 4, returns the
-    coefficients of the expansion along row 0 over the minors of the rows
+    bare value of the expansion along row 0 over the minors of the rows
     below, each computed once: over Z and reduced at the end for m = 1,
     reduced once per minor for m > 1."""
     def ent(v, *ij):  # the coefficient names of one entry
@@ -136,7 +137,8 @@ def _matrix_factory(m, n):
                          for k, j in enumerate(cols)]
                 minors[cols] = ent("d" + "".join(map(str, cols)))
                 src += _combine(m, terms, ", ".join(minors[cols]) + " = ", " " * 8)
-        src.append(f"        return {tup(t + end for t in minors[tuple(range(n))])}")
+        d = minors[tuple(range(n))]
+        src.append("        return " + (tup(d) if m > 1 else d[0] + end))
     src.append("    return matmul, " + ("det" if n <= 4 else "None"))
     return _compiled(m, src, f"<matrix m={m} n={n}>")
 
@@ -152,13 +154,14 @@ def _red_table(f, mod):
 
 
 def _kernels(f, mod):
-    """(red, mul, sub, linear) mod the monic f of degree m > 1 and mod `mod`."""
+    """(red, mul, add, sub, linear) mod the monic f of degree m > 1 and mod `mod`."""
     red = _red_table(f, mod)
     return (red, *_mulmod_factory(len(f) - 1)(red, mod))
 
 
 def _powmod(a, e, mul):
-    """a^e for e >= 0 and a reduced tuple, wasting no squaring or product by 1."""
+    """a^e for e >= 0 and a reduced value (a tuple when e may be 0), wasting
+    no squaring or product by 1."""
     result = None
     while e:
         if e & 1:
@@ -180,7 +183,7 @@ def is_irreducible(coeffs, p):
         return False
     if m == 1:
         return True
-    _, mul, sub, _ = _kernels(f, p)
+    _, mul, _, sub, _ = _kernels(f, p)
     x, one, q = (0, 1) + (0,) * (m - 2), (1,) + (0,) * (m - 1), p ** m
     return _powmod(x, q, mul) == x and all(
         _powmod(sub(_powmod(x, p ** (m // ell), mul), x), q - 1, mul) == one

@@ -46,7 +46,7 @@ class WittMat:
             if e.ring is not ring and e.ring.key != ring.key:
                 raise RingMismatchError("entry ring differs from matrix ring")
         self.ring, self.n, self._rows, self._divisors = ring, len(rows), rows, None
-        self._raw = _unwrap(ring, rows)
+        self._raw = _unwrap(rows)
 
     @classmethod
     def _from_raw(cls, ring, raw, rows=None):
@@ -59,7 +59,7 @@ class WittMat:
     @classmethod
     def _make(cls, ring, rows):
         """Matrix from trusted row tuples of WittElems, unwrapped once."""
-        return cls._from_raw(ring, _unwrap(ring, rows), rows)
+        return cls._from_raw(ring, _unwrap(rows), rows)
 
     @classmethod
     def from_ints(cls, ring, rows):
@@ -75,15 +75,13 @@ class WittMat:
     def rows(self):
         rows = self._rows
         if rows is None:
-            ring, make, m1 = self.ring, WittElem._make, self.ring.m == 1
-            rows = self._rows = tuple(
-                [tuple([make(ring, (c,) if m1 else c) for c in r]) for r in self._raw])
+            ring, make = self.ring, WittElem._make
+            rows = self._rows = tuple([tuple([make(ring, c) for c in r]) for r in self._raw])
         return rows
 
     def __getitem__(self, ij):
         i, j = ij
-        c = self._raw[i][j]
-        return WittElem._make(self.ring, (c,) if self.ring.m == 1 else c)
+        return WittElem._make(self.ring, self._raw[i][j])
 
     def __eq__(self, other):
         if not isinstance(other, WittMat):
@@ -116,16 +114,15 @@ class WittMat:
         return WittMat._from_raw(ring, ring._matrix_kernels(self.n)[0](self._raw, other._raw))
 
     def __add__(self, other):
-        self._check_compatible(other)
-        return WittMat._make(self.ring, tuple(
-            tuple(x + y for x, y in zip(ra, rb))
-            for ra, rb in zip(self.rows, other.rows)))
+        return self._entrywise(other, self.ring._add)
 
     def __sub__(self, other):
+        return self._entrywise(other, self.ring._sub)
+
+    def _entrywise(self, other, op):
         self._check_compatible(other)
-        return WittMat._make(self.ring, tuple(
-            tuple(x - y for x, y in zip(ra, rb))
-            for ra, rb in zip(self.rows, other.rows)))
+        return WittMat._from_raw(self.ring, tuple(
+            [tuple(map(op, ra, rb)) for ra, rb in zip(self._raw, other._raw)]))
 
     def transpose(self):
         return WittMat._from_raw(self.ring, tuple(zip(*self._raw)))
@@ -133,7 +130,7 @@ class WittMat:
     # -- determinants -----------------------------------------------------------
 
     def det(self):
-        return WittElem._make(self.ring, _det_coeffs(self._raw, self.ring))
+        return WittElem._make(self.ring, _det(self._raw, self.ring))
 
     def det_digits(self):
         """Witt digits (d_0, ..., d_{N-1}) of the determinant."""
@@ -182,13 +179,9 @@ def _square(rows):
     return rows
 
 
-def _bare(ring, e):
-    """The bare value of one WittElem."""
-    return e.coeffs[0] if ring.m == 1 else e.coeffs
-
-
-def _unwrap(ring, rows):
-    return tuple([tuple([_bare(ring, e) for e in r]) for r in rows])
+def _unwrap(rows):
+    """The bare values of rows of WittElems."""
+    return tuple([tuple([e._v for e in r]) for r in rows])
 
 
 def _det_int(rows, pN):
@@ -215,20 +208,20 @@ def _det_int(rows, pN):
     return sign * M[n - 1][n - 1] % pN
 
 
-def _det_coeffs(rows, ring):
-    """det, as a coefficient tuple, of rows of bare values: the ring's kernel
-    for n <= 4; above, _det_int for m = 1 and, for m > 1, the signed product
-    of the diagonal of the triangular M that _eliminate leaves (a zero lands
+def _det(rows, ring):
+    """det, as a bare value, of rows of bare values: the ring's kernel for
+    n <= 4; above, _det_int for m = 1 and, for m > 1, the signed product of
+    the diagonal of the triangular M that _eliminate leaves (a zero lands
     there when a pivot search finds nothing).  Its quotients are defined only
     up to a pivot's annihilator, but every choice is a row operation of det 1."""
     n = len(rows)
     if n <= 4:
         return ring._matrix_kernels(n)[1](rows)
     if ring.m == 1:
-        return (_det_int(rows, ring.pN),)
-    _, sign, M, _, _ = _eliminate(WittMat._from_raw(ring, rows), with_transforms=False)
-    d = functools.reduce(operator.mul, [M[k][k] for k in range(1, n)], M[0][0])
-    return (-d if sign < 0 else d).coeffs
+        return _det_int(rows, ring.pN)
+    _, sign, M, _, _ = _eliminate(ring, rows, with_transforms=False)
+    d = functools.reduce(ring._mul, [M[k][k]._v for k in range(n)])
+    return d if sign > 0 else ring._sub(ring._zero, d)
 
 
 # -- elimination -------------------------------------------------------------------
@@ -254,10 +247,11 @@ def _find_pivot(M, k, n, N, lo):
     return bv, bi, bj
 
 
-def _eliminate(A, with_transforms):
-    """Full-pivot elimination of A (pivots by _find_pivot) to an
-    upper-triangular M by row operations and swaps; the column operations
-    that clear each pivot's row act on R alone, as nothing reads M there.
+def _eliminate(ring, raw, with_transforms):
+    """Full-pivot elimination of the matrix A whose rows of bare values are
+    `raw` (pivots by _find_pivot) to an upper-triangular M of WittElems by
+    row operations and swaps; the column operations that clear each pivot's
+    row act on R alone, as nothing reads M there.
     Clearing row i below pivot k zeroes M[i][k] (q * M[k][k] is M[i][k]
     exactly) and rewrites only the columns right of k: those left of k hold
     zero in both rows.  Pivot valuations never decrease (see _find_pivot).
@@ -271,10 +265,8 @@ def _eliminate(A, with_transforms):
     L's rows and R's columns is reversed, so L * A * R = diag(p^e) for
     e = exps reversed (descending); without, L and R are None.
     """
-    ring = A.ring
-    n, N, m1 = A.n, ring.N, ring.m == 1
-    M = [list(r) for r in A.rows]
-    zero, make = ring.zero, WittElem._make
+    n, N, zero, make = len(raw), ring.N, ring.zero, WittElem._make
+    M = [[make(ring, c) for c in r] for r in raw]
     L = R = None
     if with_transforms:
         sub, mul, bzero, eye = ring._sub, ring._mul, ring._zero, identity(ring, n)._raw
@@ -302,14 +294,12 @@ def _eliminate(A, with_transforms):
         if k + 1 == n and not with_transforms:
             break  # the last pivot clears nothing
         Mk = M[k]
-        c = Mk[k].coeffs
-        divide, w = ring._divider(c[0] if m1 else c)  # w inverts the pivot's unit part
+        divide, w = ring._divider(Mk[k]._v)  # w inverts the pivot's unit part
         for i in range(k + 1, n):
             if M[i][k].is_zero():
                 continue
-            c = M[i][k].coeffs
-            q = divide(c[0] if m1 else c)
-            qe = make(ring, (q,) if m1 else q)
+            q = divide(M[i][k]._v)
+            qe = make(ring, q)
             M[i][k] = zero
             M[i][k + 1:] = [x - qe * y for x, y in zip(M[i][k + 1:], Mk[k + 1:])]
             if with_transforms:
@@ -321,8 +311,7 @@ def _eliminate(A, with_transforms):
             for j in range(k + 1, n):
                 if Mk[j].is_zero():
                     continue
-                c = Mk[j].coeffs
-                q = divide(c[0] if m1 else c)
+                q = divide(Mk[j]._v)
                 for row in live:
                     row[j] = sub(row[j], mul(q, row[k]))
             if w != ring._one:  # diag entry p^v * u -> p^v
@@ -347,7 +336,7 @@ def zeros(ring, n):
 
 
 def diagonal(ring, entries):
-    return _diagonal(ring, [_bare(ring, e) for e in entries])
+    return _diagonal(ring, [e._v for e in entries])
 
 
 def p_power_diagonal(ring, exponents):
@@ -358,7 +347,7 @@ def p_power_diagonal(ring, exponents):
     key = tuple(map(operator.index, exponents))
     A = ring._diagonals.get(key)
     if A is None:
-        A = _diagonal(ring, [_bare(ring, ring.p_power(e)) for e in key])
+        A = _diagonal(ring, [ring.p_power(e)._v for e in key])
         if max(key) <= ring.N:
             ring._diagonals[key] = A
     return A
@@ -395,17 +384,18 @@ def elementary_matrix(ring, n, i, j, c):
 
 def in_group(A, shape):
     """Membership test for the subgroup shapes of GL_n over the ring."""
-    if not A.det().is_unit():
+    ring, n = A.ring, A.n
+    if ring._val(_det(A._raw, ring)):
         return False
-    n = A.n
     if shape in (GroupShape.P_MINUS, GroupShape.B_MINUS):
         A = A.transpose()  # the opposite shapes are those of the transpose
+    raw = A._raw
     if shape is GroupShape.FULL:
         return True
     if shape in (GroupShape.P, GroupShape.P_MINUS):
-        return all(A.rows[i][0].is_zero() for i in range(1, n))
+        return all(raw[i][0] == ring._zero for i in range(1, n))
     if shape in (GroupShape.B, GroupShape.B_MINUS):
-        return all(A.rows[i][j].valuation() >= 1 for i in range(n) for j in range(i))
+        return all(ring._val(raw[i][j]) >= 1 for i in range(n) for j in range(i))
     raise ValueError(f"unknown shape {shape!r}")
 
 

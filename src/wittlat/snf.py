@@ -71,7 +71,7 @@ class SnfResult:
 def snf(A):
     """Full diagonalization with transforms; verifies the reconstruction."""
     ring = A.ring
-    exps, _, _, L, R = _eliminate(A, with_transforms=True)
+    exps, _, _, L, R = _eliminate(ring, A._raw, with_transforms=True)
     left = WittMat._from_raw(ring, tuple(map(tuple, L)))
     right = WittMat._from_raw(ring, tuple(map(tuple, R)))
     divisors = Cochar._make(A.n, tuple(reversed(exps)))  # ascending exps: sorted
@@ -87,7 +87,7 @@ def divisor_type(A):
     Computed once per matrix object and memoised on it (A is immutable)."""
     div = A._divisors
     if div is None:
-        exps = _eliminate(A, with_transforms=False)[0]
+        exps = _eliminate(A.ring, A._raw, with_transforms=False)[0]
         div = A._divisors = Cochar(A.n, tuple(sorted(exps, reverse=True)))
     return div
 

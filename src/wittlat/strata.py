@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import NotInCoverError, ParameterMismatchError
-from .matrix import GroupShape, WittMat, _bare, _det_coeffs, in_group
+from .matrix import GroupShape, WittMat, _det, in_group
 from .snf import Cochar, divisor_type
 from .witt import _draw_below
 
@@ -186,7 +186,7 @@ def sample_group(ring, n, shape, seed):
     if shape is GroupShape.FULL:
         for _ in range(10000):
             raw = _random_raw(ring, n, rng)
-            if any(c % ring.p for c in _det_coeffs(raw, ring)):
+            if ring._val(_det(raw, ring)) == 0:
                 return WittMat._from_raw(ring, raw)
         raise RuntimeError("unit-determinant rejection sampling did not converge")
     if shape in (GroupShape.B, GroupShape.B_MINUS):
@@ -231,7 +231,7 @@ def sample_orbit(ring, gamma, seed):
     x = sample_group(ring, n, GroupShape.FULL, rng)
     y = sample_group(ring, n, GroupShape.FULL, rng)
     # diag(p^gamma) * y scales row i of y by p^gamma_i (0 once gamma_i >= N)
-    mul, scale = ring._mul, [_bare(ring, ring.p_power(e)) for e in gamma.exponents]
+    mul, scale = ring._mul, [ring.p_power(e)._v for e in gamma.exponents]
     return x * WittMat._from_raw(ring, tuple(
         [tuple([mul(f, c) for c in r]) for r, f in zip(y._raw, scale)]))
 

@@ -5,9 +5,9 @@ Elements are stored as residues in the unramified extension
 (the unique monic lift dividing x^{p^m} - x mod p^N).  With that modulus
 the Frobenius sigma is x -> x^p, a linear map on the power basis; sigma^j
 for j = 0..m-1 is bound once per ring as a straight-line map mod p^N and
-one mod p, which applies the field Frobenius F^j.  Those maps, products
-and differences are the kernels generated once per m in field.py, bound
-to Phi mod p^N at construction.  For m > 1 a unit u is inverted through
+one mod p, which applies the field Frobenius F^j.  Those maps, products,
+sums and differences are the kernels generated once per m in field.py,
+bound to Phi mod p^N at construction.  For m > 1 a unit u is inverted through
 its norm:
 Norm(u) = u * prod_{k=1}^{m-1} sigma^k(u) is a scalar n of Z/p^N, and
 u^-1 = n^-1 * prod_{k=1}^{m-1} sigma^k(u).
@@ -91,14 +91,15 @@ def _draw_below(rng, bound, count):
 class WittRing:
     """Descriptor and operation table for W_N(F_{p^m}).
 
-    `_mul`, `_sub`, `_val`, `_inv`, `_divider`, `_one` and `_zero` are the
-    ring on bare values: ints mod p^N for m = 1, coefficient tuples (the
-    generated kernels) for m > 1.  `_matrix_kernels(n)` binds the n x n
-    product and determinant on first use; `_diagonals` is the memo of
-    matrix.p_power_diagonal."""
+    `_mul`, `_add`, `_sub`, `_val`, `_inv`, `_divider`, `_one` and `_zero`
+    are the ring on bare values: ints mod p^N for m = 1, coefficient tuples
+    (the generated kernels) for m > 1.  A WittElem wraps one bare value, and
+    `_elem` is the one way in from a coefficient tuple.  `_matrix_kernels(n)`
+    binds the n x n product and determinant on first use; `_diagonals` is the
+    memo of matrix.p_power_diagonal."""
 
-    __slots__ = ("field", "p", "m", "N", "pN", "key", "phi", "_mul", "_sub", "_val", "_inv",
-                 "_red", "_matrix", "_diagonals", "_sigma_p", "_sigma_N", "_teich",
+    __slots__ = ("field", "p", "m", "N", "pN", "key", "phi", "_mul", "_add", "_sub", "_val",
+                 "_inv", "_red", "_matrix", "_diagonals", "_sigma_p", "_sigma_N", "_teich",
                  "_digit_rows", "_p_powers", "zero", "one", "_zero", "_one")
 
     def __init__(self, p, N, m=1, modulus=None):
@@ -111,22 +112,22 @@ class WittRing:
         self.pN = pN = p ** N
         self.key = (p, m, N, self.field.modulus)
         self.phi = self._lift_modulus() if m > 1 else None
-        self._mul, self._sub = (lambda a, b: a * b % pN), (lambda a, b: (a - b) % pN)
+        self._mul, self._add = (lambda a, b: a * b % pN), (lambda a, b: (a + b) % pN)
+        self._sub = lambda a, b: (a - b) % pN
         self._val, self._inv = _valuation(p, N, m), (lambda u: pow(u, -1, pN))
         self._red, self._sigma_p, self._sigma_N = [], None, None
         if m > 1:
-            self._red, self._mul, self._sub, linear = _kernels(self.phi, pN)
+            self._red, self._mul, self._add, self._sub, linear = _kernels(self.phi, pN)
             self._inv = self._norm_inverse
             sigma = self._sigma_powers()
             # entry j applies sigma^j, so entry -j applies sigma^-j
             self._sigma_p = tuple(linear(images, p) for images in sigma)
             self._sigma_N = tuple(linear(images, self.pN) for images in sigma)
         self._teich, self._digit_rows, self._matrix, self._diagonals = {}, {}, {}, {}
-        self._p_powers = tuple(WittElem._make(self, (p ** e,) + (0,) * (m - 1))
-                               for e in range(N))
-        self.zero = WittElem._make(self, (0,) * m)
+        self._p_powers = tuple(self._elem((p ** e,) + (0,) * (m - 1)) for e in range(N))
+        self.zero = self._elem((0,) * m)
         self.one = self._p_powers[0]
-        self._zero, self._one = (0, 1) if m == 1 else (self.zero.coeffs, self.one.coeffs)
+        self._zero, self._one = self.zero._v, self.one._v
 
     def __eq__(self, other):
         return isinstance(other, WittRing) and self.key == other.key
@@ -151,7 +152,7 @@ class WittRing:
         """Phi = prod over the Frobenius orbit of (X - tau), tau the
         Teichmueller lift of the field generator in a scratch quotient."""
         p, m, N, pN = self.p, self.m, self.N, self.pN
-        _, mul0, sub0, _ = _kernels(self.field.modulus, pN)  # naive monic lift f0
+        _, mul0, _, sub0, _ = _kernels(self.field.modulus, pN)  # naive monic lift f0
 
         gen = (0, 1) + (0,) * (m - 2)
         roots = [_powmod(gen, self.field.q ** (N - 1), mul0)]  # tau
@@ -225,17 +226,19 @@ class WittRing:
 
     # -- element construction --------------------------------------------------
 
+    def _elem(self, coeffs):
+        """The element of a reduced coefficient tuple: its bare value is the
+        int coeffs[0] for m = 1 and the tuple itself for m > 1."""
+        return WittElem._make(self, coeffs[0] if self.m == 1 else coeffs)
+
     def from_coeffs(self, coeffs):
         if isinstance(coeffs, int):
             return self.from_int(coeffs)
-        coeffs = tuple([operator.index(c) % self.pN for c in coeffs])
-        if len(coeffs) != self.m:
-            raise ValueError(f"expected {self.m} coefficients")
-        return WittElem._make(self, coeffs)
+        return WittElem(self, coeffs)
 
     def from_int(self, k):
         """Canonical map Z -> W_N (an isomorphism onto Z/p^N for m = 1)."""
-        return WittElem._make(self, (operator.index(k) % self.pN,) + (0,) * (self.m - 1))
+        return self._elem((operator.index(k) % self.pN,) + (0,) * (self.m - 1))
 
     def p_power(self, e):
         if e < 0:
@@ -245,9 +248,9 @@ class WittRing:
     def teichmuller(self, a):
         """The multiplicative representative of a field element."""
         try:
-            return WittElem._make(self, self._teich[a][0])
+            return self._elem(self._teich[a][0])
         except (KeyError, TypeError):  # not seen, or not canonical: the field checks it
-            return WittElem._make(self, self._teich_entry(self.field.elem(a))[0])
+            return self._elem(self._teich_entry(self.field.elem(a))[0])
 
     def from_digits(self, digits):
         """Inverse of WittElem.digits(): sum_i p^i xi(F^-i(a_i)).  The row of a
@@ -264,11 +267,11 @@ class WittRing:
                     for i in range(self.N))))
         if len(rows) != self.N:
             raise ValueError(f"expected {self.N} digits")
-        return WittElem._make(self, tuple(
+        return self._elem(tuple(
             [sum(c) % pN for c in zip(*[terms[i] for i, terms in enumerate(rows)])]))
 
     def random(self, rng):
-        return WittElem._make(self, tuple(_draw_below(rng, self.pN, self.m)))
+        return self._elem(tuple(_draw_below(rng, self.pN, self.m)))
 
     def random_unit(self, rng):
         # unit iff the residue is nonzero; redraw the whole element until it is
@@ -279,18 +282,15 @@ class WittRing:
 
     def random_multiple_of_p(self, rng):
         p = self.p
-        return WittElem._make(
-            self, tuple(p * rng.randrange(self.pN // p) % self.pN for _ in range(self.m)))
+        return self._elem(tuple([p * c for c in _draw_below(rng, self.pN // p, self.m)]))
 
     def divider(self, b):
         """`_divider(b)[0]` on WittElems: a -> some q with q*b == a."""
-        m1 = self.m == 1
-        divide = self._divider(b.coeffs[0] if m1 else b.coeffs)[0]
+        divide = self._divider(b._v)[0]
 
         def divide_elems(a):
             b._common_ring(a)
-            q = divide(a.coeffs[0] if m1 else a.coeffs)
-            return WittElem._make(self, (q,) if m1 else q)
+            return WittElem._make(self, divide(a._v))
         return divide_elems
 
     def _divider(self, b):
@@ -317,24 +317,30 @@ class WittRing:
 
 
 class WittElem:
-    """Immutable element of a WittRing."""
+    """Immutable element of a WittRing: `_v` is its bare value (see WittRing),
+    and `coeffs` the coefficient tuple on the power basis, (v,) for m = 1."""
 
-    __slots__ = ("ring", "coeffs")
+    __slots__ = ("ring", "_v")
 
     def __init__(self, ring, coeffs):
         if not isinstance(ring, WittRing):
             raise TypeError("ring must be a WittRing")
-        self.ring = ring
-        self.coeffs = tuple([operator.index(c) % ring.pN for c in coeffs])
-        if len(self.coeffs) != ring.m:
+        coeffs = tuple([operator.index(c) % ring.pN for c in coeffs])
+        if len(coeffs) != ring.m:
             raise ValueError(f"expected {ring.m} coefficients")
+        self.ring, self._v = ring, ring._elem(coeffs)._v
 
     @classmethod
-    def _make(cls, ring, coeffs):
+    def _make(cls, ring, v):
         self = object.__new__(cls)
         self.ring = ring
-        self.coeffs = coeffs
+        self._v = v
         return self
+
+    @property
+    def coeffs(self):
+        v = self._v
+        return (v,) if self.ring.m == 1 else v
 
     def _common_ring(self, other):
         ra = self.ring
@@ -349,74 +355,60 @@ class WittElem:
 
     def __add__(self, other):
         ring = self._common_ring(other)
-        if ring.m == 1:
-            return WittElem._make(ring, ((self.coeffs[0] + other.coeffs[0]) % ring.pN,))
-        pN = ring.pN
-        return WittElem._make(
-            ring, tuple([(x + y) % pN for x, y in zip(self.coeffs, other.coeffs)]))
+        return WittElem._make(ring, ring._add(self._v, other._v))
 
     def __sub__(self, other):
         ring = self._common_ring(other)
-        if ring.m == 1:
-            return WittElem._make(ring, ((self.coeffs[0] - other.coeffs[0]) % ring.pN,))
-        return WittElem._make(ring, ring._sub(self.coeffs, other.coeffs))
+        return WittElem._make(ring, ring._sub(self._v, other._v))
 
     def __neg__(self):
         ring = self.ring
-        pN = ring.pN
-        return WittElem._make(ring, tuple([(-x) % pN for x in self.coeffs]))
+        return WittElem._make(ring, ring._sub(ring._zero, self._v))
 
     def __mul__(self, other):
         ring = self._common_ring(other)
-        if ring.m == 1:
-            return WittElem._make(ring, ((self.coeffs[0] * other.coeffs[0]) % ring.pN,))
-        return WittElem._make(ring, ring._mul(self.coeffs, other.coeffs))
+        return WittElem._make(ring, ring._mul(self._v, other._v))
 
     def __pow__(self, e):
         if e < 0:
             return self.inverse() ** (-e)
         ring = self.ring
-        if ring.m == 1:
-            return WittElem._make(ring, (pow(self.coeffs[0], e, ring.pN),))
-        return WittElem._make(ring, _powmod(self.coeffs, e, ring._mul))
+        return WittElem._make(ring, _powmod(self._v, e, ring._mul) if e else ring._one)
 
     def inverse(self):
-        ring = self.ring
         if not self.is_unit():
             raise NotAUnitError(f"{self!r} is not a unit")
-        c = self.coeffs
-        return WittElem._make(ring, (ring._inv(c[0]),) if ring.m == 1 else ring._inv(c))
+        ring = self.ring
+        return WittElem._make(ring, ring._inv(self._v))
 
     def __eq__(self, other):
         if not isinstance(other, WittElem):
             return NotImplemented
-        return self.ring.key == other.ring.key and self.coeffs == other.coeffs
+        return self.ring.key == other.ring.key and self._v == other._v
 
     def __hash__(self):
-        return hash((self.ring.key, self.coeffs))
+        return hash((self.ring.key, self._v))
 
     def __bool__(self):
-        return any(self.coeffs)
+        return self._v != self.ring._zero
 
     def __repr__(self):
         ring = self.ring
         if ring.m == 1:
-            return f"W({self.coeffs[0]} mod {ring.p}^{ring.N})"
-        return f"W({list(self.coeffs)} mod {ring.p}^{ring.N}, m={ring.m})"
+            return f"W({self._v} mod {ring.p}^{ring.N})"
+        return f"W({list(self._v)} mod {ring.p}^{ring.N}, m={ring.m})"
 
     # -- structure maps ---------------------------------------------------------
 
     def is_zero(self):
-        return not any(self.coeffs)
+        return self._v == self.ring._zero
 
     def is_unit(self):
-        p = self.ring.p
-        return any(c % p for c in self.coeffs)
+        return self.ring._val(self._v) == 0
 
     def valuation(self):
         """Index of the first nonzero Witt digit; N for the zero element."""
-        ring = self.ring
-        return ring._val(self.coeffs[0] if ring.m == 1 else self.coeffs)
+        return self.ring._val(self._v)
 
     def residue(self):
         p = self.ring.p
@@ -427,14 +419,14 @@ class WittElem:
         ring = self.ring
         if ring.m == 1:
             return self
-        return WittElem._make(ring, ring._sigma_N[1](self.coeffs))
+        return WittElem._make(ring, ring._sigma_N[1](self._v))
 
     def verschiebung(self):
         """Digit right-shift; equals p * frobenius^{-1}."""
         ring = self.ring
         if ring.m == 1:
-            return WittElem._make(ring, (ring.p * self.coeffs[0] % ring.pN,))
-        return WittElem._make(ring, ring._sigma_N[-1]([ring.p * c for c in self.coeffs]))
+            return WittElem._make(ring, ring.p * self._v % ring.pN)
+        return WittElem._make(ring, ring._sigma_N[-1]([ring.p * c for c in self._v]))
 
     def teichmuller_digits(self):
         """Digits (b_0, ..., b_{N-1}) of the plain expansion sum p^i xi(b_i)."""
@@ -459,7 +451,7 @@ class WittElem:
         """Integer codec W_N(F_p) = Z/p^N; only defined for m = 1."""
         if self.ring.m != 1:
             raise CodecUnsupportedError("integer codec requires m = 1")
-        return self.coeffs[0]
+        return self._v
 
 
 # -- JSON codec ------------------------------------------------------------------

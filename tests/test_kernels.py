@@ -91,6 +91,7 @@ def test_ring_kernels_match_schoolbook(p, m, N):
         x = R.from_coeffs(a)
         for b in vals:
             assert (x * R.from_coeffs(b)).coeffs == _mulmod(a, b, phi, pN)
+            assert (x + R.from_coeffs(b)).coeffs == tuple((s + t) % pN for s, t in zip(a, b))
             assert (x - R.from_coeffs(b)).coeffs == tuple((s - t) % pN for s, t in zip(a, b))
         e = rng.randrange(2 * order)
         assert (x ** e).coeffs == _powmod(a, e, phi, pN)
@@ -245,26 +246,39 @@ def test_small_det_kernel_against_restriction_of_scalars(p, m):
     # over Z/p^N and the norm N(d) the determinant of x -> d*x; both dets are
     # sympy's over Z, so the oracle shares no code with wittlat's determinants.
     # n <= 4 runs the generated kernel; for m <= 3, n = 5..7 runs _eliminate
-    # and so the ring's bare-value divider and norm inverse
+    # and so the ring's bare-value divider and norm inverse.  Kind 3 is an
+    # orbit x * diag(p^e) * y, e a permutation of (1, 1, 0, ..., 0): once the
+    # unit pivots are used, a 2 x 2 block of valuation-1 entries is left and
+    # the second-last pivot divides through the divider's v > 0 branch.  As
+    # v(N(d)) = m * v(d), the norm sees an error at v(det) = 2 only mod p^N
+    # with N > 2m, so kind 3 runs in W_{2m+3} (N = 3 for the other kinds)
     sympy = pytest.importorskip("sympy")
-    N = 3
-    R = witt_ring(p, N, m)
-    phi, pN = R.phi, R.pN
     rng = random.Random(p * 10 + m)
+
+    def uniform(n, pN):
+        return [[tuple(rng.randrange(pN) for _ in range(m)) for _ in range(n)] for _ in range(n)]
     for n in range(1, 8 if m <= 3 else 5):
-        for kind in range(3):
-            rows = [[tuple(rng.randrange(pN) for _ in range(m)) for _ in range(n)]
-                    for _ in range(n)]
+        for kind in range(4):
+            R = witt_ring(p, 2 * m + 3 if kind == 3 else 3, m)
+            phi, pN = R.phi, R.pN
+            rows = uniform(n, pN)
             if kind == 1:  # a row times p: a non-unit determinant
                 i = rng.randrange(n)
                 rows[i] = [tuple(p * c % pN for c in e) for e in rows[i]]
             elif kind == 2 and n > 1:  # two equal rows: determinant zero
                 rows[0] = rows[-1]
+            elif kind == 3:
+                exps = [1] * min(n, 2) + [0] * (n - 2)
+                rng.shuffle(exps)
+                y = [[tuple(p ** e * c % pN for c in a) for a in r] for r, e in zip(rows, exps)]
+                rows = [[tuple(sum(t) % pN for t in zip(*[_mulmod(a, b, phi, pN)
+                                                          for a, b in zip(r, col)]))
+                         for col in zip(*y)] for r in uniform(n, pN)]
             A = WittMat._from_raw(R, tuple(tuple(r) for r in rows))
             blocks = [[_mult_matrix(e, phi, pN) for e in r] for r in rows]
             res = sympy.Matrix(n * m, n * m, lambda i, j: blocks[i // m][j // m][i % m][j % m])
             d = A.det().coeffs
             norm = sympy.Matrix(_mult_matrix(d, phi, pN)).det()
-            assert (res.det() - norm) % pN == 0, (p, m, n, rows)
+            assert (res.det() - norm) % pN == 0, (p, m, n, kind, rows)
             if kind == 2 and n > 1:
                 assert not any(d)

@@ -8,9 +8,9 @@ import pytest
 from wittlat import matrix
 from wittlat.errors import NotAUnitError, RingMismatchError, ShapeError
 from wittlat.cli import _census_matrix
-from wittlat.matrix import (GroupShape, WittMat, _bare, _eliminate, diagonal,
-                            elementary_matrix, identity, in_group, mat_from_obj, mat_to_obj,
-                            p_power_diagonal, permutation_matrix, zeros)
+from wittlat.matrix import (GroupShape, WittMat, _eliminate, diagonal, elementary_matrix,
+                            identity, in_group, mat_from_obj, mat_to_obj, p_power_diagonal,
+                            permutation_matrix, zeros)
 from wittlat.snf import Cochar, divisor_type, snf
 from wittlat.strata import sample_group, sample_orbit
 from wittlat.witt import WittElem, witt_ring
@@ -417,10 +417,12 @@ def test_samplers_draw_the_same_with_and_without_a_randrange_override(p, N, m):
     # random.Random takes the getrandbits draws, _CountingRandom its randrange
     R = witt_ring(p, N, m)
 
+    shapes = (GroupShape.FULL, GroupShape.B, GroupShape.B_MINUS, GroupShape.P)
+
     def draws(n, rng):
         gamma = Cochar(n, tuple(range(n - 1, -1, -1)))
-        return (sample_group(R, n, GroupShape.FULL, rng), sample_orbit(R, gamma, rng),
-                R.random(rng), rng.random())
+        return (*[sample_group(R, n, shape, rng) for shape in shapes],
+                sample_orbit(R, gamma, rng), R.random(rng), rng.random())
     for n in range(1, 5):
         for seed in range(4):
             assert draws(n, random.Random(seed)) == draws(n, _CountingRandom(seed))
@@ -649,10 +651,10 @@ def test_eliminate_matches_column_op_oracle(p, N, m):
             mats.append(sample_orbit(R, Cochar(n, tuple(gamma)), rng))
         for A in mats:
             for with_transforms in (False, True):
-                exps, sign, M, L, right = _eliminate(A, with_transforms)
+                exps, sign, M, L, right = _eliminate(R, A._raw, with_transforms)
                 want = _eliminate_with_column_ops(A, with_transforms)
                 if with_transforms:  # _eliminate's L and R hold bare values
-                    want = want[:3] + tuple([[_bare(R, e) for e in row] for row in T]
+                    want = want[:3] + tuple([[e._v for e in row] for row in T]
                                             for T in want[3:])
                 assert (exps, sign, L, right) == (want[0], want[1], want[3], want[4]), A
                 assert [M[k][k] for k in range(n)] == [want[2][k][k] for k in range(n)], A
@@ -695,7 +697,11 @@ def test_bounded_pivot_search_matches_full_scan(p, N, m, monkeypatch):
 # with m = 1, and 10 for p = 3, n = 2..5 with m = 2 (r = 1, so N = n + 1).
 # Each is counted once where it runs: a WittElem operation (M's row updates)
 # or a ring protocol call outside one (_mul, _sub, _val; the dividers and
-# the m > 1 norm inverse).  Counted on WittElem alone, before the dividers
+# the m > 1 norm inverse).  WittElem's * and - delegate to ring._mul and
+# ring._sub for every m, so the depth guard below keeps the protocol call
+# inside each counted WittElem operation from counting it a second time;
+# WittElem.valuation is a ring._val call and counts as one.  Counted on
+# WittElem alone, before the dividers
 # moved onto the protocol, the same sets took (8323, 6246, 4424) for m = 1
 # and (800, 500, 443) for m = 2.  The m = 2 difference is one product per
 # divider (100 here): the norm inverse's Norm(u) product, which was then an

@@ -438,19 +438,35 @@ def test_digits_roundtrip_every_element(p, m, N):
 
 @pytest.mark.parametrize("p,m,N", SMALL_RINGS)
 def test_bare_protocol_on_every_element(p, m, N):
-    # _val is the index of the first nonzero Witt digit, _inv(u) * u == one
-    # for every unit u, and _divider(b) divides every a with v(a) >= v(b),
-    # raises ValueError below that and ZeroDivisionError for b == 0
+    # A WittElem holds one bare value _v (an int for m = 1, a tuple for
+    # m > 1), coeffs is a read-only view of it, and its arithmetic is the
+    # protocol's.  _val is the index of the first nonzero Witt digit,
+    # _inv(u) * u == one for every unit u, and _divider(b) divides every a
+    # with v(a) >= v(b), raises ValueError below that and ZeroDivisionError
+    # for b == 0
     R = witt_ring(p, N, m)
     elems = [c[0] if m == 1 else c for c in itertools.product(range(R.pN), repeat=m)]
+    rng = random.Random(100 * p + 10 * m + N)
     val = {}
     for b in elems:
-        digits = R.from_coeffs((b,) if m == 1 else b).digits()
+        x = R.from_coeffs((b,) if m == 1 else b)
+        assert type(x._v) is (int if m == 1 else tuple) and x._v == b, b
+        assert R.from_coeffs(x.coeffs) == x, b
+        made, built = witt.WittElem._make(R, b), witt.WittElem(R, x.coeffs)
+        assert made == built == x and hash(made) == hash(built) == hash(x), b
+        assert pickle.loads(pickle.dumps(x)) == x, b
+        with pytest.raises(AttributeError):
+            x.coeffs = x.coeffs
+        for c in rng.sample(elems, min(3, len(elems))):
+            y = witt.WittElem._make(R, c)
+            assert ((x + y)._v, (x - y)._v, (x * y)._v) == (
+                R._add(b, c), R._sub(b, c), R._mul(b, c)), (b, c)
+        assert (-x)._v == R._sub(R._zero, b), b
+        digits = x.digits()
         val[b] = next((i for i, d in enumerate(digits) if any(d)), N)
         assert R._val(b) == val[b], b
         if val[b] == 0:
             assert R._mul(R._inv(b), b) == R._one, b
-    rng = random.Random(100 * p + 10 * m + N)
     for b in elems:
         v = val[b]
         if v == N:
