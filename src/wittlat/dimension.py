@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from operator import mul
 
-from .matrix import GroupShape, WittMat, p_power_diagonal
+from .matrix import GroupShape, WittMat, in_group, p_power_diagonal
 from .snf import Cochar, divisor_type
 from .strata import in_cover, subregular_cochar
 from .witt import witt_ring
@@ -100,7 +100,8 @@ def dim_matrix_orbit(gamma, N, shapes=(GroupShape.FULL, GroupShape.FULL)):
 def complete_intersection_check(i, n, r, generator_count=None):
     """Numeric shadow of the complete-intersection property: the ideal
     generator count nr+2i must equal the oracle codimension of the
-    index-i subregular orbit closure."""
+    index-i subregular orbit closure.  It compares dimension counts only,
+    both from the same formulas; it tests no equations or smoothness."""
     gamma = subregular_cochar(n, r, i)
     nr = n * r
     if generator_count is None:
@@ -240,7 +241,7 @@ def tiny_exhaustive_census(jobs=1):
     """
     ring = witt_ring(2, 3)
     mats = [_tiny_matrix(k) for k in range(8 ** 4)]
-    group = [A for A in mats if A.det().is_unit()]
+    group = [A for A in mats if in_group(A, GroupShape.FULL)]
     g_order = len(group)
     histogram = divisor_histogram(_tiny_matrix, 0, len(mats), jobs)
 

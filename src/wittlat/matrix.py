@@ -1,7 +1,7 @@
 """Square matrices over a truncated Witt ring.
 
-A matrix stores bare values (ints for m = 1, coefficient tuples for m > 1)
-and builds its WittElem `rows` only when they are read.  Products and the
+A matrix stores bare values (ints for m = 1, coefficient tuples for m > 1);
+WittElems are built only where a public reader returns them.  Products and the
 n <= 4 determinants are the ring's kernels generated per (m, n) in field.py.
 Provides the one full-pivot elimination behind both the elementary-divisor
 type (snf.py) and the m > 1, n > 4 determinant (for m = 1, fraction-free
@@ -30,36 +30,25 @@ class WittMat:
     """Immutable n x n matrix over one WittRing.
 
     Its value is `_raw`, row tuples of bare values reduced mod p^N (ints for
-    m = 1, coefficient tuples for m > 1).  `rows`, the WittElem view, is
-    built on first read and cached in `_rows`.  `_divisors` memoises the
+    m = 1, coefficient tuples for m > 1), its only stored value; `rows`,
+    the WittElem view, is built on each read.  `_divisors` memoises the
     divisor type: `snf.divisor_type` fills it on first use, so every later
     caller shares one elimination.  `==` and `hash` read `_raw` alone.
     """
 
-    __slots__ = ("ring", "n", "_raw", "_rows", "_divisors")
+    __slots__ = ("ring", "n", "_raw", "_divisors")
 
     def __init__(self, ring, rows):
         rows = _square(rows)
-        for e in (e for r in rows for e in r):
-            if not isinstance(e, WittElem):
-                raise TypeError("entries must be WittElem")
-            if e.ring is not ring and e.ring.key != ring.key:
-                raise RingMismatchError("entry ring differs from matrix ring")
-        self.ring, self.n, self._rows, self._divisors = ring, len(rows), rows, None
-        self._raw = _unwrap(rows)
+        self.ring, self.n, self._divisors = ring, len(rows), None
+        self._raw = tuple([_values(ring, r) for r in rows])
 
     @classmethod
-    def _from_raw(cls, ring, raw, rows=None):
-        """Matrix from row tuples of bare values already reduced mod p^N;
-        `rows` is their WittElem view when the caller already has it."""
+    def _from_raw(cls, ring, raw):
+        """Matrix from row tuples of bare values already reduced mod p^N."""
         self = object.__new__(cls)
-        self.ring, self.n, self._raw, self._rows, self._divisors = ring, len(raw), raw, rows, None
+        self.ring, self.n, self._raw, self._divisors = ring, len(raw), raw, None
         return self
-
-    @classmethod
-    def _make(cls, ring, rows):
-        """Matrix from trusted row tuples of WittElems, unwrapped once."""
-        return cls._from_raw(ring, _unwrap(rows), rows)
 
     @classmethod
     def from_ints(cls, ring, rows):
@@ -73,11 +62,8 @@ class WittMat:
 
     @property
     def rows(self):
-        rows = self._rows
-        if rows is None:
-            ring, make = self.ring, WittElem._make
-            rows = self._rows = tuple([tuple([make(ring, c) for c in r]) for r in self._raw])
-        return rows
+        ring, make = self.ring, WittElem._make
+        return tuple([tuple([make(ring, c) for c in r]) for r in self._raw])
 
     def __getitem__(self, ij):
         i, j = ij
@@ -140,22 +126,21 @@ class WittMat:
         """Determinant of the submatrix with row i and column j removed (0-based)."""
         if self.n < 2:
             raise ShapeError("minor requires n >= 2")
-        raw = self._raw
-        return WittMat._from_raw(
-            self.ring, tuple(r[:j] + r[j + 1:] for r in raw[:i] + raw[i + 1:])).det()
+        return WittElem._make(self.ring, _det(_minor(self._raw, i, j), self.ring))
 
     def inverse(self):
         """Adjugate times det^{-1}; exact, requires a unit determinant."""
-        d = self.det()
-        if not d.is_unit():
+        ring, raw, n = self.ring, self._raw, self.n
+        d = _det(raw, ring)
+        if ring._val(d):
             raise NotAUnitError("matrix determinant is not a unit")
-        dinv = d.inverse()
-        n, neg = self.n, -dinv
+        dinv = ring._inv(d)
         if n == 1:
-            return WittMat._make(self.ring, ((dinv,),))
-        return WittMat._make(self.ring, tuple(
-            tuple(self.minor(i, j) * (neg if (i + j) % 2 else dinv) for i in range(n))
-            for j in range(n)))
+            return WittMat._from_raw(ring, ((dinv,),))
+        mul, neg = ring._mul, ring._sub(ring._zero, dinv)
+        return WittMat._from_raw(ring, tuple(
+            tuple([mul(_det(_minor(raw, i, j), ring), neg if (i + j) % 2 else dinv)
+                   for i in range(n)]) for j in range(n)))
 
     # -- corner functions --------------------------------------------------------
 
@@ -179,9 +164,22 @@ def _square(rows):
     return rows
 
 
-def _unwrap(rows):
-    """The bare values of rows of WittElems."""
-    return tuple([tuple([e._v for e in r]) for r in rows])
+def _values(ring, elems):
+    """The bare values of `elems`, checked to be WittElems of `ring`: the one
+    way in from WittElems for every matrix constructor."""
+    out = []
+    for e in elems:
+        if not isinstance(e, WittElem):
+            raise TypeError("entries must be WittElem")
+        if e.ring is not ring and e.ring.key != ring.key:
+            raise RingMismatchError("entry ring differs from matrix ring")
+        out.append(e._v)
+    return tuple(out)
+
+
+def _minor(raw, i, j):
+    """The rows of bare values of `raw` without row i and column j."""
+    return tuple([r[:j] + r[j + 1:] for r in raw[:i] + raw[i + 1:]])
 
 
 def _det_int(rows, pN):
@@ -336,7 +334,7 @@ def zeros(ring, n):
 
 
 def diagonal(ring, entries):
-    return _diagonal(ring, [e._v for e in entries])
+    return _diagonal(ring, _values(ring, entries))
 
 
 def p_power_diagonal(ring, exponents):
@@ -375,9 +373,9 @@ def elementary_matrix(ring, n, i, j, c):
     """I + c*E_{ij} with i != j; left multiplication adds c*(row j) to row i."""
     if i == j:
         raise ValueError("elementary matrix requires i != j")
-    rows = [list(r) for r in identity(ring, n).rows]
-    rows[i][j] = c
-    return WittMat._make(ring, tuple(tuple(r) for r in rows))
+    raw = [list(r) for r in identity(ring, n)._raw]
+    raw[i][j], = _values(ring, (c,))
+    return WittMat._from_raw(ring, tuple(map(tuple, raw)))
 
 
 # -- subgroup membership -----------------------------------------------------------
@@ -425,4 +423,4 @@ def mat_from_obj(obj):
         if _int_fields(eobj, ("p", "m", "N")) != (p, m, N):
             raise RingMismatchError("entry ring parameters differ from matrix header")
         return elem_from_obj(eobj)
-    return WittMat._make(ring, tuple(tuple(map(entry, row)) for row in entries))
+    return WittMat(ring, [map(entry, row) for row in entries])

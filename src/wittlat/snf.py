@@ -11,7 +11,7 @@ import operator
 from dataclasses import dataclass
 
 from .errors import ShapeError
-from .matrix import WittMat, _eliminate, p_power_diagonal
+from .matrix import WittMat, _det, _eliminate, p_power_diagonal
 
 
 @dataclass(frozen=True)
@@ -96,12 +96,13 @@ def minor_valuations(A):
     """Independent oracle: for k = 1..n, the minimal valuation over all
     k x k minors.  Equals min(N, r_n + ... + r_{n-k+1}) for divisor type r.
 
-    Brute force over all minors, so limited to n <= 4.
+    Brute force over all minors.  For m > 1 it is limited to n <= 4, where
+    every determinant is the generated kernel: larger ones run _eliminate,
+    which this oracle must not share.  For m = 1 they are Bareiss over Z.
     """
-    n = A.n
-    if n > 4:
-        raise ShapeError("minor brute force is limited to n <= 4")
-    ring, raw = A.ring, A._raw
+    n, ring, raw = A.n, A.ring, A._raw
+    if n > 4 and ring.m > 1:
+        raise ShapeError("minor brute force is limited to n <= 4 for m > 1")
     out = []
     idx = range(n)
     for k in range(1, n + 1):
@@ -109,7 +110,7 @@ def minor_valuations(A):
         for rows in itertools.combinations(idx, k):
             for cols in itertools.combinations(idx, k):
                 sub = tuple(tuple(raw[i][j] for j in cols) for i in rows)
-                v = WittMat._from_raw(ring, sub).det().valuation()
+                v = ring._val(_det(sub, ring))
                 if v < best:
                     best = v
         out.append(best)

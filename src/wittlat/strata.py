@@ -11,8 +11,8 @@ valuation conditions on the corner entry and the corner minor.
 import random
 from dataclasses import dataclass
 
-from .errors import NotInCoverError, ParameterMismatchError
-from .matrix import GroupShape, WittMat, _det, in_group
+from .errors import NotInCoverError, ParameterMismatchError, ShapeError
+from .matrix import GroupShape, WittMat, _det, _minor, in_group
 from .snf import Cochar, divisor_type
 from .witt import _draw_below
 
@@ -38,11 +38,19 @@ def _ambient_nr(A):
 
 def in_cover(A, r):
     """det A = p^{nr} * unit, i.e. the determinant valuation is exactly nr."""
-    nr = A.n * r
-    if A.ring.N != nr + 1:
+    ring, nr = A.ring, A.n * r
+    if ring.N != nr + 1:
         raise ParameterMismatchError(
-            f"ring length N={A.ring.N} but height r={r} requires N={nr + 1}")
-    return A.det().valuation() == nr
+            f"ring length N={ring.N} but height r={r} requires N={nr + 1}")
+    return ring._val(_det(A._raw, ring)) == nr
+
+
+def _corner_valuations(A):
+    """(v_p(corner entry), v_p(corner minor)), read on bare values."""
+    if A.n < 2:
+        raise ShapeError("corner minor requires n >= 2")
+    ring, raw = A.ring, A._raw
+    return ring._val(raw[0][0]), ring._val(_det(_minor(raw, 0, 0), ring))
 
 
 def valuation_predicate(A, i):
@@ -55,8 +63,8 @@ def valuation_predicate(A, i):
     nr = _ambient_nr(A)
     if not 0 <= i <= nr // 2:
         raise ValueError(f"index i must lie in [0, {nr // 2}]")
-    return (A.corner_minor().valuation() >= i
-            and A.corner_entry().valuation() <= nr - i)
+    val_b, val_c = _corner_valuations(A)
+    return val_c >= i and val_b <= nr - i
 
 
 def in_orbit_closure(A, i):
@@ -190,33 +198,22 @@ def sample_group(ring, n, shape, seed):
                 return WittMat._from_raw(ring, raw)
         raise RuntimeError("unit-determinant rejection sampling did not converge")
     if shape in (GroupShape.B, GroupShape.B_MINUS):
-        rows = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                if i == j:
-                    row.append(ring.random_unit(rng))
-                elif (i > j) == (shape is GroupShape.B):
-                    row.append(ring.random_multiple_of_p(rng))
-                else:
-                    row.append(ring.random(rng))
-            rows.append(tuple(row))
-        A = WittMat._make(ring, tuple(rows))
+        lower = shape is GroupShape.B  # the side whose entries are multiples of p
+        A = WittMat._from_raw(ring, tuple([tuple([
+            (ring.random_unit if i == j else ring.random_multiple_of_p if (i > j) == lower
+             else ring.random)(rng)._v for j in range(n)]) for i in range(n)]))
     elif shape in (GroupShape.P, GroupShape.P_MINUS):
-        corner = ring.random_unit(rng)
-        block = sample_group(ring, n - 1, GroupShape.FULL, rng) if n > 1 else None
-        rows = [[ring.zero] * n for _ in range(n)]
-        rows[0][0] = corner
-        for i in range(1, n):
-            for j in range(1, n):
-                rows[i][j] = block.rows[i - 1][j - 1]
+        corner = ring.random_unit(rng)._v
+        block = sample_group(ring, n - 1, GroupShape.FULL, rng)._raw if n > 1 else ()
+        zero = ring._zero
+        raw = [[corner] + [zero] * (n - 1)] + [[zero, *r] for r in block]
         for k in range(1, n):
-            edge = ring.random(rng)
+            edge = ring.random(rng)._v
             if shape is GroupShape.P:
-                rows[0][k] = edge
+                raw[0][k] = edge
             else:
-                rows[k][0] = edge
-        A = WittMat._make(ring, tuple(tuple(r) for r in rows))
+                raw[k][0] = edge
+        A = WittMat._from_raw(ring, tuple(map(tuple, raw)))
     else:
         raise ValueError(f"unknown shape {shape!r}")
     if not in_group(A, shape):
@@ -285,8 +282,7 @@ def classify(A, r):
             f"ring length N={A.ring.N} but height r={r} requires N={nr + 1}")
     div = divisor_type(A)
     member = div.total == nr
-    val_b = A.corner_entry().valuation()
-    val_c = A.corner_minor().valuation()
+    val_b, val_c = _corner_valuations(A)
     a = pred_i = deep_i = None
     if member:
         a = nr - div.exponents[0]

@@ -99,7 +99,7 @@ def test_ring_kernels_match_schoolbook(p, m, N):
             assert x.inverse().coeffs == _powmod(a, order - 1, phi, pN)
             assert (x ** -3).coeffs == _powmod(a, 3 * order - 3, phi, pN)
     rows = [vals[:3], vals[3:6], [vals[6], vals[7], vals[2]]]
-    A = WittMat._make(R, tuple(tuple(R.from_coeffs(c) for c in r) for r in rows))
+    A = WittMat(R, [[R.from_coeffs(c) for c in r] for r in rows])
     B = A.transpose()
     want = []
     for ra in rows:
@@ -199,7 +199,7 @@ def test_matrix_kernels_for_m4_n12_generate_in_under_50ms():
 
 def test_pickled_rings_rebuild_their_kernels():
     R = witt_ring(3, 4, 2)
-    A = WittMat._make(R, ((R.teichmuller((1, 2)), R.one), (R.zero, R.from_int(5))))
+    A = WittMat(R, ((R.teichmuller((1, 2)), R.one), (R.zero, R.from_int(5))))
     B = pickle.loads(pickle.dumps(A))
     assert B == A and B.ring == R and B * B == A * A
     F = pickle.loads(pickle.dumps(R.field))
@@ -211,7 +211,7 @@ def test_unpickled_ring_is_the_shared_instance(m):
     R = witt_ring(3, 4, m)
     size = len(witt._RING_CACHE)
     assert pickle.loads(pickle.dumps(R)) is R
-    A = WittMat._make(R, ((R.one, R.p_power(2)), (R.zero, R.one)))
+    A = WittMat(R, ((R.one, R.p_power(2)), (R.zero, R.one)))
     assert pickle.loads(pickle.dumps(A)).ring is R
     if m == 2:  # an explicit modulus other than the default keeps its own key
         S = witt_ring(3, 4, 2, (2, 1, 1))
@@ -251,15 +251,17 @@ def test_small_det_kernel_against_restriction_of_scalars(p, m):
     # unit pivots are used, a 2 x 2 block of valuation-1 entries is left and
     # the second-last pivot divides through the divider's v > 0 branch.  As
     # v(N(d)) = m * v(d), the norm sees an error at v(det) = 2 only mod p^N
-    # with N > 2m, so kind 3 runs in W_{2m+3} (N = 3 for the other kinds)
+    # with N > 2m, so kinds 1 and 3 run in W_{2m+3} (N = 3 for the others):
+    # at N = 3 a row times p gives N(d) = 0 mod p^3 for every m >= 3
     sympy = pytest.importorskip("sympy")
     rng = random.Random(p * 10 + m)
+    seen_row_times_p = 0  # kind-1 cases whose norm is nonzero mod p^N
 
     def uniform(n, pN):
         return [[tuple(rng.randrange(pN) for _ in range(m)) for _ in range(n)] for _ in range(n)]
     for n in range(1, 8 if m <= 3 else 5):
         for kind in range(4):
-            R = witt_ring(p, 2 * m + 3 if kind == 3 else 3, m)
+            R = witt_ring(p, 2 * m + 3 if kind in (1, 3) else 3, m)
             phi, pN = R.phi, R.pN
             rows = uniform(n, pN)
             if kind == 1:  # a row times p: a non-unit determinant
@@ -280,5 +282,8 @@ def test_small_det_kernel_against_restriction_of_scalars(p, m):
             d = A.det().coeffs
             norm = sympy.Matrix(_mult_matrix(d, phi, pN)).det()
             assert (res.det() - norm) % pN == 0, (p, m, n, kind, rows)
+            if kind == 1:
+                seen_row_times_p += norm % pN != 0
             if kind == 2 and n > 1:
                 assert not any(d)
+    assert seen_row_times_p, (p, m)

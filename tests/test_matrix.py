@@ -238,6 +238,29 @@ def test_shape_and_ring_validation():
         A * identity(S, 2)
 
 
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("bad", ["int", "foreign_ring", "other_m"])
+def test_diagonal_and_elementary_matrix_check_entries_like_wittmat(m, bad):
+    # both stored an entry's bare value unchecked: a W_5 element 20 stayed
+    # unreduced in W_3 and an int raised AttributeError
+    R = witt_ring(2, 3, m)
+    c = {"int": 20, "foreign_ring": witt_ring(2, 5, m).from_int(20),
+         "other_m": witt_ring(2, 3, 3 - m).from_int(5)}[bad]
+
+    def raised(build):
+        with pytest.raises(Exception) as info:
+            build()
+        return type(info.value), str(info.value)
+    want = raised(lambda: WittMat(R, [[c, R.zero], [R.zero, R.one]]))
+    assert want[0] is (TypeError if bad == "int" else RingMismatchError)
+    assert raised(lambda: diagonal(R, [c, R.one])) == want
+    assert raised(lambda: elementary_matrix(R, 2, 0, 1, c)) == want
+    assert raised(lambda: diagonal(R, iter([R.one, c]))) == want
+    c = R.from_int(5)
+    assert diagonal(R, iter([c, R.one])) == WittMat(R, [[c, R.zero], [R.zero, R.one]])
+    assert elementary_matrix(R, 2, 0, 1, c) == WittMat(R, [[R.one, c], [R.zero, R.one]])
+
+
 def test_json_roundtrip():
     for p, m, N, n in [(2, 1, 3, 2), (3, 2, 2, 3)]:
         R = witt_ring(p, N, m)
@@ -463,8 +486,8 @@ def test_p_power_diagonals_are_built_once_per_ring_and_exponents():
         assert p_power_diagonal(R, [2, 0, N]) is D
         assert p_power_diagonal(R, iter((2, 0, N))) is D
         assert p_power_diagonal(R, (True + 1, False, N)) is D  # keyed by operator.index
-        assert D == WittMat._make(R, ((R.p_power(2), R.zero, R.zero),
-                                      (R.zero, R.one, R.zero), (R.zero, R.zero, R.zero)))
+        assert D == WittMat(R, ((R.p_power(2), R.zero, R.zero),
+                                (R.zero, R.one, R.zero), (R.zero, R.zero, R.zero)))
         for n in range(1, 5):
             assert identity(R, n) is identity(R, n) is p_power_diagonal(R, (0,) * n)
             assert zeros(R, n) is p_power_diagonal(R, (N,) * n)
@@ -515,8 +538,7 @@ def _storage_cases(R, n, rng):
     elems = [[R.random(rng) for _ in range(n)] for _ in range(n)]
     A = WittMat(R, elems)
     ints = [[rng.randrange(-R.pN, 2 * R.pN) for _ in range(n)] for _ in range(n)]
-    out = [("init", A), ("make", WittMat._make(R, tuple(tuple(r) for r in elems))),
-           ("from_ints", WittMat.from_ints(R, ints)), ("transpose", A.transpose())]
+    out = [("init", A), ("from_ints", WittMat.from_ints(R, ints)), ("transpose", A.transpose())]
     for shape in (GroupShape.FULL, GroupShape.P, GroupShape.B):
         out.append((shape.value, sample_group(R, n, shape, rng)))
     gamma = Cochar(n, tuple(sorted((rng.randrange(R.N + 1) for _ in range(n)), reverse=True)))
@@ -535,10 +557,10 @@ def test_raw_storage_and_elem_view_agree(p, m, n):
         raw = A._raw
         assert type(raw) is tuple and all(type(r) is tuple for r in raw), name
         want = tuple(tuple(e.coeffs[0] if m == 1 else e.coeffs for e in r) for r in A.rows)
-        assert raw == want and A.rows is A.rows, name
+        assert raw == want, name
         assert all(A[i, j] == A.rows[i][j] for i in range(n) for j in range(n)), name
         # equal values: equal and hash-equal whichever constructor built them
-        for B in (WittMat(R, A.rows), WittMat._make(R, A.rows), WittMat._from_raw(R, raw)):
+        for B in (WittMat(R, A.rows), WittMat._from_raw(R, raw)):
             assert B == A and hash(B) == hash(A), name
         if m == 1:
             B = WittMat.from_ints(R, raw)

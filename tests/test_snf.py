@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from wittlat.errors import ShapeError
 from wittlat.matrix import GroupShape, WittMat, mat_to_obj, p_power_diagonal, zeros
 from wittlat.snf import Cochar, divisor_type, minor_valuations, snf
 from wittlat.strata import (classify, enumerate_strata, in_orbit_closure,
@@ -141,6 +142,29 @@ def test_minor_valuation_oracle():
                 assert mv[k - 1] == min(N, sum(exps[n - k:]))
 
 
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_minor_valuations_match_divisor_type_up_to_n7_for_m1(p):
+    # for m = 1 the minors of size >= 5 run Bareiss over Z, which shares no
+    # code with the elimination behind divisor_type; m > 1 stops at n = 4
+    rng = random.Random(70 + p)
+    R = witt_ring(p, 4)
+    for n in range(1, 8):
+        ints = [[rng.randrange(R.pN) for _ in range(n)] for _ in range(n)]
+        zero_row, times_pk = [r[:] for r in ints], [r[:] for r in ints]
+        zero_row[rng.randrange(n)] = [0] * n
+        i, k = rng.randrange(n), rng.randrange(1, R.N)
+        times_pk[i] = [p ** k * c for c in ints[i]]
+        gamma = Cochar(n, tuple(sorted((rng.randrange(R.N + 1) for _ in range(n)),
+                                       reverse=True)))
+        for A in (WittMat.from_ints(R, ints), WittMat.from_ints(R, zero_row),
+                  WittMat.from_ints(R, times_pk), sample_orbit(R, gamma, rng)):
+            exps = divisor_type(A).exponents
+            want = tuple(min(R.N, sum(exps[n - kk:])) for kk in range(1, n + 1))
+            assert minor_valuations(A) == want, (n, A)
+    with pytest.raises(ShapeError, match="n <= 4 for m > 1"):
+        minor_valuations(sample_group(witt_ring(p, 3, 2), 5, GroupShape.FULL, rng))
+
+
 def test_divisor_type_is_two_sided_invariant():
     ring = witt_ring(2, 5)
     rng = random.Random(14)
@@ -264,7 +288,7 @@ def test_divisor_type_memo(p, m):
             assert divisor_type(A) is div
 
             def fresh():
-                return WittMat._make(A.ring, A.rows)
+                return WittMat(A.ring, A.rows)
             assert divisor_type(fresh()) == div
             B = fresh()
             assert snf(B).divisors == div

@@ -3,14 +3,14 @@ import random
 import pytest
 from sympy.utilities.iterables import partitions
 
-from wittlat.errors import NotInCoverError, ParameterMismatchError
+from wittlat.errors import NotAUnitError, NotInCoverError, ParameterMismatchError
 from wittlat.matrix import GroupShape, WittMat, identity, in_group, p_power_diagonal
-from wittlat.snf import Cochar, divisor_type
+from wittlat.snf import Cochar, divisor_type, minor_valuations
 from wittlat.strata import (_partitions, classify, dominance_leq, enumerate_strata,
                             in_cover, in_orbit_closure, regular_cochar,
                             sample_cover, sample_group, sample_orbit,
                             subregular_cochar, valuation_predicate)
-from wittlat.witt import witt_ring
+from wittlat.witt import WittElem, witt_ring
 
 
 def test_cochar_families():
@@ -328,3 +328,43 @@ def test_sample_orbit_is_x_times_diagonal_times_y(p, N, m):
             x = sample_group(R, n, GroupShape.FULL, ref)
             y = sample_group(R, n, GroupShape.FULL, ref)
             assert A == x * p_power_diagonal(R, gamma.exponents) * y
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 2), (3, 2)])
+def test_internal_readers_build_no_witt_elem(p, m, monkeypatch):
+    # the stratum readers, the minor oracle and the adjugate inverse read bare
+    # values through the ring protocol; once the divisor type is memoised
+    # they build no WittElem (n <= 4, so no determinant runs _eliminate)
+    rng = random.Random(500 + 10 * p + m)
+    cases = []
+    for n in range(2, 5):
+        R = witt_ring(p, n + 1, m)
+        A, G = sample_cover(R, n, 1, rng), sample_group(R, n, GroupShape.FULL, rng)
+        divisor_type(A), divisor_type(G)
+        cases.append((A, G))
+    built = []
+    make, init = WittElem._make.__func__, WittElem.__init__
+
+    def counting_make(cls, ring, v):
+        built.append(v)
+        return make(cls, ring, v)
+
+    def counting_init(self, ring, coeffs):
+        built.append(coeffs)
+        init(self, ring, coeffs)
+    monkeypatch.setattr(WittElem, "_make", classmethod(counting_make))
+    monkeypatch.setattr(WittElem, "__init__", counting_init)
+    inverses = []
+    for A, G in cases:
+        classify(A, 1), in_cover(A, 1), minor_valuations(A)
+        for i in range(A.n // 2 + 1):
+            valuation_predicate(A, i), in_orbit_closure(A, i)
+        inverses.append(G.inverse())
+        with pytest.raises(NotAUnitError):
+            A.inverse()
+    assert built == []
+    cases[0][0].det()  # the public reader builds its one element
+    assert len(built) == 1
+    monkeypatch.undo()
+    for (A, G), H in zip(cases, inverses):
+        assert G * H == identity(G.ring, G.n)
