@@ -198,11 +198,12 @@ def default_modulus(p, m):
 
 
 class FieldDescriptor:
-    """The finite field F_{p^m} with a fixed irreducible modulus."""
+    """The finite field F_{p^m}, presented as F_p[x]/(default_modulus(p, m)):
+    the field is unique up to isomorphism, so (p, m) names it."""
 
     __slots__ = ("p", "m", "q", "modulus", "key", "_mul")
 
-    def __init__(self, p, m=1, modulus=None):
+    def __init__(self, p, m=1):
         if not is_prime(p):
             raise ValueError(f"p = {p} is not prime")
         if m < 1:
@@ -210,17 +211,7 @@ class FieldDescriptor:
         self.p = p
         self.m = m
         self.q = p ** m
-        if m == 1:
-            modulus = (0, 1)
-        elif modulus is None:
-            modulus = default_modulus(p, m)
-        else:
-            modulus = tuple(int(c) % p for c in modulus)
-            if len(modulus) != m + 1 or modulus[-1] != 1:
-                raise ValueError("modulus must be monic of degree m")
-            if not is_irreducible(list(modulus), p):
-                raise ValueError("modulus is not irreducible over Z/p")
-        self.modulus = modulus
+        self.modulus = modulus = (0, 1) if m == 1 else default_modulus(p, m)
         self.key = (p, m, modulus)
         self._mul = _kernels(modulus, p)[1] if m > 1 else None
 
@@ -231,7 +222,7 @@ class FieldDescriptor:
         return hash(self.key)
 
     def __reduce__(self):  # the kernel is a closure: rebuild, do not pickle
-        return FieldDescriptor, (self.p, self.m, self.modulus)
+        return FieldDescriptor, (self.p, self.m)
 
     def __repr__(self):
         return f"FieldDescriptor(p={self.p}, m={self.m})"

@@ -370,9 +370,9 @@ def permutation_matrix(ring, perm):
 
 
 def elementary_matrix(ring, n, i, j, c):
-    """I + c*E_{ij} with i != j; left multiplication adds c*(row j) to row i."""
-    if i == j:
-        raise ValueError("elementary matrix requires i != j")
+    """I + c*E_{ij}, 0 <= i != j < n; left multiplication adds c*(row j) to row i."""
+    if not (0 <= i < n and 0 <= j < n) or i == j:
+        raise ValueError(f"elementary matrix requires distinct indices in [0, {n})")
     raw = [list(r) for r in identity(ring, n)._raw]
     raw[i][j], = _values(ring, (c,))
     return WittMat._from_raw(ring, tuple(map(tuple, raw)))

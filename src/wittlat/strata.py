@@ -33,7 +33,10 @@ def subregular_cochar(n, r, i):
 
 
 def _ambient_nr(A):
-    return A.ring.N - 1
+    nr = A.ring.N - 1
+    if nr % A.n:
+        raise ParameterMismatchError("ring length N-1 is not divisible by n")
+    return nr
 
 
 def in_cover(A, r):
@@ -71,8 +74,6 @@ def in_orbit_closure(A, i):
     """Closure membership for the index-i subregular orbit, decided by the
     honest two-sided invariant: divisor type r_1 <= nr - i."""
     nr = _ambient_nr(A)
-    if nr % A.n:
-        raise ParameterMismatchError("ring length N-1 is not divisible by n")
     if not 0 <= i <= nr // 2:
         raise ValueError(f"index i must lie in [0, {nr // 2}]")
     div = divisor_type(A)
@@ -287,9 +288,8 @@ def classify(A, r):
     if member:
         a = nr - div.exponents[0]
         deep_i = min(a, nr // 2)
-        for i in range(nr // 2 + 1):
-            if val_c >= i and val_b <= nr - i:
-                pred_i = i
+        if val_b <= nr:  # the corner conditions only weaken as i falls
+            pred_i = min(val_c, nr - val_b, nr // 2)
     return StratumReport(in_Xr=member, divisors=div, stratum_index=a,
                          val_b=val_b, val_c=val_c,
                          pred_val_i=pred_i, deepest_closure_i=deep_i)

@@ -15,8 +15,8 @@ from .dimension import (GroupShape, complete_intersection_check,
                         tiny_exhaustive_census)
 from .matrix import mat_to_obj, p_power_diagonal
 from .snf import divisor_type, minor_valuations, snf
-from .strata import (_ordered_strata, classify, in_orbit_closure, sample_cover,
-                     sample_group, sample_orbit, subregular_cochar)
+from .strata import (_ordered_strata, classify, sample_cover, sample_group, sample_orbit,
+                     subregular_cochar)
 from .witt import witt_ring
 
 DEFAULT_SEED = 1729
@@ -168,14 +168,14 @@ def suite_strata(p=2, m=1, n=2, r=1, samples=300, seed=DEFAULT_SEED):
     determinism = _Check("fixed_seed_determinism")
     for k in range(samples):
         A = sample_cover(ring, n, r, random.Random(_child_seed(seed, 100 + k)))
-        # one divisor type and one corner minor per sample serve every i
+        # the report's ranges answer valuation_predicate(A, i) and in_orbit_closure(A, i)
         rep = classify(A, r)
         div = rep.divisors
         a = nr - div.exponents[0]
         grading.record(0 <= a <= (n - 1) * r, {"divisors": list(div.exponents)})
         for i in range(nr // 2 + 1):
-            pred = rep.val_c >= i and rep.val_b <= nr - i  # valuation_predicate(A, i)
-            clo = in_orbit_closure(A, i)  # reuses the divisor type classify memoised
+            pred = rep.pred_val_i is not None and i <= rep.pred_val_i
+            clo = i <= rep.deepest_closure_i
             if pred:
                 implication.record(clo, {
                     "i": i, "divisors": list(div.exponents),

@@ -28,32 +28,21 @@ import random
 import threading
 
 from .errors import CodecUnsupportedError, NotAUnitError, RingMismatchError
-from .field import FieldDescriptor, _kernels, _matrix_factory, _powmod, default_modulus
+from .field import FieldDescriptor, _kernels, _matrix_factory, _powmod
 
 _RING_CACHE = {}
 _RING_LOCK = threading.Lock()
 
 
-def witt_ring(p, N, m=1, modulus=None):
-    """Shared-instance constructor for W_N(F_{p^m}).
-
-    The cache key has modulus None for the default modulus, given or not.  On
-    a miss the ring is built first, so that p and m are validated before the
-    default modulus is computed."""
-    key = (p, N, m, tuple(modulus) if modulus is not None else None)
+def witt_ring(p, N, m=1):
+    """Shared-instance constructor for W_N(F_{p^m}), keyed by (p, N, m)."""
+    key = (p, N, m)
     ring = _RING_CACHE.get(key)
-    if ring is None and modulus is not None:  # the default, given explicitly?
-        ring = _RING_CACHE.get((p, N, m, None))
-        if ring is not None and ring.field.modulus != key[3]:
-            ring = None
     if ring is None:
         with _RING_LOCK:
             ring = _RING_CACHE.get(key)
             if ring is None:
-                ring = WittRing(p, N, m, modulus)
-                if modulus is not None and ring.field.modulus == default_modulus(p, m):
-                    key = (p, N, m, None)
-                ring = _RING_CACHE.setdefault(key, ring)
+                ring = _RING_CACHE[key] = WittRing(p, N, m)
     return ring
 
 
@@ -102,10 +91,10 @@ class WittRing:
                  "_inv", "_red", "_matrix", "_diagonals", "_sigma_p", "_sigma_N", "_teich",
                  "_digit_rows", "_p_powers", "zero", "one", "_zero", "_one")
 
-    def __init__(self, p, N, m=1, modulus=None):
+    def __init__(self, p, N, m=1):
         if N < 1:
             raise ValueError("length N must be >= 1")
-        self.field = FieldDescriptor(p, m, modulus)
+        self.field = FieldDescriptor(p, m)
         self.p = p
         self.m = m
         self.N = N
@@ -135,13 +124,8 @@ class WittRing:
     def __hash__(self):
         return hash(self.key)
 
-    def __reduce__(self):
-        # the kernels are closures: rebuild through the shared-instance cache,
-        # under the key the default modulus has there
-        modulus = self.field.modulus
-        if modulus == default_modulus(self.p, self.m):
-            modulus = None
-        return witt_ring, (self.p, self.N, self.m, modulus)
+    def __reduce__(self):  # the kernels are closures: rebuild through the shared-instance cache
+        return witt_ring, (self.p, self.N, self.m)
 
     def __repr__(self):
         return f"WittRing(p={self.p}, m={self.m}, N={self.N})"

@@ -269,6 +269,25 @@ def test_verify_strata_reports_chart_local_failure(capsys):
     assert det["passed"]
 
 
+@pytest.mark.parametrize("m", [1, 2])
+def test_verify_strata_violation_replays_through_classify(tmp_path, capsys, m):
+    # the recorded matrix of a chart-local violation classifies to the recorded
+    # divisor type, with the predicate holding at i and the closure not
+    code, out = run(capsys, "verify", "--suite", "strata", "--n", "2", "--r", "2",
+                    "--m", str(m))
+    assert code == 1
+    impl = next(c for c in json.loads(out)["checks"]
+                if c["name"] == "valuation_predicate_implies_closure")
+    ex = impl["examples"][0]
+    path = tmp_path / "violation.json"
+    path.write_text(json.dumps(ex["matrix"]))
+    code, out = run(capsys, "classify", "--input", str(path), "--r", "2")
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["divisors"] == ex["divisors"]
+    assert rep["pred_val_i"] >= ex["i"] > rep["deepest_closure_i"]
+
+
 def test_verify_unknown_suite(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--suite", "nope"])

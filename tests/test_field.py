@@ -63,15 +63,6 @@ def test_default_modulus_is_first_irreducible_candidate(p, max_m):
         assert default_modulus(p, m) == first
 
 
-def test_reducible_modulus_rejected():
-    with pytest.raises(ValueError):
-        FieldDescriptor(2, 2, modulus=(0, 0, 1))  # x^2
-    with pytest.raises(ValueError):
-        FieldDescriptor(3, 2, modulus=(2, 0, 1))  # x^2 - 1 = (x-1)(x+1)
-    with pytest.raises(ValueError):
-        FieldDescriptor(4, 1)
-
-
 @pytest.mark.parametrize("p,m", [(2, 1), (5, 1), (2, 2), (3, 2), (2, 3)])
 def test_field_axioms(p, m):
     F = FieldDescriptor(p, m)

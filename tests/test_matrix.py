@@ -103,6 +103,15 @@ def test_elementary_row_operation():
         elementary_matrix(R, 3, 1, 1, c)
 
 
+@pytest.mark.parametrize("i,j", [(-1, 2), (2, -1), (3, 0), (0, 3), (-4, 0), (1, 1)])
+def test_elementary_matrix_rejects_bad_indices(i, j):
+    # negative indices would wrap (and -1, 2 put c on the diagonal), large ones
+    # would raise a bare IndexError
+    R = witt_ring(2, 3)
+    with pytest.raises(ValueError):
+        elementary_matrix(R, 3, i, j, R.from_int(4))
+
+
 def test_permutation_det_matches_sign():
     R = witt_ring(2, 4)
     for perm in itertools.permutations(range(3)):
@@ -262,12 +271,18 @@ def test_diagonal_and_elementary_matrix_check_entries_like_wittmat(m, bad):
 
 
 def test_json_roundtrip():
-    for p, m, N, n in [(2, 1, 3, 2), (3, 2, 2, 3)]:
+    # a JSON object names its ring by (p, m, N): the value and its divisor
+    # type come back unchanged, orbit samples of every exponent vector included
+    for p, m, N, n in [(2, 1, 3, 2), (3, 2, 2, 3), (2, 3, 3, 2), (5, 1, 4, 3), (5, 2, 3, 2)]:
         R = witt_ring(p, N, m)
         rng = random.Random(8)
-        A = _random_mat(R, n, rng)
-        obj = mat_to_obj(A)
-        assert mat_from_obj(json.loads(json.dumps(obj))) == A
+        mats = [_random_mat(R, n, rng)]
+        mats += [sample_orbit(R, Cochar(n, e), rng)
+                 for e in itertools.product(range(N + 1), repeat=n) if list(e) == sorted(e)[::-1]]
+        for A in mats:
+            B = mat_from_obj(json.loads(json.dumps(mat_to_obj(A))))
+            assert B == A and B.ring is R
+            assert divisor_type(B) == divisor_type(A)
 
 
 def test_json_header_mismatch():

@@ -49,6 +49,14 @@ def test_valuation_predicate_examples():
         valuation_predicate(mu, n * r)
 
 
+def test_predicate_and_closure_share_the_parameter_check():
+    # N - 1 = 3 is not a multiple of n = 2: both reject the ring length
+    A = WittMat.from_ints(witt_ring(2, 4), [[1, 2], [4, 8]])
+    for test in (valuation_predicate, in_orbit_closure):
+        with pytest.raises(ParameterMismatchError):
+            test(A, 1)
+
+
 def test_in_orbit_closure_basic():
     n, r = 2, 2
     R = witt_ring(2, n * r + 1)
@@ -311,6 +319,28 @@ def test_classify_pred_matches_per_index_predicate():
                         want = i
             assert rep.pred_val_i == want
         assert 40 <= members < len(mats)
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 2), (3, 2)])
+def test_closure_equations_match_dominance(p, m):
+    # A lies in the closure of O_gamma iff every k x k minor has valuation at
+    # least the sum of the k smallest parts of gamma (Smith's determinantal
+    # divisors), for every target gamma and orbit samples of every stratum
+    rng = random.Random(13 + p + m)
+    pairs = 0
+    for n, r in [(n, r) for n in (2, 3, 4) for r in (1, 2, 3, 4) if n * r <= 8]:
+        R = witt_ring(p, n * r + 1, m)
+        strata = enumerate_strata(n, r).strata
+        for gamma in strata:
+            for _ in range(3):
+                A = sample_orbit(R, gamma, rng)
+                div, mv = divisor_type(A), minor_valuations(A)
+                for target in strata:
+                    smallest = target.exponents[::-1]
+                    cut = all(mv[k - 1] >= sum(smallest[:k]) for k in range(1, n + 1))
+                    assert cut == dominance_leq(div, target), (p, m, n, r, gamma, target)
+                    pairs += 1
+    assert pairs > 1000
 
 
 @pytest.mark.parametrize("p,N,m", [(2, 3, 1), (3, 4, 1), (2, 3, 2), (3, 2, 3)])
