@@ -15,7 +15,7 @@ import functools
 import operator
 
 from .errors import NotAUnitError, RingMismatchError, ShapeError
-from .witt import WittElem, _int_fields, elem_from_obj, elem_to_obj, witt_ring
+from .witt import WittElem, _int_fields, _value_to_obj, elem_from_obj, witt_ring
 
 
 class GroupShape(enum.Enum):
@@ -406,7 +406,7 @@ def mat_to_obj(A):
         "m": ring.m,
         "N": ring.N,
         "n": A.n,
-        "entries": [[elem_to_obj(e) for e in row] for row in A.rows],
+        "entries": [[_value_to_obj(ring, v) for v in row] for row in A._raw],
     }
 
 

@@ -15,13 +15,15 @@ u^-1 = n^-1 * prod_{k=1}^{m-1} sigma^k(u).
 Each ring memoises, per residue b, the Teichmueller lift xi(b) mod p^N
 and the conjugates F^j(b): at most q entries, each filled on first use.
 Any lift y of b is xi(b) mod p, so y^(p^(N-1)) = sigma^(N-1)(xi(b)) mod p^N
-and xi(b) = sigma^-(N-1)(b^(p^(N-1))).  The digit codecs are then lookups:
+and xi(b) = sigma^-(N-1)(b^(p^(N-1))).  The digit codecs, straight-line
+kernels generated once per (m, N) and bound on first use, read that memo:
 the Witt digits a_i = F^i(b_i) of sum_i p^i xi(b_i), and from_digits sums
-p^i xi(F^-i(a_i)), since sigma^-i(xi(a)) = xi(F^-i(a)), from a second
-table of those N terms per residue.  For m = 1 sigma is the identity and
-the whole ring is Z/p^N under the integer codec.
+p^i xi(F^-i(a_i)), since sigma^-i(xi(a)) = xi(F^-i(a)), from a second memo
+of those N terms per residue, also at most q entries.  For m = 1 sigma is
+the identity and the whole ring is Z/p^N under the integer codec.
 """
 
+import functools
 import math
 import operator
 import random
@@ -62,6 +64,33 @@ def _valuation(p, N, m):
     return val
 
 
+@functools.cache
+def _codec_factory(m, N):
+    """make(p, pN, teich, entry) -> (tdigits, digits, fsum), straight-line in the
+    N digits: tdigits(v) peels b_i = z mod p off z = v, z -> (z - xi(b_i)) // p
+    (exact), xi(b_i) from `teich` or `entry(b_i)`; digits(v) reads a_i = F^i(b_i)
+    off the same entries; fsum(rows) sums term i of N `_digit_rows` rows."""
+    def tup(xs):
+        return "(" + "".join(f"{x}, " for x in xs) + ")"
+    z, t = ", ".join(f"z{j}" for j in range(m)), tup(f"t{j}" for j in range(m))
+    peel = [f"        {z} = v"]
+    for i in range(N):
+        peel.append(f"        b{i} = {tup(f'z{j} % p' for j in range(m))}")
+        if i < N - 1:
+            peel += [f"        {t}, f{i} = teich.get(b{i}) or entry(b{i})",
+                     f"        {z} = " + ", ".join(f"(z{j} - t{j}) // p" for j in range(m))]
+    sums = [f"({' + '.join(f'r{i}[{i}][{j}]' for i in range(N))}) % pN" for j in range(m)]
+    src = ["def make(p, pN, teich, entry):", "    def tdigits(v):", *peel,
+           f"        return {tup(f'b{i}' for i in range(N))}", "    def digits(v):", *peel,
+           f"        f{N - 1} = (teich.get(b{N - 1}) or entry(b{N - 1}))[1]",
+           f"        return {tup(f'f{i}[{i % m}]' for i in range(N))}", "    def fsum(rows):",
+           f"        {tup(f'r{i}' for i in range(N))} = rows",
+           f"        return {tup(sums) if m > 1 else sums[0]}", "    return tdigits, digits, fsum"]
+    ns = {}
+    exec(compile("\n".join(src), f"<codec m={m} N={N}>", "exec"), ns)
+    return ns["make"]
+
+
 def _draw_below(rng, bound, count):
     """[rng.randrange(bound) for _ in range(count)], bound >= 1, with the rule
     of random.Random inline when type(rng) keeps its randrange and _randbelow."""
@@ -84,12 +113,12 @@ class WittRing:
     are the ring on bare values: ints mod p^N for m = 1, coefficient tuples
     (the generated kernels) for m > 1.  A WittElem wraps one bare value, and
     `_elem` is the one way in from a coefficient tuple.  `_matrix_kernels(n)`
-    binds the n x n product and determinant on first use; `_diagonals` is the
-    memo of matrix.p_power_diagonal."""
+    binds the n x n product and determinant on first use, `_codec()` the digit
+    codecs; `_diagonals` is the memo of matrix.p_power_diagonal."""
 
     __slots__ = ("field", "p", "m", "N", "pN", "key", "phi", "_mul", "_add", "_sub", "_val",
                  "_inv", "_red", "_matrix", "_diagonals", "_sigma_p", "_sigma_N", "_teich",
-                 "_digit_rows", "_p_powers", "zero", "one", "_zero", "_one")
+                 "_digit_rows", "_codecs", "_p_powers", "zero", "one", "_zero", "_one")
 
     def __init__(self, p, N, m=1):
         if N < 1:
@@ -104,7 +133,7 @@ class WittRing:
         self._mul, self._add = (lambda a, b: a * b % pN), (lambda a, b: (a + b) % pN)
         self._sub = lambda a, b: (a - b) % pN
         self._val, self._inv = _valuation(p, N, m), (lambda u: pow(u, -1, pN))
-        self._red, self._sigma_p, self._sigma_N = [], None, None
+        self._red, self._sigma_p, self._sigma_N, self._codecs = [], None, None, None
         if m > 1:
             self._red, self._mul, self._add, self._sub, linear = _kernels(self.phi, pN)
             self._inv = self._norm_inverse
@@ -208,6 +237,13 @@ class WittRing:
             kernels = self._matrix[n] = _matrix_factory(self.m, n)(self._red, self.pN)
         return kernels
 
+    def _codec(self):
+        """(tdigits, digits, fsum) of _codec_factory for (m, N), bound on first use."""
+        if self._codecs is None:
+            self._codecs = _codec_factory(self.m, self.N)(
+                self.p, self.pN, self._teich, self._teich_entry)
+        return self._codecs
+
     # -- element construction --------------------------------------------------
 
     def _elem(self, coeffs):
@@ -238,7 +274,8 @@ class WittRing:
 
     def from_digits(self, digits):
         """Inverse of WittElem.digits(): sum_i p^i xi(F^-i(a_i)).  The row of a
-        residue a in the memo `_digit_rows` lists the N terms p^i xi(F^-i(a))."""
+        residue a in the memo `_digit_rows` lists the N terms p^i xi(F^-i(a)).
+        One pass over `digits` checks each digit in order, then the length."""
         table, rows, p, pN = self._digit_rows, [], self.p, self.pN
         for d in digits:
             try:
@@ -251,8 +288,7 @@ class WittRing:
                     for i in range(self.N))))
         if len(rows) != self.N:
             raise ValueError(f"expected {self.N} digits")
-        return self._elem(tuple(
-            [sum(c) % pN for c in zip(*[terms[i] for i, terms in enumerate(rows)])]))
+        return WittElem._make(self, self._codec()[2](rows))
 
     def random(self, rng):
         return self._elem(tuple(_draw_below(rng, self.pN, self.m)))
@@ -395,8 +431,8 @@ class WittElem:
         return self.ring._val(self._v)
 
     def residue(self):
-        p = self.ring.p
-        return tuple(c % p for c in self.coeffs)
+        v, p = self._v, self.ring.p
+        return (v % p,) if self.ring.m == 1 else tuple([c % p for c in v])
 
     def frobenius(self):
         """The lift of the field Frobenius; raises each digit to the p-th power."""
@@ -414,22 +450,11 @@ class WittElem:
 
     def teichmuller_digits(self):
         """Digits (b_0, ..., b_{N-1}) of the plain expansion sum p^i xi(b_i)."""
-        ring = self.ring
-        p = ring.p
-        # each coefficient is congruent to that of xi(b) mod p, so the
-        # quotient is exact; later steps read only residues mod p
-        z, out, teich, entry = self.coeffs, [], ring._teich, ring._teich_entry
-        for _ in range(ring.N):
-            b = tuple([c % p for c in z])
-            z = [(c - t) // p for c, t in zip(z, (teich.get(b) or entry(b))[0])]
-            out.append(b)
-        return tuple(out)
+        return self.ring._codec()[0](self._v)
 
     def digits(self):
-        """Standard Witt coordinates (a_0, ..., a_{N-1}), a_i = b_i^(p^i),
-        read from the memo entries that teichmuller_digits filled."""
-        teich, m = self.ring._teich, self.ring.m
-        return tuple([teich[b][1][i % m] for i, b in enumerate(self.teichmuller_digits())])
+        """Standard Witt coordinates (a_0, ..., a_{N-1}), a_i = b_i^(p^i)."""
+        return self.ring._codec()[1](self._v)
 
     def to_int(self):
         """Integer codec W_N(F_p) = Z/p^N; only defined for m = 1."""
@@ -442,13 +467,13 @@ class WittElem:
 
 def elem_to_obj(a):
     """JSON object for a WittElem: digit arrays of field coefficients."""
-    ring = a.ring
-    return {
-        "p": ring.p,
-        "m": ring.m,
-        "N": ring.N,
-        "digits": [list(d) for d in a.digits()],
-    }
+    return _value_to_obj(a.ring, a._v)
+
+
+def _value_to_obj(ring, v):
+    """elem_to_obj of the bare value v of `ring`, through the digit kernel."""
+    digits = [list(d) for d in ring._codec()[1](v)]
+    return {"p": ring.p, "m": ring.m, "N": ring.N, "digits": digits}
 
 
 def _int_fields(obj, keys):

@@ -4,7 +4,8 @@ import pytest
 from sympy.utilities.iterables import partitions
 
 from wittlat.errors import NotAUnitError, NotInCoverError, ParameterMismatchError
-from wittlat.matrix import GroupShape, WittMat, identity, in_group, p_power_diagonal
+from wittlat.matrix import (GroupShape, WittMat, identity, in_group, mat_to_obj,
+                            p_power_diagonal)
 from wittlat.snf import Cochar, divisor_type, minor_valuations
 from wittlat.strata import (_partitions, classify, dominance_leq, enumerate_strata,
                             in_cover, in_orbit_closure, regular_cochar,
@@ -362,9 +363,10 @@ def test_sample_orbit_is_x_times_diagonal_times_y(p, N, m):
 
 @pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 2), (3, 2)])
 def test_internal_readers_build_no_witt_elem(p, m, monkeypatch):
-    # the stratum readers, the minor oracle and the adjugate inverse read bare
-    # values through the ring protocol; once the divisor type is memoised
-    # they build no WittElem (n <= 4, so no determinant runs _eliminate)
+    # the stratum readers, the minor oracle, the adjugate inverse and
+    # mat_to_obj read bare values through the ring protocol; once the divisor
+    # type is memoised they build no WittElem (n <= 4, so no determinant runs
+    # _eliminate)
     rng = random.Random(500 + 10 * p + m)
     cases = []
     for n in range(2, 5):
@@ -386,7 +388,7 @@ def test_internal_readers_build_no_witt_elem(p, m, monkeypatch):
     monkeypatch.setattr(WittElem, "__init__", counting_init)
     inverses = []
     for A, G in cases:
-        classify(A, 1), in_cover(A, 1), minor_valuations(A)
+        classify(A, 1), in_cover(A, 1), minor_valuations(A), mat_to_obj(A), mat_to_obj(G)
         for i in range(A.n // 2 + 1):
             valuation_predicate(A, i), in_orbit_closure(A, i)
         inverses.append(G.inverse())

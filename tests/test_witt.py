@@ -7,6 +7,8 @@ import pytest
 
 from wittlat import witt
 from wittlat.errors import CodecUnsupportedError, NotAUnitError, RingMismatchError
+from wittlat.matrix import WittMat
+from wittlat.snf import divisor_type
 from wittlat.witt import elem_from_obj, elem_to_obj, witt_ring
 
 # (p, m, N) parameter matrix shared by the property tests
@@ -169,7 +171,8 @@ def _reference_from_digits(R, digits):
 
 @pytest.mark.parametrize("p,m", [(p, m) for p in (2, 3, 5) for m in (1, 2, 3, 4)])
 def test_digit_codecs_match_full_precision_reference(p, m):
-    for N in range(1, 8):
+    # N = 16 checks generated kernels well past the lengths the CLI uses
+    for N in list(range(1, 8)) + [16] * (p == 2 and m <= 3):
         R = witt_ring(p, N, m)
         F = R.field
         rng = random.Random(22 + N)
@@ -582,6 +585,7 @@ def _codec_cases():
         (R2, "teichmuller", (True, 1)),
         (R2, "teichmuller", ([1], 0)),
         (R2, "teichmuller", None),
+        (R1, "from_digits", iter([2, (0,), (0,), (1,)])),  # one-shot: read once
     ]
 
 
@@ -619,6 +623,7 @@ _CODEC_OUTCOMES = [
     ("ok", (7, 7)),
     ("TypeError", f"{_NOT_INT} 'list'"),
     ("TypeError", "'NoneType' object is not iterable"),
+    ("ValueError", "expected 3 digits"),
 ]
 
 
@@ -644,6 +649,32 @@ def test_codec_errors_match_on_cold_and_warm_tables(warm):
     assert [_codec_outcome(*c) for c in cases] == _CODEC_OUTCOMES
     if warm:  # the canonical lookups filled nothing beyond the residues
         assert all(len(R._digit_rows) == R.field.q for R, _, _ in cases)
+
+
+def test_digit_codecs_are_bound_once_per_ring_and_compiled_once_per_m_and_N(monkeypatch):
+    compiled = []
+
+    def counting_compile(source, filename, *args, **kwargs):
+        compiled.append(filename)
+        return compile(source, filename, *args, **kwargs)
+
+    monkeypatch.setattr(witt, "compile", counting_compile, raising=False)
+    witt._codec_factory.cache_clear()
+    for m in (1, 2):
+        R, S = (witt.WittRing(p, 3, m) for p in (2, 3))
+        assert R._codecs is None and S._codecs is None  # building a ring binds nothing
+        x = R.random(random.Random(m))
+        assert R.from_digits(x.digits()) == x  # digits binds first
+        codecs = R._codecs
+        x.teichmuller_digits(), R.from_digits([R.field.one] * 3), elem_to_obj(x)
+        assert R._codecs is codecs
+        S.from_digits([S.field.one] * 3)  # from_digits binds first
+        assert S._codecs is not None and S._codecs is not codecs
+    # one compile per (m, N), shared by every p
+    assert compiled == ["<codec m=1 N=3>", "<codec m=2 N=3>"]
+    R = witt.WittRing(2, 3)
+    assert divisor_type(WittMat.from_ints(R, [[4, 2], [6, 1]])).exponents == (3, 0)
+    assert R._codecs is None and compiled == ["<codec m=1 N=3>", "<codec m=2 N=3>"]
 
 
 class _Sub(random.Random):
