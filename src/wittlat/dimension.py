@@ -14,10 +14,10 @@ divisor_histogram is the one divisor-type counting loop, shared with the
 
 from collections import Counter
 from dataclasses import dataclass, field
-from operator import mul
+from operator import index, mul
 
 from .matrix import GroupShape, WittMat, in_group, p_power_diagonal
-from .snf import Cochar, divisor_type
+from .snf import Cochar, _record, divisor_type
 from .strata import in_cover, subregular_cochar
 from .witt import witt_ring
 
@@ -141,7 +141,7 @@ def dim_report(gamma, r):
     FULL), grouped by max(i, j): n^2 N + sum_k (2k+1) s_k = n^2 N + 2 s1 + s0.
     dim_lattice_orbit's -2 sum_k k (s_k - r) is r n(n-1) - 2 s1.  The closed
     form is cross-checked on subregular vectors."""
-    n = gamma.n
+    n, r = gamma.n, index(r)
     if n < 2 or r < 1:
         raise ValueError("need n >= 2 and r >= 1")
     nr = n * r
@@ -170,8 +170,8 @@ def dim_report(gamma, r):
         raise ValueError("exponents must sum to nr")
     if exps[0] > nr:
         raise ValueError("leading exponent exceeds nr")
-    return DimReport(
-        gamma=gamma, n=n, r=r,
+    return _record(
+        DimReport, gamma=gamma, n=n, r=r,
         dim_lattice_orbit=r * n * (n - 1) - 2 * s1,
         dim_matrix_orbit=orbit,
         stab_dim=stab,

@@ -243,12 +243,14 @@ class FieldDescriptor:
             return coeffs  # already canonical, as the ring's own digits are
         if isinstance(coeffs, int):
             coeffs = (coeffs,) if self.m == 1 else (coeffs,) + (0,) * (self.m - 1)
-        coeffs = tuple(int(c) for c in coeffs)
-        if len(coeffs) != self.m:
+        ints = tuple(map(int, coeffs := tuple(coeffs)))
+        if ints != coeffs:  # int() truncates 2.9 and parses "2"
+            raise ValueError("coefficients must be integers")
+        if len(ints) != self.m:
             raise ValueError(f"expected {self.m} coefficients")
-        if any(c < 0 or c >= self.p for c in coeffs):
+        if any(c < 0 or c >= self.p for c in ints):
             raise ValueError(f"coefficients must lie in [0, {self.p})")
-        return coeffs
+        return ints
 
     def elements(self):
         """All q elements, in deterministic order."""

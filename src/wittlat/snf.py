@@ -14,6 +14,14 @@ from .errors import ShapeError
 from .matrix import WittMat, _det, _eliminate, p_power_diagonal
 
 
+def _record(cls, **fields):
+    """The frozen dataclass cls from all its fields, unchecked, as pickle restores it:
+    only for values the library built itself and knows valid, as with WittElem._make."""
+    self = object.__new__(cls)
+    self.__dict__.update(fields)
+    return self
+
+
 @dataclass(frozen=True)
 class Cochar:
     """A dominant exponent vector (r_1 >= ... >= r_n >= 0)."""
@@ -33,10 +41,7 @@ class Cochar:
 
     @classmethod
     def _make(cls, n, exponents):
-        self = object.__new__(cls)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "exponents", exponents)
-        return self
+        return _record(cls, n=n, exponents=exponents)
 
     def __iter__(self):
         return iter(self.exponents)

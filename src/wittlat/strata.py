@@ -8,6 +8,7 @@ the orbit of diag(p^{nr-i}, p^i, 1, ..., 1), cut out (locally) by
 valuation conditions on the corner entry and the corner minor.
 """
 
+import operator
 import random
 from dataclasses import dataclass
 
@@ -32,16 +33,19 @@ def subregular_cochar(n, r, i):
     return Cochar(n, (nr - i, i) + (0,) * (n - 2))
 
 
-def _ambient_nr(A):
+def _nr_and_index(A, i):
+    """(nr, i) for A over W_{nr+1}, the subregular index i checked against nr."""
     nr = A.ring.N - 1
     if nr % A.n:
         raise ParameterMismatchError("ring length N-1 is not divisible by n")
-    return nr
+    if not 0 <= (i := operator.index(i)) <= nr // 2:
+        raise ValueError(f"index i must lie in [0, {nr // 2}]")
+    return nr, i
 
 
 def in_cover(A, r):
     """det A = p^{nr} * unit, i.e. the determinant valuation is exactly nr."""
-    ring, nr = A.ring, A.n * r
+    ring, nr = A.ring, A.n * operator.index(r)
     if ring.N != nr + 1:
         raise ParameterMismatchError(
             f"ring length N={ring.N} but height r={r} requires N={nr + 1}")
@@ -63,9 +67,7 @@ def valuation_predicate(A, i):
     not equivalent to orbit-closure membership away from the chart (see
     in_orbit_closure).
     """
-    nr = _ambient_nr(A)
-    if not 0 <= i <= nr // 2:
-        raise ValueError(f"index i must lie in [0, {nr // 2}]")
+    nr, i = _nr_and_index(A, i)
     val_b, val_c = _corner_valuations(A)
     return val_c >= i and val_b <= nr - i
 
@@ -73,9 +75,7 @@ def valuation_predicate(A, i):
 def in_orbit_closure(A, i):
     """Closure membership for the index-i subregular orbit, decided by the
     honest two-sided invariant: divisor type r_1 <= nr - i."""
-    nr = _ambient_nr(A)
-    if not 0 <= i <= nr // 2:
-        raise ValueError(f"index i must lie in [0, {nr // 2}]")
+    nr, i = _nr_and_index(A, i)
     div = divisor_type(A)
     if div.total != nr:
         raise NotInCoverError("matrix determinant valuation differs from nr")
@@ -143,9 +143,10 @@ class StrataPoset:
 
 def _ordered_strata(n, r):
     """Dominant vectors summing to nr in stratum order, as _partitions yields them."""
+    nr = n * operator.index(r)
     if n < 2 or r < 1:
         raise ValueError("need n >= 2 and r >= 1")
-    return [Cochar._make(n, exps) for exps in _partitions(n * r, n, n * r)]
+    return [Cochar._make(n, exps) for exps in _partitions(nr, n, nr)]
 
 
 def enumerate_strata(n, r):
@@ -153,18 +154,20 @@ def enumerate_strata(n, r):
     dominance from Brylawski's rule (Discrete Math. 6, 1973): lam covers mu iff
     mu = lam - e_i + e_j, i < j, and j = i + 1 or lam_i = lam_j + 2.  Partitions
     with at most n parts form an up-set, so these are the covers here too.  As mu
-    must decrease weakly, only i last and j first in blocks of equal parts are tried."""
+    must decrease weakly, i ends a block of equal parts and j is i + 1 when
+    lam_{i+1} <= lam_i - 2, else the start of the block after next if it holds lam_i - 2."""
     strata = _ordered_strata(n, r)
     index = {c.exponents: k for k, c in enumerate(strata)}
     hasse = []
     for lam, hi in index.items():
-        starts = [k for k in range(1, n) if lam[k - 1] > lam[k]]  # block starts
-        for b, k in enumerate(starts):  # i = k - 1 ends a block
-            for j in starts[b:]:
-                if j == k or lam[k - 1] == lam[j] + 2:
-                    mu = lam[:k - 1] + (lam[k - 1] - 1,) + lam[k:j] + (lam[j] + 1,) + lam[j + 1:]
-                    if (lo := index.get(mu)) is not None:
-                        hasse.append((lo, hi))
+        for i in range(n - 1):
+            top, j = lam[i], i + 1
+            while j < n and lam[j] == top - 1:  # a block of top - 1 follows i
+                j += 1
+            if j < n and lam[j] < top and (j == i + 1 or lam[j] == top - 2):
+                mu = list(lam)
+                mu[i], mu[j] = top - 1, lam[j] + 1
+                hasse.append((index[tuple(mu)], hi))
     return StrataPoset(n=n, r=r, strata=tuple(strata), hasse=tuple(sorted(hasse)))
 
 
@@ -277,7 +280,7 @@ class StratumReport:
 def classify(A, r):
     """Full stratum report for a matrix over W_{nr+1}."""
     n = A.n
-    nr = n * r
+    nr = n * operator.index(r)
     if A.ring.N != nr + 1:
         raise ParameterMismatchError(
             f"ring length N={A.ring.N} but height r={r} requires N={nr + 1}")

@@ -31,6 +31,8 @@ def test_deformation_parameter_validation():
         deformation_matrix(R, (1, 1), 1, 2, (1,))
     with pytest.raises(ValueError):
         deformation_matrix(R, (1, 1), 0, 1, (1,))
+    with pytest.raises(ValueError, match="coefficients must be integers"):
+        deformation_matrix(witt_ring(3, 3), (1, 1), 1, 1, (1.9,))  # not t = 1
 
 
 def test_transfer_witness_frozen_example():

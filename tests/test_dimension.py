@@ -1,6 +1,9 @@
+import dataclasses
+import pickle
+
 import pytest
 
-from wittlat.dimension import (complete_intersection_check, dim_lattice_orbit,
+from wittlat.dimension import (DimReport, complete_intersection_check, dim_lattice_orbit,
                                dim_matrix_orbit, dim_matrix_orbit_closed_form,
                                dim_report, regular_lattice_dim,
                                shape_space_dim, stabilizer_dim,
@@ -130,6 +133,27 @@ def test_dim_report():
     assert rep2.sources["dim_matrix_orbit"] == "linear-oracle"
     with pytest.raises(ValueError):
         dim_report(Cochar(2, (0, 0)), 0)  # r = 0
+
+
+def test_unchecked_records_match_checked_ones():
+    # the strata and dim_report are filled by snf._record, not by the dataclass
+    # __init__; each must be the record that the checked constructor builds
+    for n in range(2, 9):
+        for r in range(1, 24 // n + 1):
+            for g in enumerate_strata(n, r).strata:
+                rep = dim_report(g, r)
+                assert rep.sources is not dim_report(g, r).sources  # a fresh dict
+                for x in (g, rep):
+                    names = [f.name for f in dataclasses.fields(x)]
+                    assert list(vars(x)) == names
+                    checked = type(x)(*[getattr(x, name) for name in names])
+                    for y in (dataclasses.replace(x), checked):
+                        assert y == x and repr(y) == repr(x)
+                    for name in names:
+                        with pytest.raises(dataclasses.FrozenInstanceError):
+                            setattr(x, name, getattr(x, name))
+                    assert pickle.loads(pickle.dumps(x)) == x
+                assert type(rep) is DimReport and hash(g) == hash(Cochar(n, g.exponents))
 
 
 def test_tiny_census_frozen_values():

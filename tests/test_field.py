@@ -108,6 +108,11 @@ def test_elem_validation():
     for bad in ((-1, 0), (0, 3), (1,), (1, 2, 0), [3, 0]):
         with pytest.raises(ValueError):
             F.elem(bad)
+    # int() would truncate a fraction and parse a string: neither is a coefficient
+    for G, bad in ((F, (1.5, 2)), (F, (1, 2.9)), (F, ("1", 2)), (F, [b"1", 2]),
+                   (FieldDescriptor(3), (2.9,)), (FieldDescriptor(3), ("1",))):
+        with pytest.raises(ValueError, match="coefficients must be integers"):
+            G.elem(bad)
 
 
 def test_elements_enumeration():

@@ -3,6 +3,7 @@ import random
 import pytest
 from sympy.utilities.iterables import partitions
 
+from wittlat.dimension import dim_report
 from wittlat.errors import NotAUnitError, NotInCoverError, ParameterMismatchError
 from wittlat.matrix import (GroupShape, WittMat, identity, in_group, mat_to_obj,
                             p_power_diagonal)
@@ -56,6 +57,29 @@ def test_predicate_and_closure_share_the_parameter_check():
     for test in (valuation_predicate, in_orbit_closure):
         with pytest.raises(ParameterMismatchError):
             test(A, 1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda A: dim_report(Cochar(2, (2, 0)), 1.0),
+    lambda A: valuation_predicate(A, 0.5),
+    lambda A: valuation_predicate(A, 1.0),
+    lambda A: in_orbit_closure(A, 0.5),
+    lambda A: in_orbit_closure(A, 1.0),
+    lambda A: in_cover(A, 1.0),
+    lambda A: classify(A, 1.0),
+    lambda A: enumerate_strata(2, 1.0),
+    lambda A: enumerate_strata(2, 0.5),
+    lambda A: sample_cover(A.ring, 2, 1.0, 0),
+    lambda A: regular_cochar(2, 1.5),
+    lambda A: subregular_cochar(2, 1, 0.5),
+], ids=["dim_report", "predicate", "predicate-integral", "closure", "closure-integral",
+        "in_cover", "classify", "enumerate", "enumerate-below-one", "sample_cover",
+        "regular", "subregular"])
+def test_non_integer_heights_and_indices_raise_type_error(call):
+    # a float height or index is not read as a number: even 1.0 is rejected
+    A = WittMat.from_ints(witt_ring(2, 3), [[2, 1], [0, 2]])
+    with pytest.raises(TypeError):
+        call(A)
 
 
 def test_in_orbit_closure_basic():

@@ -586,6 +586,9 @@ def _codec_cases():
         (R2, "teichmuller", ([1], 0)),
         (R2, "teichmuller", None),
         (R1, "from_digits", iter([2, (0,), (0,), (1,)])),  # one-shot: read once
+        (R1, "from_digits", [(2.9,), (0,), (0,)]),    # int() would truncate or parse these
+        (R1, "from_digits", [("2",), (0,), (0,)]),
+        (R1, "teichmuller", (2.7,)),
     ]
 
 
@@ -624,6 +627,10 @@ _CODEC_OUTCOMES = [
     ("TypeError", f"{_NOT_INT} 'list'"),
     ("TypeError", "'NoneType' object is not iterable"),
     ("ValueError", "expected 3 digits"),
+    # recorded once FieldDescriptor.elem rejected non-integral coefficients
+    ("ValueError", "coefficients must be integers"),
+    ("ValueError", "coefficients must be integers"),
+    ("ValueError", "coefficients must be integers"),
 ]
 
 
