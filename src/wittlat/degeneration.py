@@ -11,7 +11,7 @@ dominance relation between exponent vectors of equal total.
 from dataclasses import dataclass
 
 from .matrix import WittMat, identity, p_power_diagonal
-from .snf import Cochar
+from .snf import Cochar, _record
 from .strata import dominance_leq
 
 
@@ -23,9 +23,9 @@ def _nonzero_parameter(ring, t):
 
 
 def _deformation(ring, exponents, j, b, xi, i):
-    raw = [list(r) for r in p_power_diagonal(ring, exponents)._raw]
-    raw[j][i] = ring._mul(ring.p_power(exponents[j] - b)._v, xi)
-    return WittMat._from_raw(ring, tuple(map(tuple, raw)))
+    raw, r = list(p_power_diagonal(ring, exponents)._raw), exponents[j] - b
+    raw[j] = raw[j][:i] + (ring._mul(ring.p_power(r)._v, xi),) + raw[j][i + 1:]  # the one new row
+    return WittMat._from_raw(ring, tuple(raw))
 
 
 def deformation_matrix(ring, exponents, j, b, t, i=0):
@@ -86,28 +86,32 @@ def _transfer(ring, r1, rj, b, t, xi, xi_inv):
     and xi(t^-1) given.  Also returns, as bare 2x2 blocks for _embed,
     g = factors[2] * factors[3] = [[1, c], [xi, 1 + c xi]] for
     c = (p^b - 1) xi(t^-1), and g^-1 = [[1 + c xi, -c], [-xi, 1]], its
-    adjugate, as det g = 1."""
+    adjugate, as det g = 1.  The check products run on the 2 x 2 kernel."""
     mul, sub, one, zero = ring._mul, ring._sub, ring._one, ring._zero
+    matmul = ring._matrix_kernels(2)[0]
     c = mul(sub(ring.p_power(b)._v, one), xi_inv)
-    f0 = WittMat._from_raw(ring, (
-        (one, sub(zero, mul(ring.p_power(r1 + b - rj)._v, c))), (zero, one)))
+    f0 = ((one, sub(zero, mul(ring.p_power(r1 + b - rj)._v, c))), (zero, one))
     f1 = p_power_diagonal(ring, (r1 + b, rj - b))
-    f2 = WittMat._from_raw(ring, ((one, zero), (xi, one)))
-    f3 = WittMat._from_raw(ring, ((one, c), (zero, one)))
+    f2, f3 = ((one, zero), (xi, one)), ((one, c), (zero, one))
     target = _deformation(ring, (r1, rj), 1, b, xi, 0)
-    g = f2 * f3
-    if f0 * f1 * g != target:
+    g = matmul(f2, f3)
+    if matmul(matmul(f0, f1._raw), g) != target._raw:
         raise RuntimeError("four-factor product identity failed")
-    g_inv = ((g._raw[1][1], sub(zero, c)), (sub(zero, xi), one))
-    return TransferWitness(r1=r1, rj=rj, b=b, t=t,
-                           factors=(f0, f1, f2, f3), target=target), g._raw, g_inv
+    g_inv = ((g[1][1], sub(zero, c)), (sub(zero, xi), one))
+    factors = (WittMat._from_raw(ring, f0), f1, WittMat._from_raw(ring, f2),
+               WittMat._from_raw(ring, f3))
+    return _record(TransferWitness, r1=r1, rj=rj, b=b, t=t, factors=factors,
+                   target=target), g, g_inv
 
 
-def _embed2(ring, block, n, i, j):
-    """The identity with a 2x2 block of bare values in rows and columns i, j."""
-    raw = [list(r) for r in identity(ring, n)._raw]
-    (raw[i][i], raw[i][j]), (raw[j][i], raw[j][j]) = block
-    return WittMat._from_raw(ring, tuple(map(tuple, raw)))
+def _embed2(eye, block, i, j):
+    """The rows `eye` of the identity with a 2x2 block of bare values in rows
+    and columns i, j; only rows i and j are copied."""
+    raw = list(eye)
+    ri, rj = list(raw[i]), list(raw[j])
+    (ri[i], ri[j]), (rj[i], rj[j]) = block
+    raw[i], raw[j] = tuple(ri), tuple(rj)
+    return tuple(raw)
 
 
 def embed_witness(w, n, j, ambient, i=0):
@@ -131,19 +135,21 @@ def embed_witness(w, n, j, ambient, i=0):
 
 def _embed(w, n, j, ambient, i, eta, g, g_inv):
     """embed_witness on checked slots, with the embedded deformation eta,
-    g = factors[2] * factors[3] and g^-1 given as bare 2x2 blocks."""
+    g = factors[2] * factors[3] and g^-1 given as bare 2x2 blocks.  The check
+    products run on the n x n kernel."""
     ring = w.target.ring
+    matmul = ring._matrix_kernels(n)[0]
     upper = list(ambient)
     upper[i], upper[j] = w.r1 + w.b, w.rj - w.b
-    x = _embed2(ring, w.factors[0]._raw, n, i, j)
+    eye = identity(ring, n)._raw
+    x = _embed2(eye, w.factors[0]._raw, i, j)
+    y_inv, y = _embed2(eye, g, i, j), _embed2(eye, g_inv, i, j)
     eta_prime = p_power_diagonal(ring, upper)
-    y_inv = _embed2(ring, g, n, i, j)
-    y = _embed2(ring, g_inv, n, i, j)
-    if x * eta_prime * y_inv != eta:
+    if matmul(matmul(x, eta_prime._raw), y_inv) != eta._raw:
         raise RuntimeError("embedded witness product check failed")
-    if y * y_inv != identity(ring, n):
+    if matmul(y, y_inv) != eye:
         raise RuntimeError("embedded witness inverse check failed")
-    return x, eta_prime, y
+    return WittMat._from_raw(ring, x), eta_prime, WittMat._from_raw(ring, y)
 
 
 @dataclass(frozen=True)
@@ -178,7 +184,8 @@ def degeneration_chain(ring, src, dst, t=None):
     Requires dominance_leq(src, dst) and equal totals; the empty list is
     returned iff src == dst.  Every step carries a verified embedded
     witness at parameter t (default 1).  xi(t) and xi(t^-1) are lifted once
-    per chain; each step's deformed matrix is the eta its embedding checks.
+    per chain; each step's deformed matrix is the eta its embedding checks,
+    and its lower Cochar is the next step's upper one.
     """
     t = ring.field.one if t is None else _nonzero_parameter(ring, t)
     if not dominance_leq(src, dst):
@@ -189,21 +196,20 @@ def degeneration_chain(ring, src, dst, t=None):
     xi_inv = ring.teichmuller(ring.field.inv(t))._v
     n = src.n
     steps = []
-    cur = list(dst.exponents)
+    upper = Cochar._make(n, tuple(dst.exponents))
     tgt = src.exponents
-    while tuple(cur) != tgt:
-        i, j = _transfer_slots(cur, tgt)
-        lower = list(cur)
+    while upper.exponents != tgt:
+        i, j = _transfer_slots(upper.exponents, tgt)
+        lower = list(upper.exponents)
         lower[i] -= 1
         lower[j] += 1
-        # cur[i] > cur[j], so the slots meet the preconditions of
+        lower = tuple(lower)
+        # upper[i] > upper[j], so the slots meet the preconditions of
         # transfer_witness and embed_witness
         w, g, g_inv = _transfer(ring, lower[i], lower[j], 1, t, xi, xi_inv)
         deformed = _deformation(ring, lower, j, 1, xi, i)
-        x, eta_prime, y = _embed(w, n, j, tuple(lower), i, deformed, g, g_inv)
-        steps.append(ChainStep(
-            upper=Cochar._make(n, tuple(cur)), lower=Cochar._make(n, tuple(lower)),
-            i=i, j=j, b=1, witness=w, x=x, eta_prime=eta_prime, y=y,
-            deformed=deformed))
-        cur = lower
+        x, eta_prime, y = _embed(w, n, j, lower, i, deformed, g, g_inv)
+        steps.append(_record(ChainStep, upper=upper, lower=Cochar._make(n, lower), i=i, j=j,
+                             b=1, witness=w, x=x, eta_prime=eta_prime, y=y, deformed=deformed))
+        upper = steps[-1].lower
     return steps

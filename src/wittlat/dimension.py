@@ -24,13 +24,14 @@ from .witt import witt_ring
 
 def regular_lattice_dim(n, r):
     """Dimension of the full lattice variety: (n-1)nr."""
+    n, r = index(n), index(r)
     return (n - 1) * n * r
 
 
 def dim_lattice_orbit(gamma, r):
     """Lattice-orbit dimension 2 * sum_{i>=2} (1-i) * c_i for the centered
     exponents c = gamma - r (which sum to zero)."""
-    n = gamma.n
+    n, r = gamma.n, index(r)
     if gamma.total != n * r:
         raise ValueError("exponents must sum to nr")
     if gamma.exponents[0] > n * r:
@@ -41,6 +42,7 @@ def dim_lattice_orbit(gamma, r):
 
 def dim_matrix_orbit_closed_form(i, n, r):
     """Closed form n^2(nr+1) - (nr+2i) for the index-i subregular orbit."""
+    i, n, r = index(i), index(n), index(r)
     nr = n * r
     if not 0 <= i <= nr // 2:
         raise ValueError(f"index i must lie in [0, {nr // 2}]")
@@ -75,8 +77,7 @@ def stabilizer_dim(gamma, shapes, N):
     p^{s_j} x = p^{s_i} y with x in p^aX * W_N, y in p^aY * W_N:
     (N - aX) + (N - aY) - N + min(s_j + aX, s_i + aY, N).
     """
-    s = gamma.exponents
-    n = gamma.n
+    s, n, N = gamma.exponents, gamma.n, index(N)
     if any(e > N for e in s):
         raise ValueError("exponents must lie in [0, N]")
     shape_x, shape_y = shapes
@@ -91,7 +92,7 @@ def stabilizer_dim(gamma, shapes, N):
 
 def dim_matrix_orbit(gamma, N, shapes=(GroupShape.FULL, GroupShape.FULL)):
     """Orbit dimension by orbit-stabilizer: dim S_X + dim S_Y - dim Stab."""
-    n = gamma.n
+    n, N = gamma.n, index(N)
     sx, sy = shapes
     return (shape_space_dim(sx, n, N) + shape_space_dim(sy, n, N)
             - stabilizer_dim(gamma, shapes, N))

@@ -53,28 +53,61 @@ def _prime_factors(n):
 
 @functools.cache
 def _mulmod_factory(m):
-    """make(red, mod) -> (mul, add, sub, linear) for degree m > 1: mul(a, b) =
-    a*b, add(a, b) = a + b, sub(a, b) = a - b, and linear(img, k) binds the map
-    a -> sum_i a_i*img[i] mod k (img[i] the image of x^i); each output
-    coefficient is reduced once."""
+    """make(red, mod) -> (mul, add, sub, submul, linear, inverse) for degree m > 1:
+    a*b, a + b, a - b, submul(x, a, b) = x - a*b, and linear(img, k) binds the
+    map a -> sum_i a_i*img[i] mod k (img[i] the image of x^i); each output
+    coefficient is reduced once.  inverse(imgs), imgs the images of sigma^k
+    for k = 1..m-1, binds a -> a^-1 = n^-1 * conj for conj = prod_k sigma^k(a),
+    checked twice: Norm(a) = a*conj is a scalar n, and a * a^-1 == 1."""
     idx = range(m)
-    a, b = ", ".join(f"a{i}" for i in idx), ", ".join(f"b{i}" for i in idx)
-    img = ", ".join("(" + ", ".join(f"s{i}_{j}" for j in idx) + ")" for i in idx)
-    lin = ", ".join("(" + " + ".join(f"a{i}*s{i}_{j}" for i in idx) + ") % k" for j in idx)
+    a, b, x, n, y = ([f"{v}{i}" for i in idx] for v in "abxny")
+    A, B, X, Y = (", ".join(v) for v in (a, b, x, y))
+
+    def images(k):  # unpacks the images of sigma^k: sigma^k(x^i) has coefficients s{k}_{i}_j
+        rows = ("(" + "".join(f"s{k}_{i}_{j}, " for j in idx) + ")" for i in idx)
+        return "(" + "".join(row + ", " for row in rows) + ")"
+
+    def image(k):  # the coefficients of sigma^k(a), unreduced
+        return [" + ".join(f"a{i}*s{k}_{i}_{j}" for i in idx) for j in idx]
+    # conj, unreduced until it is multiplied out: the product h of g_k = sigma^k(a)
+    conj = [f"            g{k}_{j} = {c}" for k in range(1, m) for j, c in enumerate(image(k))]
+    h = [f"g1_{j}" for j in idx]
+    for k in range(2, m):
+        conj += _combine(m, [(1, h, [f"g{k}_{j}" for j in idx])],
+                         ", ".join(f"h{j}" for j in idx) + " = ", " " * 12)
+        h = [f"h{j}" for j in idx]
     return _compiled(m, [
         "    def mul(a, b):",
-        f"        ({a}), ({b}) = a, b",
-        *_combine(m, [(1, a.split(", "), b.split(", "))], "return ", "        "),
+        f"        ({A}), ({B}) = a, b",
+        *_combine(m, [(1, a, b)], "return ", "        "),
         *[line for op, sign in (("add", "+"), ("sub", "-")) for line in (
-            f"    def {op}(a, b):", f"        ({a}), ({b}) = a, b",
+            f"    def {op}(a, b):", f"        ({A}), ({B}) = a, b",
             "        return (" + ", ".join(f"(a{i} {sign} b{i}) % mod" for i in idx) + ")")],
+        "    def submul(x, a, b):",
+        f"        ({X}), ({A}), ({B}) = x, a, b",
+        *_combine(m, [(1, a, b)], "return ", "        ", x),
         "    def linear(img, k):",
-        f"        [{img}] = img",
+        f"        {images(0)} = img",
         "        def apply(a):",
-        f"            ({a}) = a",
-        f"            return ({lin})",
+        f"            ({A}) = a",
+        "            return (" + ", ".join(f"({c}) % k" for c in image(0)) + ")",
         "        return apply",
-        "    return mul, add, sub, linear"], f"<mulmod m={m}>")
+        "    def inverse(imgs):",
+        "        (" + "".join(images(k) + ", " for k in range(1, m)) + ") = imgs",
+        "        def inv(a):",
+        f"            ({A}) = a",
+        *conj,
+        *_combine(m, [(1, a, h)], ", ".join(n) + " = ", " " * 12),
+        f"            if {' or '.join(n[1:])}:",
+        '                raise RuntimeError("norm of a unit is not a scalar")',
+        "            w = pow(n0, -1, mod)",
+        f"            {Y} = " + ", ".join(f"{c} * w % mod" for c in h),
+        *_combine(m, [(1, a, y)], "e = ", " " * 12),
+        f"            if e != ({', '.join(['1'] + ['0'] * (m - 1))}):",
+        '                raise RuntimeError("norm inverse failed its check")',
+        f"            return ({Y})",
+        "        return inv",
+        "    return mul, add, sub, submul, linear, inverse"], f"<mulmod m={m}>")
 
 
 def _compiled(m, body, filename):
@@ -85,9 +118,10 @@ def _compiled(m, body, filename):
     return ns["make"]
 
 
-def _combine(m, terms, target, ind):
+def _combine(m, terms, target, ind, base=None):
     """Lines that set `target` ("v = " or "return ") to sum(s * x * y for s, x, y
-    in terms): over Z for m = 1, a tuple reduced once through red for m > 1."""
+    in terms): over Z for m = 1, a tuple reduced once through red for m > 1,
+    where `base`, if given, names m values the sum is subtracted from."""
     def signed(products):
         return "".join(f" {'+' if s > 0 else '-'} {q}" for s, q in products).lstrip(" +")
     if m == 1:
@@ -95,7 +129,9 @@ def _combine(m, terms, target, ind):
     lines = [f"{ind}c{k} = " + signed([(s, f"{x[i]}*{y[k - i]}") for s, x, y in terms
                                          for i in range(m) if 0 <= k - i < m])
              for k in range(2 * m - 1)]
-    out = ", ".join(f"(c{j}" + "".join(f" + c{m + k}*r{k}_{j}" for k in range(m - 1)) + ") % mod"
+    op = " - " if base else " + "
+    out = ", ".join("(" + (f"{base[j]} - " if base else "") + f"c{j}"
+                    + "".join(f"{op}c{m + k}*r{k}_{j}" for k in range(m - 1)) + ") % mod"
                     for j in range(m))
     return lines + [f"{ind}{target}({out})"]
 
@@ -154,7 +190,8 @@ def _red_table(f, mod):
 
 
 def _kernels(f, mod):
-    """(red, mul, add, sub, linear) mod the monic f of degree m > 1 and mod `mod`."""
+    """(red, mul, add, sub, submul, linear, inverse) mod the monic f of degree m > 1
+    and mod `mod`."""
     red = _red_table(f, mod)
     return (red, *_mulmod_factory(len(f) - 1)(red, mod))
 
@@ -183,7 +220,7 @@ def is_irreducible(coeffs, p):
         return False
     if m == 1:
         return True
-    _, mul, _, sub, _ = _kernels(f, p)
+    _, mul, _, sub, *_ = _kernels(f, p)
     x, one, q = (0, 1) + (0,) * (m - 2), (1,) + (0,) * (m - 1), p ** m
     return _powmod(x, q, mul) == x and all(
         _powmod(sub(_powmod(x, p ** (m // ell), mul), x), q - 1, mul) == one

@@ -254,7 +254,8 @@ def _eliminate(ring, raw, with_transforms):
     exactly) and rewrites only the columns right of k: those left of k hold
     zero in both rows.  Pivot valuations never decrease (see _find_pivot).
     One ring._divider per pivot gives the quotients of both M and the
-    transforms; L and R updates skip entries whose multiplicand is zero.
+    transforms; L and R updates are fused ring._submul calls that skip entries
+    whose multiplicand is zero.
 
     Returns (exps, sign, M, L, R).  exps are the pivot valuations in pivot
     order, padded with N once no pivot is left; sign is that of the swaps, so
@@ -267,7 +268,7 @@ def _eliminate(ring, raw, with_transforms):
     M = [[make(ring, c) for c in r] for r in raw]
     L = R = None
     if with_transforms:
-        sub, mul, bzero, eye = ring._sub, ring._mul, ring._zero, identity(ring, n)._raw
+        submul, mul, bzero, eye = ring._submul, ring._mul, ring._zero, identity(ring, n)._raw
         L, R = [list(r) for r in eye], [list(r) for r in eye]
     exps, sign = [], 1
     for k in range(n):
@@ -301,7 +302,7 @@ def _eliminate(ring, raw, with_transforms):
             M[i][k] = zero
             M[i][k + 1:] = [x - qe * y for x, y in zip(M[i][k + 1:], Mk[k + 1:])]
             if with_transforms:
-                L[i] = [x if y == bzero else sub(x, mul(q, y)) for x, y in zip(L[i], L[k])]
+                L[i] = [x if y == bzero else submul(x, q, y) for x, y in zip(L[i], L[k])]
         if with_transforms:
             # R's column k is final once it has cleared the pivot's row: later
             # pivots neither read nor write it, so its unit is normalized here
@@ -311,7 +312,7 @@ def _eliminate(ring, raw, with_transforms):
                     continue
                 q = divide(Mk[j]._v)
                 for row in live:
-                    row[j] = sub(row[j], mul(q, row[k]))
+                    row[j] = submul(row[j], q, row[k])
             if w != ring._one:  # diag entry p^v * u -> p^v
                 for row in live:
                     row[k] = mul(row[k], w)

@@ -80,10 +80,10 @@ def snf(A):
     left = WittMat._from_raw(ring, tuple(map(tuple, L)))
     right = WittMat._from_raw(ring, tuple(map(tuple, R)))
     divisors = Cochar._make(A.n, tuple(reversed(exps)))  # ascending exps: sorted
-    target = p_power_diagonal(ring, divisors.exponents)
-    if left * A * right != target:
+    matmul, target = ring._matrix_kernels(A.n)[0], p_power_diagonal(ring, divisors.exponents)
+    if matmul(matmul(left._raw, A._raw), right._raw) != target._raw:
         raise RuntimeError("diagonalization self-check failed")
-    return SnfResult(divisors=divisors, left=left, right=right)
+    return _record(SnfResult, divisors=divisors, left=left, right=right)
 
 
 def divisor_type(A):

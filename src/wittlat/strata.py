@@ -184,8 +184,8 @@ def _random_raw(ring, n, rng):
     m = ring.m
     vals = _draw_below(rng, ring.pN, n * n * m)
     if m > 1:
-        vals = [tuple(vals[k:k + m]) for k in range(0, n * n * m, m)]
-    return tuple([tuple(vals[k:k + n]) for k in range(0, n * n, n)])
+        vals = zip(*[iter(vals)] * m)
+    return tuple(zip(*[iter(vals)] * n))
 
 
 def sample_group(ring, n, shape, seed):
@@ -231,10 +231,10 @@ def sample_orbit(ring, gamma, seed):
     n = gamma.n
     x = sample_group(ring, n, GroupShape.FULL, rng)
     y = sample_group(ring, n, GroupShape.FULL, rng)
-    # diag(p^gamma) * y scales row i of y by p^gamma_i (0 once gamma_i >= N)
-    mul, scale = ring._mul, [ring.p_power(e)._v for e in gamma.exponents]
+    # diag(p^gamma) * y scales row i of y by p^gamma_i (0 once gamma_i >= N; kept if 1)
+    mul, one, scale = ring._mul, ring._one, [ring.p_power(e)._v for e in gamma.exponents]
     return x * WittMat._from_raw(ring, tuple(
-        [tuple([mul(f, c) for c in r]) for r, f in zip(y._raw, scale)]))
+        [r if f == one else tuple([mul(f, c) for c in r]) for r, f in zip(y._raw, scale)]))
 
 
 def sample_cover(ring, n, r, seed):

@@ -7,8 +7,8 @@ the Frobenius sigma is x -> x^p, a linear map on the power basis; sigma^j
 for j = 0..m-1 is bound once per ring as a straight-line map mod p^N and
 one mod p, which applies the field Frobenius F^j.  Those maps, products,
 sums and differences are the kernels generated once per m in field.py,
-bound to Phi mod p^N at construction.  For m > 1 a unit u is inverted through
-its norm:
+bound to Phi mod p^N at construction.  For m > 1 one more of them inverts a
+unit u through its norm:
 Norm(u) = u * prod_{k=1}^{m-1} sigma^k(u) is a scalar n of Z/p^N, and
 u^-1 = n^-1 * prod_{k=1}^{m-1} sigma^k(u).
 
@@ -66,10 +66,13 @@ def _valuation(p, N, m):
 
 @functools.cache
 def _codec_factory(m, N):
-    """make(p, pN, teich, entry) -> (tdigits, digits, fsum), straight-line in the
-    N digits: tdigits(v) peels b_i = z mod p off z = v, z -> (z - xi(b_i)) // p
-    (exact), xi(b_i) from `teich` or `entry(b_i)`; digits(v) reads a_i = F^i(b_i)
-    off the same entries; fsum(rows) sums term i of N `_digit_rows` rows."""
+    """make(p, pN, teich, entry, rows, row, elem) -> (tdigits, digits, fsum, lift),
+    straight-line in the N digits: tdigits(v) peels b_i = z mod p off z = v,
+    z -> (z - xi(b_i)) // p (exact), xi(b_i) from `teich` or `entry(b_i)`;
+    digits(v) reads a_i = F^i(b_i) off the same entries; fsum sums term i of
+    the row of digit i, then checks the length; lift(a) is xi(a).  Only
+    canonical values (tuples of m ints) are looked up in the memos `rows` and
+    `teich`; the field checks any other, in `row` or through `elem`."""
     def tup(xs):
         return "(" + "".join(f"{x}, " for x in xs) + ")"
     z, t = ", ".join(f"z{j}" for j in range(m)), tup(f"t{j}" for j in range(m))
@@ -80,12 +83,18 @@ def _codec_factory(m, N):
             peel += [f"        {t}, f{i} = teich.get(b{i}) or entry(b{i})",
                      f"        {z} = " + ", ".join(f"(z{j} - t{j}) // p" for j in range(m))]
     sums = [f"({' + '.join(f'r{i}[{i}][{j}]' for i in range(N))}) % pN" for j in range(m)]
-    src = ["def make(p, pN, teich, entry):", "    def tdigits(v):", *peel,
+    canonical = " and ".join(["type(d) is tuple", f"len(d) == {m}"]
+                             + [f"type(d[{j}]) is int" for j in range(m)])
+    src = ["def make(p, pN, teich, entry, rows, row, elem):", "    def tdigits(v):", *peel,
            f"        return {tup(f'b{i}' for i in range(N))}", "    def digits(v):", *peel,
            f"        f{N - 1} = (teich.get(b{N - 1}) or entry(b{N - 1}))[1]",
-           f"        return {tup(f'f{i}[{i % m}]' for i in range(N))}", "    def fsum(rows):",
-           f"        {tup(f'r{i}' for i in range(N))} = rows",
-           f"        return {tup(sums) if m > 1 else sums[0]}", "    return tdigits, digits, fsum"]
+           f"        return {tup(f'f{i}[{i % m}]' for i in range(N))}", "    def fsum(digits):",
+           f"        out = [{canonical} and rows.get(d) or row(d) for d in digits]",
+           f"        if len(out) != {N}:", f"            raise ValueError('expected {N} digits')",
+           f"        {tup(f'r{i}' for i in range(N))} = out",
+           f"        return {tup(sums) if m > 1 else sums[0]}", "    def lift(d):",
+           f"        return ({canonical} and teich.get(d) or entry(elem(d)))[0]",
+           "    return tdigits, digits, fsum, lift"]
     ns = {}
     exec(compile("\n".join(src), f"<codec m={m} N={N}>", "exec"), ns)
     return ns["make"]
@@ -109,15 +118,16 @@ def _draw_below(rng, bound, count):
 class WittRing:
     """Descriptor and operation table for W_N(F_{p^m}).
 
-    `_mul`, `_add`, `_sub`, `_val`, `_inv`, `_divider`, `_one` and `_zero`
-    are the ring on bare values: ints mod p^N for m = 1, coefficient tuples
-    (the generated kernels) for m > 1.  A WittElem wraps one bare value, and
-    `_elem` is the one way in from a coefficient tuple.  `_matrix_kernels(n)`
+    `_mul`, `_add`, `_sub`, `_submul` (x - a*b), `_val`, `_inv`, `_divider`,
+    `_one` and `_zero` are the ring on bare values: ints mod p^N for m = 1,
+    coefficient tuples (the generated kernels, the norm inverse among them) for
+    m > 1.  A WittElem wraps one bare value, and `_elem` is the one way in from
+    a coefficient tuple.  `_matrix_kernels(n)`
     binds the n x n product and determinant on first use, `_codec()` the digit
     codecs; `_diagonals` is the memo of matrix.p_power_diagonal."""
 
-    __slots__ = ("field", "p", "m", "N", "pN", "key", "phi", "_mul", "_add", "_sub", "_val",
-                 "_inv", "_red", "_matrix", "_diagonals", "_sigma_p", "_sigma_N", "_teich",
+    __slots__ = ("field", "p", "m", "N", "pN", "key", "phi", "_mul", "_add", "_sub", "_submul",
+                 "_val", "_inv", "_red", "_matrix", "_diagonals", "_sigma_p", "_sigma_N", "_teich",
                  "_digit_rows", "_codecs", "_p_powers", "zero", "one", "_zero", "_one")
 
     def __init__(self, p, N, m=1):
@@ -131,13 +141,14 @@ class WittRing:
         self.key = (p, m, N, self.field.modulus)
         self.phi = self._lift_modulus() if m > 1 else None
         self._mul, self._add = (lambda a, b: a * b % pN), (lambda a, b: (a + b) % pN)
-        self._sub = lambda a, b: (a - b) % pN
+        self._sub, self._submul = (lambda a, b: (a - b) % pN), (lambda x, a, b: (x - a * b) % pN)
         self._val, self._inv = _valuation(p, N, m), (lambda u: pow(u, -1, pN))
         self._red, self._sigma_p, self._sigma_N, self._codecs = [], None, None, None
         if m > 1:
-            self._red, self._mul, self._add, self._sub, linear = _kernels(self.phi, pN)
-            self._inv = self._norm_inverse
+            self._red, self._mul, self._add, self._sub, self._submul, linear, inverse = \
+                _kernels(self.phi, pN)
             sigma = self._sigma_powers()
+            self._inv = inverse(sigma[1:])
             # entry j applies sigma^j, so entry -j applies sigma^-j
             self._sigma_p = tuple(linear(images, p) for images in sigma)
             self._sigma_N = tuple(linear(images, self.pN) for images in sigma)
@@ -165,7 +176,7 @@ class WittRing:
         """Phi = prod over the Frobenius orbit of (X - tau), tau the
         Teichmueller lift of the field generator in a scratch quotient."""
         p, m, N, pN = self.p, self.m, self.N, self.pN
-        _, mul0, _, sub0, _ = _kernels(self.field.modulus, pN)  # naive monic lift f0
+        _, mul0, _, sub0, *_ = _kernels(self.field.modulus, pN)  # naive monic lift f0
 
         gen = (0, 1) + (0,) * (m - 2)
         roots = [_powmod(gen, self.field.q ** (N - 1), mul0)]  # tau
@@ -214,22 +225,6 @@ class WittRing:
             self._teich[a] = entry
         return entry
 
-    def _norm_inverse(self, u):
-        """_inv for m > 1: u^-1 = Norm(u)^-1 * conj for a unit u, where
-        conj = prod_{k=1}^{m-1} sigma^k(u); checked by one product."""
-        mul, pN, sigma = self._mul, self.pN, self._sigma_N
-        conj = sigma[1](u)
-        for k in range(2, self.m):
-            conj = mul(conj, sigma[k](u))
-        norm = mul(u, conj)
-        if any(norm[1:]):
-            raise RuntimeError("norm of a unit is not a scalar")
-        n_inv = pow(norm[0], -1, pN)
-        y = tuple([c * n_inv % pN for c in conj])
-        if mul(u, y) != self._one:
-            raise RuntimeError("norm inverse failed its check")
-        return y
-
     def _matrix_kernels(self, n):
         """(matmul, det) of field._matrix_factory for size n, bound on first use."""
         kernels = self._matrix.get(n)
@@ -238,10 +233,11 @@ class WittRing:
         return kernels
 
     def _codec(self):
-        """(tdigits, digits, fsum) of _codec_factory for (m, N), bound on first use."""
+        """(tdigits, digits, fsum, lift) of _codec_factory for (m, N), bound on first use."""
         if self._codecs is None:
             self._codecs = _codec_factory(self.m, self.N)(
-                self.p, self.pN, self._teich, self._teich_entry)
+                self.p, self.pN, self._teich, self._teich_entry, self._digit_rows,
+                self._digit_row, self.field.elem)
         return self._codecs
 
     # -- element construction --------------------------------------------------
@@ -267,28 +263,24 @@ class WittRing:
 
     def teichmuller(self, a):
         """The multiplicative representative of a field element."""
-        try:
-            return self._elem(self._teich[a][0])
-        except (KeyError, TypeError):  # not seen, or not canonical: the field checks it
-            return self._elem(self._teich_entry(self.field.elem(a))[0])
+        return self._elem(self._codec()[3](a))
 
     def from_digits(self, digits):
-        """Inverse of WittElem.digits(): sum_i p^i xi(F^-i(a_i)).  The row of a
-        residue a in the memo `_digit_rows` lists the N terms p^i xi(F^-i(a)).
-        One pass over `digits` checks each digit in order, then the length."""
-        table, rows, p, pN = self._digit_rows, [], self.p, self.pN
-        for d in digits:
-            try:
-                rows.append(table[d])
-            except (KeyError, TypeError):  # not seen, or not canonical: the field checks it
-                a = self.field.elem(d)
-                frob = self._teich_entry(a)[1]
-                rows.append(table.setdefault(a, tuple(
-                    tuple([p ** i * c % pN for c in self._teich_entry(frob[-i % self.m])[0]])
-                    for i in range(self.N))))
-        if len(rows) != self.N:
-            raise ValueError(f"expected {self.N} digits")
-        return WittElem._make(self, self._codec()[2](rows))
+        """Inverse of WittElem.digits(): sum_i p^i xi(F^-i(a_i)), by the codec's
+        fsum.  One pass over `digits` checks each digit in order, then the length."""
+        return WittElem._make(self, self._codec()[2](digits))
+
+    def _digit_row(self, d):
+        """The row of the digit d in the memo `_digit_rows`, the N terms
+        p^i xi(F^-i(a)) for a = d checked by the field, filled on first use."""
+        a, p, pN = self.field.elem(d), self.p, self.pN
+        row = self._digit_rows.get(a)
+        if row is None:
+            frob = self._teich_entry(a)[1]
+            row = self._digit_rows[a] = tuple(
+                tuple([p ** i * c % pN for c in self._teich_entry(frob[-i % self.m])[0]])
+                for i in range(self.N))
+        return row
 
     def random(self, rng):
         return self._elem(tuple(_draw_below(rng, self.pN, self.m)))

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 
@@ -6,9 +7,11 @@ import pytest
 from wittlat.degeneration import (deformation_matrix, degeneration_chain,
                                   embed_witness, transfer_witness)
 from wittlat.matrix import WittMat, identity, in_group, GroupShape, p_power_diagonal
-from wittlat.snf import Cochar, divisor_type
-from wittlat.strata import dominance_leq, enumerate_strata, regular_cochar
+from wittlat.snf import Cochar, divisor_type, snf
+from wittlat.strata import dominance_leq, enumerate_strata, regular_cochar, sample_orbit
 from wittlat.witt import witt_ring
+
+from counting import counting
 
 
 def test_deformation_matrix_example():
@@ -214,3 +217,44 @@ def test_chain_random_pairs():
                 assert s.upper == cur
                 cur = s.lower
             assert cur == a
+
+
+# Ring protocol calls (tests/counting.py) of snf and degeneration_chain on a
+# seeded slice of extension items: every stratum gamma of each of the nine
+# extension rings, A an orbit sample at gamma and the chain from the regular
+# cochar at a random t, summed per ring, on a warm Teichmueller memo.  Before
+# L and R updates were fused into _submul and the m > 1 inverse became one
+# generated kernel, the same slice made no submul and (mul, sub) =
+# (26, 10), (105, 51), (46, 21), (28, 10), (105, 51), (48, 21), (29, 9),
+# (114, 51), (54, 21): one mul and one sub per submul, and two products
+# (m = 2) or three (m = 3) per inverse.
+_OP_KEYS = ("mul", "sub", "submul", "val", "inv", "divider", "divide", "matmul")
+_EXTENSION_OP_COUNTS = {
+    (2, 2, 2, 1): (14, 6, 4, 14, 4, 4, 4, 10),
+    (2, 2, 3, 1): (63, 27, 24, 45, 9, 9, 18, 24),
+    (2, 2, 2, 2): (28, 15, 6, 25, 6, 6, 6, 24),
+    (3, 2, 2, 1): (16, 6, 4, 14, 4, 4, 4, 10),
+    (3, 2, 3, 1): (63, 27, 24, 43, 9, 9, 18, 24),
+    (3, 2, 2, 2): (30, 15, 6, 23, 6, 6, 6, 24),
+    (2, 3, 2, 1): (14, 6, 3, 13, 4, 4, 3, 10),
+    (2, 3, 3, 1): (63, 27, 24, 43, 9, 9, 18, 24),
+    (2, 3, 2, 2): (30, 15, 6, 23, 6, 6, 6, 24),
+}
+
+
+def test_extension_item_op_counts_are_pinned():
+    got = {}
+    for p, m, n, r in _EXTENSION_OP_COUNTS:
+        ring, total = witt_ring(p, n * r + 1, m), collections.Counter()
+        rng = random.Random(f"{p}{m}{n}{r}")
+        for a in ring.field.elements():  # a cold Teichmueller memo would count its powers
+            ring.teichmuller(a)
+        for gamma in enumerate_strata(n, r).strata:
+            A = sample_orbit(ring, gamma, rng)
+            t = ring.field.random_nonzero(rng)
+            with counting(ring) as counts:
+                snf(A)
+                degeneration_chain(ring, gamma, regular_cochar(n, r), t)
+            total += counts
+        got[p, m, n, r] = tuple(total[k] for k in _OP_KEYS)
+    assert got == _EXTENSION_OP_COUNTS

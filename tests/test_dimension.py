@@ -1,5 +1,7 @@
 import dataclasses
+import itertools
 import pickle
+import random
 
 import pytest
 
@@ -8,9 +10,12 @@ from wittlat.dimension import (DimReport, complete_intersection_check, dim_latti
                                dim_report, regular_lattice_dim,
                                shape_space_dim, stabilizer_dim,
                                tiny_exhaustive_census)
+from wittlat.degeneration import degeneration_chain
 from wittlat.matrix import GroupShape
-from wittlat.snf import Cochar
-from wittlat.strata import enumerate_strata, regular_cochar, subregular_cochar
+from wittlat.snf import Cochar, snf
+from wittlat.strata import (enumerate_strata, regular_cochar, sample_orbit,
+                            subregular_cochar)
+from wittlat.witt import witt_ring
 
 FULL2 = (GroupShape.FULL, GroupShape.FULL)
 PP = (GroupShape.P, GroupShape.P_MINUS)
@@ -135,25 +140,41 @@ def test_dim_report():
         dim_report(Cochar(2, (0, 0)), 0)  # r = 0
 
 
+def _assert_matches_checked_record(x):
+    # x, filled by snf._record, is the record that the checked constructor builds
+    names = [f.name for f in dataclasses.fields(x)]
+    assert list(vars(x)) == names
+    checked = type(x)(*[getattr(x, name) for name in names])
+    for y in (dataclasses.replace(x), checked):
+        assert y == x and repr(y) == repr(x)
+    for name in names:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(x, name, getattr(x, name))
+    assert pickle.loads(pickle.dumps(x)) == x
+
+
 def test_unchecked_records_match_checked_ones():
-    # the strata and dim_report are filled by snf._record, not by the dataclass
-    # __init__; each must be the record that the checked constructor builds
+    # the strata, dim_report, snf and chain records are filled by snf._record,
+    # not by the dataclass __init__; each must be the record that the checked
+    # constructor builds
     for n in range(2, 9):
         for r in range(1, 24 // n + 1):
             for g in enumerate_strata(n, r).strata:
                 rep = dim_report(g, r)
                 assert rep.sources is not dim_report(g, r).sources  # a fresh dict
                 for x in (g, rep):
-                    names = [f.name for f in dataclasses.fields(x)]
-                    assert list(vars(x)) == names
-                    checked = type(x)(*[getattr(x, name) for name in names])
-                    for y in (dataclasses.replace(x), checked):
-                        assert y == x and repr(y) == repr(x)
-                    for name in names:
-                        with pytest.raises(dataclasses.FrozenInstanceError):
-                            setattr(x, name, getattr(x, name))
-                    assert pickle.loads(pickle.dumps(x)) == x
+                    _assert_matches_checked_record(x)
                 assert type(rep) is DimReport and hash(g) == hash(Cochar(n, g.exponents))
+    # so are snf's SnfResult and every ChainStep and TransferWitness of a chain
+    rng = random.Random(25)
+    for m, n in itertools.product((1, 2), range(2, 5)):
+        for r in range(1, 6 // n + 1):
+            ring, regular = witt_ring(3, n * r + 1, m), regular_cochar(n, r)
+            for g in enumerate_strata(n, r).strata:
+                _assert_matches_checked_record(snf(sample_orbit(ring, g, rng)))
+                for step in degeneration_chain(ring, g, regular):
+                    _assert_matches_checked_record(step)
+                    _assert_matches_checked_record(step.witness)
 
 
 def test_tiny_census_frozen_values():

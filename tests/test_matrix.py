@@ -15,6 +15,8 @@ from wittlat.snf import Cochar, divisor_type, snf
 from wittlat.strata import sample_group, sample_orbit
 from wittlat.witt import WittElem, witt_ring
 
+from counting import counting
+
 
 def _random_mat(ring, n, rng):
     return WittMat(ring, [[ring.random(rng) for _ in range(n)] for _ in range(n)])
@@ -732,62 +734,35 @@ def test_bounded_pivot_search_matches_full_scan(p, N, m, monkeypatch):
 # Products, differences and valuations that divisor_type spends on
 # census-like sets: 20 census samples for each p in (2, 3, 5) and n = 2..6
 # with m = 1, and 10 for p = 3, n = 2..5 with m = 2 (r = 1, so N = n + 1).
-# Each is counted once where it runs: a WittElem operation (M's row updates)
-# or a ring protocol call outside one (_mul, _sub, _val; the dividers and
-# the m > 1 norm inverse).  WittElem's * and - delegate to ring._mul and
-# ring._sub for every m, so the depth guard below keeps the protocol call
-# inside each counted WittElem operation from counting it a second time;
-# WittElem.valuation is a ring._val call and counts as one.  Counted on
-# WittElem alone, before the dividers
-# moved onto the protocol, the same sets took (8323, 6246, 4424) for m = 1
-# and (800, 500, 443) for m = 2.  The m = 2 difference is one product per
-# divider (100 here): the norm inverse's Norm(u) product, which was then an
-# uncounted kernel call inside WittElem.inverse; its check product was
-# counted then and is now.
+# Each is one ring protocol call, counted by tests/counting.py wherever it is
+# made: in a WittElem operation (M's row updates), a divider or its divide.
+# Counted on WittElem operations and protocol calls with a depth guard, the
+# same sets took (8323, 6246, 4424) for m = 1 and (900, 500, 443) for m = 2;
+# the m = 2 products then included the two of each of the 100 norm
+# inverses, Norm(u) and its check u * u^-1, which the generated inverse
+# kernel now makes inline.
 # When elimination also cleared each pivot's row of M by column operations,
 # the same sets took (products, differences) = (24984, 20827) for m = 1 and
 # (2200, 1700) for m = 2.  With whole-row updates, a pivot search over the
 # whole active block and a guarded unit division they took
 # (products, differences, valuations) = (12479, 10402, 14677) for m = 1 and
 # (1150, 850, 1340) for m = 2.
-_DIVISOR_TYPE_OP_COUNTS = {1: (8323, 6246, 4424), 2: (900, 500, 443)}
+_DIVISOR_TYPE_OP_COUNTS = {
+    1: {"mul": 8323, "sub": 6246, "val": 4424, "inv": 900, "divider": 900, "divide": 2077},
+    2: {"mul": 700, "sub": 500, "val": 443, "inv": 100, "divider": 100, "divide": 200},
+}
 
 
-def test_divisor_type_op_counts_are_pinned(monkeypatch):
+def test_divisor_type_op_counts_are_pinned():
     # machine-independent: dead work coming back shows here without timing
-    counts = {"mul": 0, "sub": 0, "valuation": 0}
-    depth = [0]  # > 0 inside a counted WittElem operation
-
-    def counting_elem(name, op):
-        def counted(a, b):
-            counts[name] += 1
-            depth[0] += 1
-            try:
-                return op(a, b)
-            finally:
-                depth[0] -= 1
-        return counted
-
-    def counting_bare(name, op):
-        def counted(*args):
-            counts[name] += not depth[0]
-            return op(*args)
-        return counted
-
     sets = {1: [(p, n, 20) for p in (2, 3, 5) for n in range(2, 7)],
             2: [(3, n, 10) for n in range(2, 6)]}
     got = {}
     for m, params in sets.items():
         mats = [_census_matrix(witt_ring(p, n + 1, m), n, 1409, k)
                 for p, n, count in params for k in range(count)]
-        counts.update(mul=0, sub=0, valuation=0)
-        with monkeypatch.context() as patch:
-            patch.setattr(WittElem, "__mul__", counting_elem("mul", WittElem.__mul__))
-            patch.setattr(WittElem, "__sub__", counting_elem("sub", WittElem.__sub__))
-            for ring in {A.ring for A in mats}:
-                for attr, name in (("_mul", "mul"), ("_sub", "sub"), ("_val", "valuation")):
-                    patch.setattr(ring, attr, counting_bare(name, getattr(ring, attr)))
+        with counting(*{A.ring for A in mats}) as counts:
             for A in mats:
                 divisor_type(A)
-        got[m] = (counts["mul"], counts["sub"], counts["valuation"])
+        got[m] = dict(counts)
     assert got == _DIVISOR_TYPE_OP_COUNTS

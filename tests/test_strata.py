@@ -3,7 +3,8 @@ import random
 import pytest
 from sympy.utilities.iterables import partitions
 
-from wittlat.dimension import dim_report
+from wittlat.dimension import (dim_lattice_orbit, dim_matrix_orbit, dim_matrix_orbit_closed_form,
+                               dim_report, regular_lattice_dim, stabilizer_dim)
 from wittlat.errors import NotAUnitError, NotInCoverError, ParameterMismatchError
 from wittlat.matrix import (GroupShape, WittMat, identity, in_group, mat_to_obj,
                             p_power_diagonal)
@@ -72,9 +73,16 @@ def test_predicate_and_closure_share_the_parameter_check():
     lambda A: sample_cover(A.ring, 2, 1.0, 0),
     lambda A: regular_cochar(2, 1.5),
     lambda A: subregular_cochar(2, 1, 0.5),
+    # the dimension counts below returned 2.0, 8.0, 3.0, 10.0 and 16.0
+    lambda A: dim_lattice_orbit(Cochar(2, (2, 0)), 1.0),
+    lambda A: dim_matrix_orbit_closed_form(1, 2, 1.0),
+    lambda A: regular_lattice_dim(2, 1.5),
+    lambda A: dim_matrix_orbit(Cochar(2, (2, 0)), 3.0),
+    lambda A: stabilizer_dim(Cochar(2, (2, 0)), (GroupShape.FULL, GroupShape.FULL), 3.5),
 ], ids=["dim_report", "predicate", "predicate-integral", "closure", "closure-integral",
         "in_cover", "classify", "enumerate", "enumerate-below-one", "sample_cover",
-        "regular", "subregular"])
+        "regular", "subregular", "dim_lattice_orbit", "closed_form", "regular_lattice_dim",
+        "dim_matrix_orbit", "stabilizer_dim"])
 def test_non_integer_heights_and_indices_raise_type_error(call):
     # a float height or index is not read as a number: even 1.0 is rejected
     A = WittMat.from_ints(witt_ring(2, 3), [[2, 1], [0, 2]])

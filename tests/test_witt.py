@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from wittlat import witt
+from wittlat import field, witt
 from wittlat.errors import CodecUnsupportedError, NotAUnitError, RingMismatchError
 from wittlat.matrix import WittMat
 from wittlat.snf import divisor_type
@@ -430,7 +430,7 @@ def test_digits_roundtrip_every_element(p, m, N):
 def test_bare_protocol_on_every_element(p, m, N):
     # A WittElem holds one bare value _v (an int for m = 1, a tuple for
     # m > 1), coeffs is a read-only view of it, and its arithmetic is the
-    # protocol's.  _val is the index of the first nonzero Witt digit,
+    # protocol's; _submul(x, a, b) is _sub(x, _mul(a, b)).  _val is the index of the first nonzero Witt digit,
     # _inv(u) * u == one for every unit u, and _divider(b) divides every a
     # with v(a) >= v(b), raises ValueError below that and ZeroDivisionError
     # for b == 0
@@ -451,6 +451,8 @@ def test_bare_protocol_on_every_element(p, m, N):
             y = witt.WittElem._make(R, c)
             assert ((x + y)._v, (x - y)._v, (x * y)._v) == (
                 R._add(b, c), R._sub(b, c), R._mul(b, c)), (b, c)
+            for u, v, w in ((b, c, c), (c, b, c), (b, b, c)):  # the fused x - a*b
+                assert R._submul(u, v, w) == R._sub(u, R._mul(v, w)), (u, v, w)
         assert (-x)._v == R._sub(R._zero, b), b
         digits = x.digits()
         val[b] = next((i for i, d in enumerate(digits) if any(d)), N)
@@ -589,6 +591,10 @@ def _codec_cases():
         (R1, "from_digits", [(2.9,), (0,), (0,)]),    # int() would truncate or parse these
         (R1, "from_digits", [("2",), (0,), (0,)]),
         (R1, "teichmuller", (2.7,)),
+        (R1, "from_digits", [(1 + 0j,), (0,), (0,)]),  # equal to a memo key, not canonical
+        (R1, "teichmuller", (1 + 0j,)),
+        (R2, "from_digits", [(1 + 0j, 0), (0, 0), (0, 0)]),
+        (R2, "teichmuller", (1 + 0j, 0)),
     ]
 
 
@@ -631,6 +637,11 @@ _CODEC_OUTCOMES = [
     ("ValueError", "coefficients must be integers"),
     ("ValueError", "coefficients must be integers"),
     ("ValueError", "coefficients must be integers"),
+    # recorded on cold tables; warm ones once returned the value of the equal key
+    ("TypeError", f"{_NOT_INT} 'complex'"),
+    ("TypeError", f"{_NOT_INT} 'complex'"),
+    ("TypeError", f"{_NOT_INT} 'complex'"),
+    ("TypeError", f"{_NOT_INT} 'complex'"),
 ]
 
 
@@ -682,6 +693,27 @@ def test_digit_codecs_are_bound_once_per_ring_and_compiled_once_per_m_and_N(monk
     R = witt.WittRing(2, 3)
     assert divisor_type(WittMat.from_ints(R, [[4, 2], [6, 1]])).exponents == (3, 0)
     assert R._codecs is None and compiled == ["<codec m=1 N=3>", "<codec m=2 N=3>"]
+
+
+def test_extension_rings_compile_one_mulmod_source_per_m(monkeypatch):
+    # set-up cost: submul and the unit inverse are kernels of the one source
+    # compiled per m, so building the nine rings of the extension workload
+    # compiles one source per m and binds the rest
+    compiled = []
+
+    def counting_compile(source, filename, *args, **kwargs):
+        compiled.append(filename)
+        return compile(source, filename, *args, **kwargs)
+
+    for module in (field, witt):
+        monkeypatch.setattr(module, "compile", counting_compile, raising=False)
+    field._mulmod_factory.cache_clear()
+    rings = [witt.WittRing(p, n * r + 1, m) for p, m in ((2, 2), (3, 2), (2, 3))
+             for n, r in ((2, 1), (3, 1), (2, 2))]
+    assert compiled == ["<mulmod m=2>", "<mulmod m=3>"]
+    for R in rings:
+        kernels = (R._mul, R._add, R._sub, R._submul, R._inv) + R._sigma_p + R._sigma_N
+        assert {f.__code__.co_filename for f in kernels} == {f"<mulmod m={R.m}>"}
 
 
 class _Sub(random.Random):
