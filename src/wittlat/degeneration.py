@@ -77,8 +77,8 @@ def transfer_witness(ring, r1, rj, b, t):
         raise ValueError("need 0 <= b <= rj")
     if r1 + b - rj < 0:
         raise ValueError("need r1 + b >= rj")
-    return _transfer(ring, r1, rj, b, t, ring.teichmuller(t)._v,
-                     ring.teichmuller(ring.field.inv(t))._v)[0]
+    xi = ring.teichmuller(t)._v
+    return _transfer(ring, r1, rj, b, t, xi, ring._inv(xi))[0]
 
 
 def _transfer(ring, r1, rj, b, t, xi, xi_inv):
@@ -183,9 +183,9 @@ def degeneration_chain(ring, src, dst, t=None):
 
     Requires dominance_leq(src, dst) and equal totals; the empty list is
     returned iff src == dst.  Every step carries a verified embedded
-    witness at parameter t (default 1).  xi(t) and xi(t^-1) are lifted once
-    per chain; each step's deformed matrix is the eta its embedding checks,
-    and its lower Cochar is the next step's upper one.
+    witness at parameter t (default 1).  xi(t) is lifted and inverted, as
+    xi(t^-1) = xi(t)^-1, once per chain; each step's deformed matrix is the
+    eta its embedding checks, and its lower Cochar is the next step's upper one.
     """
     t = ring.field.one if t is None else _nonzero_parameter(ring, t)
     if not dominance_leq(src, dst):
@@ -193,7 +193,7 @@ def degeneration_chain(ring, src, dst, t=None):
     if ring.N < dst.total + 1:
         raise ValueError("ring length must exceed the exponent total")
     xi = ring.teichmuller(t)._v
-    xi_inv = ring.teichmuller(ring.field.inv(t))._v
+    xi_inv = ring._inv(xi)
     n = src.n
     steps = []
     upper = Cochar._make(n, tuple(dst.exponents))

@@ -13,6 +13,7 @@ x^(p^m) == x mod f, F_p[x]/(f) is a product of fields F_{p^d} with d | m.
 
 import functools
 import itertools
+import linecache
 
 
 def is_prime(n):
@@ -53,7 +54,7 @@ def _prime_factors(n):
 
 @functools.cache
 def _mulmod_factory(m):
-    """make(red, mod) -> (mul, add, sub, submul, linear, inverse) for degree m > 1:
+    """make(mod, *red) -> (mul, add, sub, submul, linear, inverse) for degree m > 1:
     a*b, a + b, a - b, submul(x, a, b) = x - a*b, and linear(img, k) binds the
     map a -> sum_i a_i*img[i] mod k (img[i] the image of x^i); each output
     coefficient is reduced once.  inverse(imgs), imgs the images of sigma^k
@@ -64,8 +65,7 @@ def _mulmod_factory(m):
     A, B, X, Y = (", ".join(v) for v in (a, b, x, y))
 
     def images(k):  # unpacks the images of sigma^k: sigma^k(x^i) has coefficients s{k}_{i}_j
-        rows = ("(" + "".join(f"s{k}_{i}_{j}, " for j in idx) + ")" for i in idx)
-        return "(" + "".join(row + ", " for row in rows) + ")"
+        return _tup(_tup(f"s{k}_{i}_{j}" for j in idx) for i in idx)
 
     def image(k):  # the coefficients of sigma^k(a), unreduced
         return [" + ".join(f"a{i}*s{k}_{i}_{j}" for i in idx) for j in idx]
@@ -76,7 +76,7 @@ def _mulmod_factory(m):
         conj += _combine(m, [(1, h, [f"g{k}_{j}" for j in idx])],
                          ", ".join(f"h{j}" for j in idx) + " = ", " " * 12)
         h = [f"h{j}" for j in idx]
-    return _compiled(m, [
+    return _compiled(f"<mulmod m={m}>", _red_params(m), [
         "    def mul(a, b):",
         f"        ({A}), ({B}) = a, b",
         *_combine(m, [(1, a, b)], "return ", "        "),
@@ -93,7 +93,7 @@ def _mulmod_factory(m):
         "            return (" + ", ".join(f"({c}) % k" for c in image(0)) + ")",
         "        return apply",
         "    def inverse(imgs):",
-        "        (" + "".join(images(k) + ", " for k in range(1, m)) + ") = imgs",
+        f"        {_tup(images(k) for k in range(1, m))} = imgs",
         "        def inv(a):",
         f"            ({A}) = a",
         *conj,
@@ -107,15 +107,24 @@ def _mulmod_factory(m):
         '                raise RuntimeError("norm inverse failed its check")',
         f"            return ({Y})",
         "        return inv",
-        "    return mul, add, sub, submul, linear, inverse"], f"<mulmod m={m}>")
+        "    return mul, add, sub, submul, linear, inverse"])
 
 
-def _compiled(m, body, filename):
-    """make(red, mod), its body given, compiled; red[k][j] is read as r{k}_{j}."""
-    rows = ", ".join("(" + ", ".join(f"r{k}_{j}" for j in range(m)) + ")" for k in range(m - 1))
-    ns, head = {}, ["def make(red, mod):"] + [f"    [{rows}] = red"] * (m > 1)
-    exec(compile("\n".join(head + body), filename, "exec"), ns)
+def _compiled(filename, params, body):
+    """make(params), its body given, compiled: the one compile site.  The source
+    goes into linecache (mtime None: checkcache keeps it) for tracebacks and pdb."""
+    source = "\n".join([f"def make({params}):", *body, ""])
+    linecache.cache[filename] = len(source), None, source.splitlines(True), filename
+    exec(compile(source, filename, "exec"), ns := {})
     return ns["make"]
+
+
+def _red_params(m):  # mod, then red flat: coefficient j of red[k] is read as r{k}_{j}
+    return ", ".join(["mod"] + [f"r{k}_{j}" for k in range(m - 1) for j in range(m)])
+
+
+def _tup(items):  # tuple source with a comma after each item, so one item unpacks too
+    return "(" + "".join(f"{x}, " for x in items) + ")"
 
 
 def _combine(m, terms, target, ind, base=None):
@@ -138,7 +147,7 @@ def _combine(m, terms, target, ind, base=None):
 
 @functools.cache
 def _matrix_factory(m, n):
-    """make(red, mod) -> (matmul, det) on n x n matrices of bare values mod
+    """make(mod, *red) -> (matmul, det) on n x n matrices of bare values mod
     `mod` (ints for m = 1, residue tuples for m > 1).  matmul(A, B) unpacks B
     once and computes each row of A*B straight-line (O(n^2 m^2) products of
     source), one reduction per entry.  det(A), None for n > 4, returns the
@@ -149,20 +158,17 @@ def _matrix_factory(m, n):
         name = v + "_".join(map(str, ij))
         return [f"{name}_{t}" for t in range(m)] if m > 1 else [name]
 
-    def tup(items):
-        return "(" + "".join(f"{x}, " for x in items) + ")"
-
     def pat(v, *ij):
-        return tup(ent(v, *ij)) if m > 1 else ent(v, *ij)[0]
+        return _tup(ent(v, *ij)) if m > 1 else ent(v, *ij)[0]
 
-    mat = tup(tup(pat("b", i, j) for j in range(n)) for i in range(n))  # B, or det's A
+    mat = _tup(_tup(pat("b", i, j) for j in range(n)) for i in range(n))  # B, or det's A
     src = ["    def matmul(A, B):", f"        {mat} = B", "        out = []",
-           f"        for {tup(pat('a', k) for k in range(n))} in A:"]
+           f"        for {_tup(pat('a', k) for k in range(n))} in A:"]
     for j in range(n):
         src += _combine(m, [(1, ent("a", k), ent("b", k, j)) for k in range(n)],
                         f"e{j} = ", " " * 12)
     end = " % mod" if m == 1 else ""  # m > 1 values are reduced already
-    src += [f"            out.append({tup(f'e{j}{end}' for j in range(n))})",
+    src += [f"            out.append({_tup(f'e{j}{end}' for j in range(n))})",
             "        return tuple(out)"]
     if n <= 4:
         src += ["    def det(A):", f"        {mat} = A"]
@@ -174,18 +180,18 @@ def _matrix_factory(m, n):
                 minors[cols] = ent("d" + "".join(map(str, cols)))
                 src += _combine(m, terms, ", ".join(minors[cols]) + " = ", " " * 8)
         d = minors[tuple(range(n))]
-        src.append("        return " + (tup(d) if m > 1 else d[0] + end))
+        src.append("        return " + (_tup(d) if m > 1 else d[0] + end))
     src.append("    return matmul, " + ("det" if n <= 4 else "None"))
-    return _compiled(m, src, f"<matrix m={m} n={n}>")
+    return _compiled(f"<matrix m={m} n={n}>", _red_params(m), src)
 
 
 def _red_table(f, mod):
-    """red[k] = x^(m+k) mod the monic f of degree m > 1 and mod `mod`, k = 0..m-2."""
+    """x^(m+k) mod the monic f of degree m > 1 and mod `mod`, k = 0..m-2, concatenated."""
     m = len(f) - 1
-    red = [[-c % mod for c in f[:m]]]  # x^m mod f; then x^(m+k+1) = x * x^(m+k)
-    while len(red) < m - 1:
-        r = red[-1]
-        red.append([-r[-1] * f[0] % mod] + [(r[j - 1] - r[-1] * f[j]) % mod for j in range(1, m)])
+    red = [-c % mod for c in f[:m]]  # x^m mod f; then x^(m+k+1) = x * x^(m+k)
+    while len(red) < m * (m - 1):
+        r = red[-m:]
+        red += [-r[-1] * f[0] % mod] + [(r[j - 1] - r[-1] * f[j]) % mod for j in range(1, m)]
     return red
 
 
@@ -193,7 +199,7 @@ def _kernels(f, mod):
     """(red, mul, add, sub, submul, linear, inverse) mod the monic f of degree m > 1
     and mod `mod`."""
     red = _red_table(f, mod)
-    return (red, *_mulmod_factory(len(f) - 1)(red, mod))
+    return (red, *_mulmod_factory(len(f) - 1)(mod, *red))
 
 
 def _powmod(a, e, mul):
@@ -234,6 +240,16 @@ def default_modulus(p, m):
     return next(f for f in candidates if is_irreducible(f, p))
 
 
+# Upper bounds of the ring parameters, checked before anything is generated:
+# W_N(F_{p^m}) at the top of every range builds and binds its codecs in under 1 s.
+BOUNDS = {"p": 256, "m": 6, "N": 64}
+
+
+def _check_bound(name, value):
+    if value > BOUNDS[name]:
+        raise ValueError(f"{name} = {value} exceeds the bound {name} <= {BOUNDS[name]}")
+
+
 class FieldDescriptor:
     """The finite field F_{p^m}, presented as F_p[x]/(default_modulus(p, m)):
     the field is unique up to isomorphism, so (p, m) names it."""
@@ -241,6 +257,8 @@ class FieldDescriptor:
     __slots__ = ("p", "m", "q", "modulus", "key", "_mul")
 
     def __init__(self, p, m=1):
+        _check_bound("p", p)
+        _check_bound("m", m)
         if not is_prime(p):
             raise ValueError(f"p = {p} is not prime")
         if m < 1:

@@ -30,7 +30,8 @@ import random
 import threading
 
 from .errors import CodecUnsupportedError, NotAUnitError, RingMismatchError
-from .field import FieldDescriptor, _kernels, _matrix_factory, _powmod
+from .field import (FieldDescriptor, _check_bound, _compiled, _kernels, _matrix_factory, _powmod,
+                    _tup)
 
 _RING_CACHE = {}
 _RING_LOCK = threading.Lock()
@@ -73,31 +74,27 @@ def _codec_factory(m, N):
     the row of digit i, then checks the length; lift(a) is xi(a).  Only
     canonical values (tuples of m ints) are looked up in the memos `rows` and
     `teich`; the field checks any other, in `row` or through `elem`."""
-    def tup(xs):
-        return "(" + "".join(f"{x}, " for x in xs) + ")"
-    z, t = ", ".join(f"z{j}" for j in range(m)), tup(f"t{j}" for j in range(m))
+    z, t = ", ".join(f"z{j}" for j in range(m)), _tup(f"t{j}" for j in range(m))
     peel = [f"        {z} = v"]
     for i in range(N):
-        peel.append(f"        b{i} = {tup(f'z{j} % p' for j in range(m))}")
+        peel.append(f"        b{i} = {_tup(f'z{j} % p' for j in range(m))}")
         if i < N - 1:
             peel += [f"        {t}, f{i} = teich.get(b{i}) or entry(b{i})",
                      f"        {z} = " + ", ".join(f"(z{j} - t{j}) // p" for j in range(m))]
     sums = [f"({' + '.join(f'r{i}[{i}][{j}]' for i in range(N))}) % pN" for j in range(m)]
     canonical = " and ".join(["type(d) is tuple", f"len(d) == {m}"]
                              + [f"type(d[{j}]) is int" for j in range(m)])
-    src = ["def make(p, pN, teich, entry, rows, row, elem):", "    def tdigits(v):", *peel,
-           f"        return {tup(f'b{i}' for i in range(N))}", "    def digits(v):", *peel,
+    src = ["    def tdigits(v):", *peel,
+           f"        return {_tup(f'b{i}' for i in range(N))}", "    def digits(v):", *peel,
            f"        f{N - 1} = (teich.get(b{N - 1}) or entry(b{N - 1}))[1]",
-           f"        return {tup(f'f{i}[{i % m}]' for i in range(N))}", "    def fsum(digits):",
+           f"        return {_tup(f'f{i}[{i % m}]' for i in range(N))}", "    def fsum(digits):",
            f"        out = [{canonical} and rows.get(d) or row(d) for d in digits]",
            f"        if len(out) != {N}:", f"            raise ValueError('expected {N} digits')",
-           f"        {tup(f'r{i}' for i in range(N))} = out",
-           f"        return {tup(sums) if m > 1 else sums[0]}", "    def lift(d):",
+           f"        {_tup(f'r{i}' for i in range(N))} = out",
+           f"        return {_tup(sums) if m > 1 else sums[0]}", "    def lift(d):",
            f"        return ({canonical} and teich.get(d) or entry(elem(d)))[0]",
            "    return tdigits, digits, fsum, lift"]
-    ns = {}
-    exec(compile("\n".join(src), f"<codec m={m} N={N}>", "exec"), ns)
-    return ns["make"]
+    return _compiled(f"<codec m={m} N={N}>", "p, pN, teich, entry, rows, row, elem", src)
 
 
 def _draw_below(rng, bound, count):
@@ -133,6 +130,7 @@ class WittRing:
     def __init__(self, p, N, m=1):
         if N < 1:
             raise ValueError("length N must be >= 1")
+        _check_bound("N", N)
         self.field = FieldDescriptor(p, m)
         self.p = p
         self.m = m
@@ -187,14 +185,12 @@ class WittRing:
         poly = [(1,) + (0,) * (m - 1)]
         for rt in roots:  # coefficient k of poly * (X - rt) is c_(k-1) - rt * c_k
             poly = [sub0(hi, mul0(rt, lo)) for hi, lo in zip([zero0] + poly, poly + [zero0])]
-        phi = []
-        for co in poly:
-            if any(co[1:]):
-                raise RuntimeError("modulus lift produced non-scalar coefficient")
-            phi.append(co[0])
+        if any(any(co[1:]) for co in poly):
+            raise RuntimeError("modulus lift produced non-scalar coefficient")
+        phi = tuple(co[0] for co in poly)
         if tuple(c % p for c in phi) != self.field.modulus:
             raise RuntimeError("modulus lift does not reduce to the field modulus")
-        return tuple(phi)
+        return phi
 
     def _sigma_powers(self):
         """Entry j lists sigma^j(x^i) for i = 0..m-1, for j = 0..m-1."""
@@ -229,7 +225,7 @@ class WittRing:
         """(matmul, det) of field._matrix_factory for size n, bound on first use."""
         kernels = self._matrix.get(n)
         if kernels is None:
-            kernels = self._matrix[n] = _matrix_factory(self.m, n)(self._red, self.pN)
+            kernels = self._matrix[n] = _matrix_factory(self.m, n)(self.pN, *self._red)
         return kernels
 
     def _codec(self):

@@ -1,4 +1,5 @@
-"""Noise-free cost accounting: count the ring protocol calls a computation makes.
+"""Noise-free cost accounting: count the ring protocol calls a computation makes,
+and the generated sources it compiles.
 
 `counting(*rings)` swaps the bare-value slots of each ring (`_mul`, `_add`,
 `_sub`, `_submul`, `_val`, `_inv`) for wrappers that count each call, and
@@ -14,6 +15,7 @@ calls the original and is not counted.
 import collections
 import contextlib
 
+from wittlat import field
 from wittlat.witt import WittRing
 
 SLOTS = ("_mul", "_add", "_sub", "_submul", "_val", "_inv")
@@ -60,3 +62,15 @@ def counting(*rings):
         WittRing._divider, WittRing._matrix_kernels = divider, kernels
         for ring, name, fn in saved:
             setattr(ring, name, fn)
+
+
+def compiles(monkeypatch):
+    """The filenames of the generated sources compiled from now on, in order:
+    field._compiled is the one compile site, so one hook sees every family."""
+    compiled = []
+
+    def counting_compile(source, filename, *args):
+        compiled.append(filename)
+        return compile(source, filename, *args)
+    monkeypatch.setattr(field, "compile", counting_compile, raising=False)
+    return compiled

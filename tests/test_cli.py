@@ -2,6 +2,9 @@ import concurrent.futures
 import dataclasses
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -9,9 +12,12 @@ from wittlat import cli
 from wittlat import verify as verify_mod
 from wittlat.cli import main
 from wittlat.dimension import TinyCensus
+from wittlat.field import BOUNDS
 from wittlat.matrix import identity, mat_from_obj, mat_to_obj, p_power_diagonal
 from wittlat.snf import Cochar, divisor_type
 from wittlat.witt import witt_ring
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(capsys, *argv):
@@ -417,3 +423,38 @@ def test_classify_rejects_empty_matrix(tmp_path, capsys):
     path = tmp_path / "empty.json"
     path.write_text(json.dumps({"p": 2, "m": 1, "N": 3, "n": 0, "entries": []}))
     _assert_usage_error(capsys, ["classify", "--input", str(path), "--r", "1"])
+
+
+# main on each argv of a JSON list in one interpreter: exit code, seconds, stdout, stderr
+_TIMED_MAIN = """
+import contextlib, io, json, sys, time
+from wittlat.cli import main
+for argv in json.loads(sys.argv[1]):
+    out, err, t0 = io.StringIO(), io.StringIO(), time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    print(json.dumps([code, time.perf_counter() - t0, out.getvalue(), err.getvalue()]))
+"""
+
+
+def test_ring_parameters_out_of_range_exit_2_within_a_second(tmp_path):
+    # the header's ring is refused before an entry is read, a prime tested or
+    # a kernel generated; census refuses its ring of length N = n*r + 1
+    obj, argvs, bounds = mat_to_obj(identity(witt_ring(2, 3), 2)), [], []
+    for key, value in (("p", 257), ("p", 2**61 - 1), ("m", 7), ("m", 40), ("N", 65),
+                       ("N", 30000)):
+        path = tmp_path / f"{key}{value}.json"
+        path.write_text(json.dumps(dict(obj, **{key: value})))
+        argvs.append(["classify", "--input", str(path), "--r", "1"])
+        bounds.append(f"{key} = {value} exceeds the bound {key} <= {BOUNDS[key]}")
+    argvs += [["census", "--n", "2", "--r", "32"], ["census", "--m", "2", "--n", "13", "--r", "5"]]
+    bounds += [f"N = {N} exceeds the bound N <= {BOUNDS['N']}" for N in (65, 66)]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", _TIMED_MAIN, json.dumps(argvs)], cwd=ROOT,
+                          env=env, capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    results = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert len(results) == len(argvs)
+    for argv, bound, (code, seconds, out, err) in zip(argvs, bounds, results):
+        assert code == 2 and out == "" and seconds < 1, (argv, code, seconds)
+        assert err.startswith("error: ") and err.endswith(bound + "\n"), (argv, err)

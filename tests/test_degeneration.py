@@ -227,18 +227,20 @@ def test_chain_random_pairs():
 # generated kernel, the same slice made no submul and (mul, sub) =
 # (26, 10), (105, 51), (46, 21), (28, 10), (105, 51), (48, 21), (29, 9),
 # (114, 51), (54, 21): one mul and one sub per submul, and two products
-# (m = 2) or three (m = 3) per inverse.
+# (m = 2) or three (m = 3) per inverse.  Before each chain took xi(t^-1) as
+# _inv(xi(t)) rather than as the lift of the field inverse of t, inv was one
+# lower per chain, so per stratum: 4, 9, 6 for each (p, m) below.
 _OP_KEYS = ("mul", "sub", "submul", "val", "inv", "divider", "divide", "matmul")
 _EXTENSION_OP_COUNTS = {
-    (2, 2, 2, 1): (14, 6, 4, 14, 4, 4, 4, 10),
-    (2, 2, 3, 1): (63, 27, 24, 45, 9, 9, 18, 24),
-    (2, 2, 2, 2): (28, 15, 6, 25, 6, 6, 6, 24),
-    (3, 2, 2, 1): (16, 6, 4, 14, 4, 4, 4, 10),
-    (3, 2, 3, 1): (63, 27, 24, 43, 9, 9, 18, 24),
-    (3, 2, 2, 2): (30, 15, 6, 23, 6, 6, 6, 24),
-    (2, 3, 2, 1): (14, 6, 3, 13, 4, 4, 3, 10),
-    (2, 3, 3, 1): (63, 27, 24, 43, 9, 9, 18, 24),
-    (2, 3, 2, 2): (30, 15, 6, 23, 6, 6, 6, 24),
+    (2, 2, 2, 1): (14, 6, 4, 14, 6, 4, 4, 10),
+    (2, 2, 3, 1): (63, 27, 24, 45, 12, 9, 18, 24),
+    (2, 2, 2, 2): (28, 15, 6, 25, 9, 6, 6, 24),
+    (3, 2, 2, 1): (16, 6, 4, 14, 6, 4, 4, 10),
+    (3, 2, 3, 1): (63, 27, 24, 43, 12, 9, 18, 24),
+    (3, 2, 2, 2): (30, 15, 6, 23, 9, 6, 6, 24),
+    (2, 3, 2, 1): (14, 6, 3, 13, 6, 4, 3, 10),
+    (2, 3, 3, 1): (63, 27, 24, 43, 12, 9, 18, 24),
+    (2, 3, 2, 2): (30, 15, 6, 23, 9, 6, 6, 24),
 }
 
 

@@ -6,15 +6,18 @@ reducing as they go, so they share no code or evaluation order with the
 straight-line kernels.  `_sigma_loop` is the loop the sigma^j maps replaced.
 """
 
+import linecache
 import os
 import pickle
 import random
 import subprocess
 import sys
 import time
+import traceback
 from pathlib import Path
 
 import pytest
+from counting import compiles
 
 from wittlat import field, witt
 from wittlat.field import FieldDescriptor
@@ -152,15 +155,10 @@ def test_field_kernels_match_schoolbook(p, m):
 
 
 def test_factory_compiles_once_per_degree(monkeypatch):
-    compiled = []
-
-    def counting_compile(source, filename, *args, **kwargs):
-        compiled.append(filename)
-        return compile(source, filename, *args, **kwargs)
-
-    monkeypatch.setattr(field, "compile", counting_compile, raising=False)
+    compiled = compiles(monkeypatch)
     field._mulmod_factory.cache_clear()
     field._matrix_factory.cache_clear()
+    witt._codec_factory.cache_clear()
     rng = random.Random(9)
     for p, N in ((2, 1), (2, 4), (3, 2), (5, 3)):
         R = WittRing(p, N, 3)
@@ -169,22 +167,47 @@ def test_factory_compiles_once_per_degree(monkeypatch):
         # the sigma^j maps and sub are closures of the one compiled source
         kernels = (R._mul, R._sub) + R._sigma_p + R._sigma_N
         assert {f.__code__.co_filename for f in kernels} == {"<mulmod m=3>"}
+    # and from_digits compiles one digit codec per (m, N)
+    want = ["<mulmod m=3>"] + [f"<codec m=3 N={N}>" for N in (1, 4, 2, 3)]
     FieldDescriptor(7, 3)
-    assert compiled == ["<mulmod m=3>"]
+    assert compiled == want
     WittRing(2, 3, 2)
-    assert compiled == ["<mulmod m=3>", "<mulmod m=2>"]
+    want.append("<mulmod m=2>")
+    assert compiled == want
     # the matrix kernels: nothing at ring construction, then one compile per
     # (m, n), shared by every ring of degree m and by products, dets and minors
     rings = [WittRing(p, N, m) for m in (1, 2, 3) for p, N in ((2, 3), (3, 2))]
-    assert len(compiled) == 2
+    assert compiled == want
     for _ in range(2):
         for R in rings:
             for n in range(1, 7):
                 A = sample_group(R, n, GroupShape.FULL, rng)
                 A * A, A.det(), A.corner_minor() if n > 1 else None
-    want = sorted(f"<matrix m={m} n={n}>" for m in (1, 2, 3) for n in range(1, 7))
-    assert sorted(compiled[2:]) == want
+    matrices = sorted(f"<matrix m={m} n={n}>" for m in (1, 2, 3) for n in range(1, 7))
+    assert sorted(compiled[len(want):]) == matrices
     assert all(R._matrix_kernels(n)[1] is None for R in rings for n in (5, 6))
+
+
+def _failing_frame(kernel, *args):
+    """The innermost frame of the traceback `kernel(*args)` raises, and the
+    traceback as printed."""
+    with pytest.raises(Exception) as info:
+        kernel(*args)
+    return traceback.extract_tb(info.tb)[-1], "".join(traceback.format_tb(info.tb))
+
+
+def test_generated_frames_show_their_source_lines():
+    # each family's source is in linecache, and checkcache keeps it
+    R = witt_ring(2, 3, 2)
+    matmul, codecs = R._matrix_kernels(2)[0], R._codec()
+    linecache.checkcache()
+    for frame, text, (filename, line) in [
+            (*_failing_frame(R._inv, (2, 0)), ("<mulmod m=2>", "w = pow(n0, -1, mod)")),
+            (*_failing_frame(matmul, ((R._one,),), ((R._one,),)),  # a 1 x 1 matrix
+             ("<matrix m=2 n=2>", "(((b0_0_0, b0_0_1, ), (b0_1_0, b0_1_1, ), ), ")),
+            (*_failing_frame(codecs[0], (1, 2, 3)), ("<codec m=2 N=3>", "z0, z1 = v"))]:
+        assert frame.filename == filename and frame.line.startswith(line), frame
+        assert f'File "{filename}"' in text and frame.line in text
 
 
 def test_matrix_kernels_for_m4_n12_generate_in_under_50ms():
@@ -219,13 +242,14 @@ def test_unpickled_ring_is_the_shared_instance(m):
 def test_import_loads_no_pool_and_compiles_no_kernel():
     code = ("import sys, wittlat, wittlat.cli, wittlat.verify\n"
             "from wittlat.field import _matrix_factory, _mulmod_factory\n"
-            "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)),"
-            " _mulmod_factory.cache_info().misses, _matrix_factory.cache_info().misses)")
+            "from wittlat.witt import _codec_factory\n"
+            "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)), *(f"
+            ".cache_info().misses for f in (_mulmod_factory, _matrix_factory, _codec_factory)))")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["[]", "0", "0"]
+    assert proc.stdout.split() == ["[]", "0", "0", "0"]
 
 
 def _mult_matrix(a, phi, mod):

@@ -2,11 +2,14 @@ import itertools
 import json
 import pickle
 import random
+import time
 
 import pytest
+from counting import compiles
 
 from wittlat import field, witt
 from wittlat.errors import CodecUnsupportedError, NotAUnitError, RingMismatchError
+from wittlat.field import BOUNDS, FieldDescriptor, is_prime
 from wittlat.matrix import WittMat
 from wittlat.snf import divisor_type
 from wittlat.witt import elem_from_obj, elem_to_obj, witt_ring
@@ -655,28 +658,25 @@ def _codec_outcome(R, name, arg):
 @pytest.mark.parametrize("warm", [False, True])
 def test_codec_errors_match_on_cold_and_warm_tables(warm):
     # malformed digits raise what FieldDescriptor.elem raises, first bad digit
-    # first and the length after; valid non-canonical digits keep their value
-    cases = _codec_cases()
-    for R in {id(R): R for R, _, _ in cases}.values():
+    # first and the length after; valid non-canonical digits keep their value.
+    # Each case runs on empty memos, or on memos filled for every residue.
+    outcomes = []
+    for R, name, arg in _codec_cases():
         R._teich.clear()
         R._digit_rows.clear()
         if warm:
             for a in R.field.elements():
                 R.from_digits([a] * R.N)
                 R.teichmuller(a)
-    assert [_codec_outcome(*c) for c in cases] == _CODEC_OUTCOMES
-    if warm:  # the canonical lookups filled nothing beyond the residues
-        assert all(len(R._digit_rows) == R.field.q for R, _, _ in cases)
+        outcomes.append(_codec_outcome(R, name, arg))
+        if warm:  # the canonical lookups filled nothing beyond the residues
+            assert len(R._digit_rows) == R.field.q, (name, arg)
+    assert outcomes == _CODEC_OUTCOMES
 
 
 def test_digit_codecs_are_bound_once_per_ring_and_compiled_once_per_m_and_N(monkeypatch):
-    compiled = []
-
-    def counting_compile(source, filename, *args, **kwargs):
-        compiled.append(filename)
-        return compile(source, filename, *args, **kwargs)
-
-    monkeypatch.setattr(witt, "compile", counting_compile, raising=False)
+    compiled = compiles(monkeypatch)
+    field._mulmod_factory.cache_clear()
     witt._codec_factory.cache_clear()
     for m in (1, 2):
         R, S = (witt.WittRing(p, 3, m) for p in (2, 3))
@@ -689,24 +689,18 @@ def test_digit_codecs_are_bound_once_per_ring_and_compiled_once_per_m_and_N(monk
         S.from_digits([S.field.one] * 3)  # from_digits binds first
         assert S._codecs is not None and S._codecs is not codecs
     # one compile per (m, N), shared by every p
-    assert compiled == ["<codec m=1 N=3>", "<codec m=2 N=3>"]
+    want = ["<codec m=1 N=3>", "<mulmod m=2>", "<codec m=2 N=3>"]
+    assert compiled == want
     R = witt.WittRing(2, 3)
     assert divisor_type(WittMat.from_ints(R, [[4, 2], [6, 1]])).exponents == (3, 0)
-    assert R._codecs is None and compiled == ["<codec m=1 N=3>", "<codec m=2 N=3>"]
+    assert R._codecs is None and compiled == want
 
 
 def test_extension_rings_compile_one_mulmod_source_per_m(monkeypatch):
     # set-up cost: submul and the unit inverse are kernels of the one source
     # compiled per m, so building the nine rings of the extension workload
     # compiles one source per m and binds the rest
-    compiled = []
-
-    def counting_compile(source, filename, *args, **kwargs):
-        compiled.append(filename)
-        return compile(source, filename, *args, **kwargs)
-
-    for module in (field, witt):
-        monkeypatch.setattr(module, "compile", counting_compile, raising=False)
+    compiled = compiles(monkeypatch)
     field._mulmod_factory.cache_clear()
     rings = [witt.WittRing(p, n * r + 1, m) for p, m in ((2, 2), (3, 2), (2, 3))
              for n, r in ((2, 1), (3, 1), (2, 2))]
@@ -749,3 +743,22 @@ def test_draw_below_matches_randrange_stream(cls):
         rng = cls(0)
         witt._draw_below(rng, 8, 5)
         assert rng.calls == 5
+
+
+@pytest.mark.parametrize("p,N,m,name", [(258, 3, 1, "p"), (2, 3, 7, "m"), (2, 65, 1, "N")])
+def test_ring_parameters_above_their_bounds_are_refused(p, N, m, name):
+    # p = 258 is not prime: the bound is checked first
+    bound = f"^{name} = .* exceeds the bound {name} <= {BOUNDS[name]}$"
+    with pytest.raises(ValueError, match=bound):
+        witt.WittRing(p, N, m)
+    if name != "N":
+        with pytest.raises(ValueError, match=bound):
+            FieldDescriptor(p, m)
+
+
+def test_the_ring_at_the_top_of_every_range_builds_in_under_a_second():
+    p = max(q for q in range(BOUNDS["p"] + 1) if is_prime(q))
+    t0 = time.perf_counter()
+    R = witt.WittRing(p, BOUNDS["N"], BOUNDS["m"])
+    assert R.from_digits(R.one.digits()) == R.one  # binds the digit codecs
+    assert time.perf_counter() - t0 < 1
