@@ -14,8 +14,9 @@ from .dimension import (DimReport, TinyCensus, complete_intersection_check,
                         dim_matrix_orbit_closed_form, dim_report,
                         regular_lattice_dim, shape_space_dim, stabilizer_dim,
                         tiny_exhaustive_census)
-from .errors import (CodecUnsupportedError, NotAUnitError, NotInCoverError,
-                     ParameterMismatchError, RingMismatchError, ShapeError)
+from .errors import (BoundError, CodecUnsupportedError, NotAUnitError,
+                     NotInCoverError, ParameterMismatchError,
+                     RingMismatchError, ShapeError)
 from .field import FieldDescriptor, default_modulus, is_irreducible, is_prime
 from .matrix import (GroupShape, WittMat, diagonal, elementary_matrix,
                      identity, in_group, mat_from_obj, mat_to_obj,
@@ -30,7 +31,7 @@ from .witt import WittElem, WittRing, elem_from_obj, elem_to_obj, witt_ring
 __version__ = "0.1.0"
 
 __all__ = [
-    "ChainStep", "Cochar", "CodecUnsupportedError", "DimReport",
+    "BoundError", "ChainStep", "Cochar", "CodecUnsupportedError", "DimReport",
     "FieldDescriptor", "GroupShape", "NotAUnitError", "NotInCoverError",
     "ParameterMismatchError", "RingMismatchError", "ShapeError", "SnfResult",
     "StrataPoset", "StratumReport", "TinyCensus", "TransferWitness",

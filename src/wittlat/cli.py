@@ -9,6 +9,7 @@ seed that produced it.
 
 import argparse
 import functools
+import inspect
 import json
 import os
 import random
@@ -17,7 +18,8 @@ import sys
 from . import verify as verify_mod
 from .degeneration import degeneration_chain
 from .dimension import dim_report, divisor_histogram, tiny_exhaustive_census
-from .errors import ParameterMismatchError, RingMismatchError
+from .errors import BoundError, ParameterMismatchError, RingMismatchError
+from .field import _check_bound
 from .matrix import WittMat, mat_from_obj, mat_to_obj
 from .snf import Cochar
 from .strata import _random_raw, classify, enumerate_strata
@@ -68,7 +70,7 @@ def _load_matrix(path):
         raise UsageError(f"malformed JSON in {path}: {exc}") from exc
     try:
         return mat_from_obj(obj)
-    except (RingMismatchError, ParameterMismatchError):
+    except (RingMismatchError, ParameterMismatchError, BoundError):
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"malformed matrix object: {exc}") from exc
@@ -175,6 +177,7 @@ def cmd_dims(args):
         if n < 2 or r < 1:
             raise UsageError("need n >= 2 and r >= 1")
         nr = n * r
+        _check_bound("nr", nr)
         if not 0 <= args.i <= nr // 2:
             raise ParameterMismatchError(f"--i must lie in [0, {nr // 2}]")
         gamma = Cochar(n, (nr - args.i, args.i) + (0,) * (n - 2))
@@ -184,21 +187,15 @@ def cmd_dims(args):
 
 
 def cmd_verify(args):
-    name = args.suite
-    if name in ("witt", "snf", "strata") and args.samples < 1:
-        raise UsageError(f"--suite {name} needs --samples >= 1, got {args.samples}")
-    kwargs = {}
-    if name in ("witt",):
-        kwargs = {"p": args.p, "m": args.m, "N": args.N if args.N else args.n * args.r + 1,
-                  "samples": args.samples, "seed": args.seed}
-    elif name in ("snf", "strata"):
-        kwargs = {"p": args.p, "m": args.m, "n": args.n, "r": args.r,
-                  "samples": args.samples, "seed": args.seed}
-    elif name == "fac":
-        kwargs = {"p": args.p, "m": args.m}
-    elif name == "tiny":
-        kwargs = {"jobs": args.jobs}
-    report = verify_mod.SUITES[name](**kwargs)
+    suite = verify_mod.SUITES[args.suite]
+    params = inspect.signature(suite).parameters
+    if "samples" in params and args.samples < 1:
+        raise UsageError(f"--suite {args.suite} needs --samples >= 1, got {args.samples}")
+    # each suite takes the options its signature names, and defaults the rest
+    kwargs = {name: getattr(args, name) for name in params if hasattr(args, name)}
+    if "N" in kwargs and not args.N:  # the witt suite's ring length, N = nr + 1 by default
+        kwargs["N"] = args.n * args.r + 1
+    report = suite(**kwargs)
     _emit(report, args.pretty)
     return EXIT_OK if report["ok"] else EXIT_PROPERTY
 
@@ -212,88 +209,61 @@ def cmd_enumerate(args):
     return EXIT_OK if ok else EXIT_PROPERTY
 
 
+# Every option, once: its argparse keywords and its least value (None: no bound
+# here), which main checks before any command runs, in this order.
+_OPTIONS = {
+    "input": ({}, None),
+    "suite": ({"choices": sorted(verify_mod.SUITES)}, None),
+    "p": ({"type": int, "default": 2}, None),
+    "m": ({"type": int, "default": 1}, None),
+    "n": ({"type": int}, None),
+    "r": ({"type": int}, None),
+    "i": ({"type": int}, None),
+    "seed": ({"type": int}, None),
+    "samples": ({"type": int, "default": 200}, 0),
+    "jobs": ({"type": int, "default": 1}, 1),
+    "N": ({"type": int}, 1),
+    "from": ({"dest": "src", "help": "lower exponent vector, e.g. 1,1"}, None),
+    "to": ({"dest": "dst", "help": "upper exponent vector, e.g. 2,0"}, None),
+    "t": ({"default": "1",
+           "help": "deformation parameter: a field element's coefficient list, "
+                   "e.g. 0,1; an int k means (k, 0, ..., 0) (default 1)"}, None),
+    "type": ({"help": "explicit exponent vector, e.g. 2,0 (overrides --n/--r/--i)"}, None),
+    "dot": ({"action": "store_true"}, None),
+    "tiny": ({"action": "store_true"}, None),
+    "pretty": ({"action": "store_true"}, None),
+}
+
+# command: (handler, help, its options in order, the required ones, default overrides)
+_COMMANDS = {
+    "classify": (cmd_classify, "stratum report for a matrix JSON file",
+                 "input r pretty", "input r", {}),
+    "strata": (cmd_strata, "dominant exponent poset with Hasse covers",
+               "n r dot pretty", "n r", {}),
+    "census": (cmd_census, "divisor-type histogram of random matrices",
+               "p m seed samples jobs pretty n r", "n r", {}),
+    "degenerate": (cmd_degenerate, "verified degeneration chain between strata",
+                   "p m N pretty from to t", "from to", {}),
+    "dims": (cmd_dims, "dimension report for a stratum",
+             "n r i pretty type", "", {}),
+    "verify": (cmd_verify, "run a property suite",
+               "suite p m N seed samples jobs pretty n r", "suite", {"n": 2, "r": 1}),
+    "enumerate": (cmd_enumerate, "tiny exhaustive census over Z/8",
+                  "tiny jobs pretty", "", {}),
+}
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="wittlat",
         description="Exact matrix geometry over truncated Witt vectors.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(sp, *, p=False, m=False, n=False, r=False, seed=False,
-               samples=False, jobs=False, N=False, i=False):
-        if p:
-            sp.add_argument("--p", type=int, default=2)
-        if m:
-            sp.add_argument("--m", type=int, default=1)
-        if n:
-            sp.add_argument("--n", type=int)
-        if r:
-            sp.add_argument("--r", type=int)
-        if N:
-            sp.add_argument("--N", type=int, default=None)
-        if i:
-            sp.add_argument("--i", type=int, default=None)
-        if seed:
-            sp.add_argument("--seed", type=int, default=None)
-        if samples:
-            sp.add_argument("--samples", type=int, default=200)
-        if jobs:
-            sp.add_argument("--jobs", type=int, default=1)
-        sp.add_argument("--pretty", action="store_true")
-
-    sp = sub.add_parser("classify", help="stratum report for a matrix JSON file")
-    sp.add_argument("--input", required=True)
-    sp.add_argument("--r", type=int, required=True)
-    sp.add_argument("--pretty", action="store_true")
-    sp.set_defaults(func=cmd_classify)
-
-    sp = sub.add_parser("strata", help="dominant exponent poset with Hasse covers")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--r", type=int, required=True)
-    sp.add_argument("--dot", action="store_true")
-    sp.add_argument("--pretty", action="store_true")
-    sp.set_defaults(func=cmd_strata)
-
-    sp = sub.add_parser("census", help="divisor-type histogram of random matrices")
-    common(sp, p=True, m=True, seed=True, samples=True, jobs=True)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--r", type=int, required=True)
-    sp.set_defaults(func=cmd_census)
-
-    sp = sub.add_parser("degenerate", help="verified degeneration chain between strata")
-    common(sp, p=True, m=True, N=True)
-    sp.add_argument("--from", dest="src", required=True,
-                    help="lower exponent vector, e.g. 1,1")
-    sp.add_argument("--to", dest="dst", required=True,
-                    help="upper exponent vector, e.g. 2,0")
-    sp.add_argument("--t", default="1",
-                    help="deformation parameter: a field element's coefficient list, "
-                         "e.g. 0,1; an int k means (k, 0, ..., 0) (default 1)")
-    sp.set_defaults(func=cmd_degenerate)
-
-    sp = sub.add_parser("dims", help="dimension report for a stratum")
-    common(sp, n=True, r=True, i=True)
-    sp.add_argument("--type", default=None,
-                    help="explicit exponent vector, e.g. 2,0 (overrides --n/--r/--i)")
-    sp.set_defaults(func=cmd_dims)
-
-    sp = sub.add_parser("verify", help="run a property suite")
-    sp.add_argument("--suite", required=True, choices=sorted(verify_mod.SUITES))
-    common(sp, p=True, m=True, seed=True, samples=True, jobs=True, N=True)
-    sp.add_argument("--n", type=int, default=2)
-    sp.add_argument("--r", type=int, default=1)
-    sp.set_defaults(func=cmd_verify)
-
-    sp = sub.add_parser("enumerate", help="tiny exhaustive census over Z/8")
-    sp.add_argument("--tiny", action="store_true")
-    sp.add_argument("--jobs", type=int, default=1)
-    sp.add_argument("--pretty", action="store_true")
-    sp.set_defaults(func=cmd_enumerate)
-
+    for command, (func, help_text, names, required, defaults) in _COMMANDS.items():
+        sp = sub.add_parser(command, help=help_text)
+        for name in names.split():
+            sp.add_argument(f"--{name}", **_OPTIONS[name][0], required=name in required.split())
+        sp.set_defaults(func=func, **defaults)
     return parser
-
-
-# lower bounds of the integer options, checked before any command runs
-_OPTION_MINIMA = {"samples": 0, "jobs": 1, "N": 1}
 
 
 def main(argv=None):
@@ -304,22 +274,18 @@ def main(argv=None):
             argv[k - 1:k + 1] = [prev + "=" + arg]
     parser = build_parser()
     args = parser.parse_args(argv)
-    for name, lo in _OPTION_MINIMA.items():
+    for name, (_, lo) in _OPTIONS.items():
         value = getattr(args, name, None)
-        if value is not None and value < lo:
+        if lo is not None and value is not None and value < lo:
             print(f"error: --{name} must be >= {lo}, got {value}", file=sys.stderr)
             return EXIT_USAGE
     jobs, cpus = getattr(args, "jobs", None), os.cpu_count() or 1
     if jobs is not None and jobs > cpus:
         print(f"error: --jobs must be <= {cpus} (the CPU count), got {jobs}", file=sys.stderr)
         return EXIT_USAGE
-    if getattr(args, "seed", None) is None and hasattr(args, "seed"):
-        try:
-            args.seed = _default_seed()
-        except UsageError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
     try:
+        if "seed" in vars(args) and args.seed is None:
+            args.seed = _default_seed()
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

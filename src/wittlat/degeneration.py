@@ -59,10 +59,6 @@ class TransferWitness:
     factors: tuple
     target: WittMat
 
-    @property
-    def upper_exponents(self):
-        return (self.r1 + self.b, self.rj - self.b)
-
 
 def transfer_witness(ring, r1, rj, b, t):
     """Construct and verify the four-factor identity for given parameters.

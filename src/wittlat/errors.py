@@ -1,6 +1,10 @@
 """Exception types shared across the package."""
 
 
+class BoundError(ValueError):
+    """A parameter exceeds its bound in field.BOUNDS."""
+
+
 class RingMismatchError(ValueError):
     """Operands belong to different Witt rings."""
 

@@ -15,6 +15,8 @@ import functools
 import itertools
 import linecache
 
+from .errors import BoundError
+
 
 def is_prime(n):
     if n < 2:
@@ -242,12 +244,13 @@ def default_modulus(p, m):
 
 # Upper bounds of the ring parameters, checked before anything is generated:
 # W_N(F_{p^m}) at the top of every range builds and binds its codecs in under 1 s.
-BOUNDS = {"p": 256, "m": 6, "N": 64}
+# nr = n*r bounds the strata (strata.py), whose poset at nr = 36 builds in 0.5 s.
+BOUNDS = {"p": 256, "m": 6, "N": 64, "nr": 36}
 
 
 def _check_bound(name, value):
     if value > BOUNDS[name]:
-        raise ValueError(f"{name} = {value} exceeds the bound {name} <= {BOUNDS[name]}")
+        raise BoundError(f"{name} = {value} exceeds the bound {name} <= {BOUNDS[name]}")
 
 
 class FieldDescriptor:

@@ -1,7 +1,8 @@
 """Square matrices over a truncated Witt ring.
 
 A matrix stores bare values (ints for m = 1, coefficient tuples for m > 1);
-WittElems are built only where a public reader returns them.  Products and the
+WittElems are built where a public reader returns them, and as the working
+matrix M of _eliminate, which is not on bare values yet.  Products and the
 n <= 4 determinants are the ring's kernels generated per (m, n) in field.py.
 Provides the one full-pivot elimination behind both the elementary-divisor
 type (snf.py) and the m > 1, n > 4 determinant (for m = 1, fraction-free

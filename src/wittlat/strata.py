@@ -13,6 +13,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import NotInCoverError, ParameterMismatchError, ShapeError
+from .field import _check_bound
 from .matrix import GroupShape, WittMat, _det, _minor, in_group
 from .snf import Cochar, divisor_type
 from .witt import _draw_below
@@ -146,6 +147,7 @@ def _ordered_strata(n, r):
     nr = n * operator.index(r)
     if n < 2 or r < 1:
         raise ValueError("need n >= 2 and r >= 1")
+    _check_bound("nr", nr)
     return [Cochar._make(n, exps) for exps in _partitions(nr, n, nr)]
 
 

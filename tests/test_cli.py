@@ -1,16 +1,22 @@
+import argparse
 import concurrent.futures
+import contextlib
 import dataclasses
+import inspect
+import io
 import json
 import os
+import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from wittlat import cli
 from wittlat import verify as verify_mod
-from wittlat.cli import main
+from wittlat.cli import build_parser, main
 from wittlat.dimension import TinyCensus
 from wittlat.field import BOUNDS
 from wittlat.matrix import identity, mat_from_obj, mat_to_obj, p_power_diagonal
@@ -428,7 +434,7 @@ def test_classify_rejects_empty_matrix(tmp_path, capsys):
 # main on each argv of a JSON list in one interpreter: exit code, seconds, stdout, stderr
 _TIMED_MAIN = """
 import contextlib, io, json, sys, time
-from wittlat.cli import main
+from wittlat.cli import build_parser, main
 for argv in json.loads(sys.argv[1]):
     out, err, t0 = io.StringIO(), io.StringIO(), time.perf_counter()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -449,6 +455,11 @@ def test_ring_parameters_out_of_range_exit_2_within_a_second(tmp_path):
         bounds.append(f"{key} = {value} exceeds the bound {key} <= {BOUNDS[key]}")
     argvs += [["census", "--n", "2", "--r", "32"], ["census", "--m", "2", "--n", "13", "--r", "5"]]
     bounds += [f"N = {N} exceeds the bound N <= {BOUNDS['N']}" for N in (65, 66)]
+    # strata and verify refuse nr = n*r past the poset bound before they build a stratum
+    argvs += [["strata", "--n", "37", "--r", "1"], ["strata", "--n", "6", "--r", "7"],
+              ["verify", "--suite", "strata", "--n", "37", "--r", "1", "--samples", "1"],
+              ["dims", "--n", "37", "--r", "1", "--i", "0"]]
+    bounds += [f"nr = {nr} exceeds the bound nr <= {BOUNDS['nr']}" for nr in (37, 42, 37, 37)]
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, "-c", _TIMED_MAIN, json.dumps(argvs)], cwd=ROOT,
                           env=env, capture_output=True, text=True, timeout=30)
@@ -457,4 +468,167 @@ def test_ring_parameters_out_of_range_exit_2_within_a_second(tmp_path):
     assert len(results) == len(argvs)
     for argv, bound, (code, seconds, out, err) in zip(argvs, bounds, results):
         assert code == 2 and out == "" and seconds < 1, (argv, code, seconds)
-        assert err.startswith("error: ") and err.endswith(bound + "\n"), (argv, err)
+        assert err == f"error: {bound}\n", (argv, err)  # a bound, not a malformed object
+
+
+def _subcommands(parser):
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
+# (option string, dest, default, required) of every subcommand, in order, as
+# the CLI declared them one add_argument call at a time
+_PARSER_OPTIONS = {
+    "classify": [("--input", "input", None, True), ("--r", "r", None, True),
+                 ("--pretty", "pretty", False, False)],
+    "strata": [("--n", "n", None, True), ("--r", "r", None, True), ("--dot", "dot", False, False),
+               ("--pretty", "pretty", False, False)],
+    "census": [("--p", "p", 2, False), ("--m", "m", 1, False), ("--seed", "seed", None, False),
+               ("--samples", "samples", 200, False), ("--jobs", "jobs", 1, False),
+               ("--pretty", "pretty", False, False), ("--n", "n", None, True),
+               ("--r", "r", None, True)],
+    "degenerate": [("--p", "p", 2, False), ("--m", "m", 1, False), ("--N", "N", None, False),
+                   ("--pretty", "pretty", False, False), ("--from", "src", None, True),
+                   ("--to", "dst", None, True), ("--t", "t", "1", False)],
+    "dims": [("--n", "n", None, False), ("--r", "r", None, False), ("--i", "i", None, False),
+             ("--pretty", "pretty", False, False), ("--type", "type", None, False)],
+    "verify": [("--suite", "suite", None, True), ("--p", "p", 2, False), ("--m", "m", 1, False),
+               ("--N", "N", None, False), ("--seed", "seed", None, False),
+               ("--samples", "samples", 200, False), ("--jobs", "jobs", 1, False),
+               ("--pretty", "pretty", False, False), ("--n", "n", 2, False),
+               ("--r", "r", 1, False)],
+    "enumerate": [("--tiny", "tiny", False, False), ("--jobs", "jobs", 1, False),
+                  ("--pretty", "pretty", False, False)],
+}
+
+
+def test_parser_options_are_pinned():
+    got = {name: [(*a.option_strings, a.dest, a.default, a.required) for a in sp._actions
+                  if not isinstance(a, argparse._HelpAction)]
+           for name, sp in _subcommands(build_parser()).items()}
+    assert got == _PARSER_OPTIONS
+
+
+def test_every_suite_parameter_is_a_verify_option_or_has_a_default():
+    # cmd_verify passes a suite the options its signature names; any other
+    # parameter keeps its default
+    options = {a.dest for a in _subcommands(build_parser())["verify"]._actions}
+    for name, suite in verify_mod.SUITES.items():
+        for param in inspect.signature(suite).parameters.values():
+            assert param.name in options or param.default is not param.empty, (name, param)
+
+
+def test_dims_checks_n_and_r_before_it_allocates(capsys):
+    # the exponent vector of length n is never built past the poset bound
+    argv = ["dims", "--n", str(10 ** 6), "--r", "1", "--i", "0"]
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert code == 2 and err == f"error: nr = {10 ** 6} exceeds the bound nr <= {BOUNDS['nr']}\n"
+    assert peak < 10 ** 6, peak
+
+
+def _call(argv):
+    """main(argv) in process: (exit code, stderr); argparse's exit counts as a code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
+
+
+_JUNK = ("x", None, True, 1.5, float("nan"), [], {}, [[1]], -1, 10 ** 30)
+_HEADERS_OUT_OF_RANGE = {"p": (0, -3, 4, 257, 2 ** 61 - 1), "m": (0, -1, 7, 10 ** 6),
+                         "N": (0, -1, 65, 10 ** 6), "n": (0, -1, 3, 10 ** 6)}
+
+
+def _mutate(obj, rng):
+    """One random edit somewhere in a matrix object, or an out-of-range header."""
+    paths, stack = [], [((), obj)]
+    while stack:
+        path, node = stack.pop()
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, child in items:
+            paths.append(path + (key,))
+            if isinstance(child, (dict, list)):
+                stack.append((path + (key,), child))
+    path = rng.choice(paths)
+    parent = obj
+    for key in path[:-1]:
+        parent = parent[key]
+    key, kind = path[-1], rng.randrange(7)
+    value = parent[key]
+    if kind == 0:    # another small int: still valid, a ring mismatch or out of range
+        parent[key] = rng.randrange(4)
+    elif kind == 1:  # a value of the wrong type
+        parent[key] = rng.choice(_JUNK)
+    elif kind == 2:  # a deleted key, or a list one element short
+        del parent[key]
+    elif kind == 3:  # a float, or NaN where no number was
+        parent[key] = float(value) if isinstance(value, int) else float("nan")
+    elif kind == 4:  # a nested list
+        parent[key] = [value]
+    elif kind == 5:  # a list one element long, or a repeated value
+        parent[key] = value + value[:1] if isinstance(value, list) else [value, value]
+    else:
+        header = rng.choice(sorted(_HEADERS_OUT_OF_RANGE))
+        obj[header] = rng.choice(_HEADERS_OUT_OF_RANGE[header])
+
+
+def _integer_option_cases(matrix_path):
+    """Each integer option of each command, negative, zero, huge and past its
+    bound, on an otherwise valid and small invocation.  --samples has no upper
+    bound, so it is not made huge where a suite or census would draw them all."""
+    cpus, nr = os.cpu_count() or 1, BOUNDS["nr"]
+    # past the bounds of p, m, N, jobs and i, and of nr and N = nr + 1 through n or r
+    past = {"p": (BOUNDS["p"] + 1,), "m": (BOUNDS["m"] + 1,), "N": (BOUNDS["N"] + 1,),
+            "n": (nr + 1, BOUNDS["N"]), "r": (nr + 1, BOUNDS["N"]), "jobs": (cpus + 1,),
+            "i": (2,)}
+    small = ["--samples", "2"]
+    bases = [
+        (["classify", "--input", matrix_path, "--r", "1"], ["r"]),
+        (["strata", "--n", "2", "--r", "1"], ["n", "r"]),
+        (["census", "--n", "2", "--r", "1"] + small, ["p", "m", "n", "r", "seed", "jobs"]),
+        (["degenerate", "--from", "1,1", "--to", "2,0"], ["p", "m", "N"]),
+        (["dims", "--n", "2", "--r", "1", "--i", "0"], ["n", "r", "i"]),
+        (["enumerate", "--tiny"], ["jobs"]),
+        (["verify", "--suite", "fac"], ["p", "m", "samples"]),
+        (["verify", "--suite", "tiny"], ["jobs"]),
+    ] + [(["verify", "--suite", suite] + small, ["p", "m", "N", "n", "r", "seed"])
+         for suite in ("witt", "snf", "strata")]
+    for argv, names in bases:
+        for name in names:
+            for value in (-1, -10 ** 18, 0, 10 ** 18) + past.get(name, ()):
+                yield argv + [f"--{name}", str(value)]
+    for argv in (["census", "--n", "2", "--r", "1"], ["verify", "--suite", "witt"]):
+        yield from (argv + ["--samples", str(value)] for value in (-1, -10 ** 18, 0))
+
+
+def test_seeded_mutation_fuzz_ends_in_a_documented_exit_code(tmp_path):
+    # every case exits 0, 2 or 3, and no exception escapes main; the seed and
+    # the mutations are fixed, so a failure replays
+    rng = random.Random(16)
+    bases = [mat_to_obj(p_power_diagonal(witt_ring(2, 3), (2, 0))),
+             mat_to_obj(p_power_diagonal(witt_ring(3, 3, 2), (1, 1))),
+             mat_to_obj(p_power_diagonal(witt_ring(3, 4), (2, 1, 0)))]
+    path, valid, codes = tmp_path / "case.json", tmp_path / "valid.json", set()
+    valid.write_text(json.dumps(bases[0]))
+    for k in range(300):
+        obj = json.loads(json.dumps(bases[k % len(bases)]))
+        for _ in range(rng.randrange(1, 4)):
+            _mutate(obj, rng)
+        path.write_text(json.dumps(obj))
+        code, err = _call(["classify", "--input", str(path), "--r", "1"])
+        assert code in (0, 2, 3) and "Traceback" not in err, (obj, code, err)
+        codes.add(code)
+    assert codes == {0, 2, 3}
+    for argv in _integer_option_cases(str(valid)):  # a verify suite may also report a failure
+        code, err = _call(argv)
+        assert code in (0, 2, 3) or code == 1 and argv[0] == "verify", (argv, code, err)
+        assert "Traceback" not in err, (argv, err)

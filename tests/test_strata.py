@@ -5,7 +5,8 @@ from sympy.utilities.iterables import partitions
 
 from wittlat.dimension import (dim_lattice_orbit, dim_matrix_orbit, dim_matrix_orbit_closed_form,
                                dim_report, regular_lattice_dim, stabilizer_dim)
-from wittlat.errors import NotAUnitError, NotInCoverError, ParameterMismatchError
+from wittlat.errors import BoundError, NotAUnitError, NotInCoverError, ParameterMismatchError
+from wittlat.field import BOUNDS
 from wittlat.matrix import (GroupShape, WittMat, identity, in_group, mat_to_obj,
                             p_power_diagonal)
 from wittlat.snf import Cochar, divisor_type, minor_valuations
@@ -14,6 +15,8 @@ from wittlat.strata import (_partitions, classify, dominance_leq, enumerate_stra
                             sample_cover, sample_group, sample_orbit,
                             subregular_cochar, valuation_predicate)
 from wittlat.witt import WittElem, witt_ring
+
+from counting import counting
 
 
 def test_cochar_families():
@@ -432,3 +435,53 @@ def test_internal_readers_build_no_witt_elem(p, m, monkeypatch):
     monkeypatch.undo()
     for (A, G), H in zip(cases, inverses):
         assert G * H == identity(G.ring, G.n)
+
+
+# One seeded strata_cover item per (p, n, r) cell of the bench grid, whole:
+# sample_cover, classify, in_cover, both predicates for every i, two FULL
+# group draws and divisor_type(g * A * h).  Each is one ring protocol call
+# counted by tests/counting.py; "det" includes every rejected draw of the
+# FULL sampler.  Together with test_divisor_type_op_counts_are_pinned (census
+# inputs), a move here names the layer whose work changed.
+_STRATA_COVER_OP_COUNTS = {
+    (2, 2, 1): {"det": 17, "divide": 1, "divider": 2, "inv": 2, "matmul": 3, "mul": 4,
+                "sub": 1, "val": 28},
+    (2, 2, 2): {"det": 21, "divide": 2, "divider": 2, "inv": 2, "matmul": 3, "mul": 6,
+                "sub": 2, "val": 33},
+    (2, 3, 1): {"det": 10, "divide": 3, "divider": 4, "inv": 4, "matmul": 3, "mul": 12,
+                "sub": 6, "val": 29},
+    (3, 3, 1): {"det": 9, "divide": 6, "divider": 4, "inv": 4, "matmul": 3, "mul": 25,
+                "sub": 10, "val": 46},
+    (5, 3, 1): {"det": 10, "divide": 6, "divider": 4, "inv": 4, "matmul": 3, "mul": 25,
+                "sub": 10, "val": 47},
+    (2, 3, 2): {"det": 20, "divide": 6, "divider": 4, "inv": 4, "matmul": 3, "mul": 22,
+                "sub": 10, "val": 53},
+    (2, 4, 1): {"det": 18, "divide": 11, "divider": 6, "inv": 6, "matmul": 3, "mul": 53,
+                "sub": 26, "val": 83},
+}
+
+
+def test_strata_cover_item_op_counts_are_pinned():
+    got = {}
+    for p, n, r in _STRATA_COVER_OP_COUNTS:
+        ring, rng = witt_ring(p, n * r + 1), random.Random(100 * p + 10 * n + r)
+        with counting(ring) as counts:
+            A = sample_cover(ring, n, r, rng)
+            classify(A, r), in_cover(A, r)
+            for i in range(n * r // 2 + 1):
+                valuation_predicate(A, i), in_orbit_closure(A, i)
+            g = sample_group(ring, n, GroupShape.FULL, rng)
+            h = sample_group(ring, n, GroupShape.FULL, rng)
+            divisor_type(g * A * h)
+        got[p, n, r] = dict(counts)
+    assert got == _STRATA_COVER_OP_COUNTS
+
+
+def test_poset_size_is_bounded_before_any_stratum_is_built():
+    # nr = 37 would be 21637 strata; each entry point refuses it at once
+    assert len(enumerate_strata(2, BOUNDS["nr"] // 2).strata) == BOUNDS["nr"] // 2 + 1
+    message = f"nr = 37 exceeds the bound nr <= {BOUNDS['nr']}"
+    with pytest.raises(BoundError, match=message):
+        enumerate_strata(37, 1)
+    with pytest.raises(BoundError, match=message):
+        sample_cover(witt_ring(2, 38), 37, 1, 0)
