@@ -1,8 +1,8 @@
 """Command-line interface: JSON in, JSON out.
 
 Commands: classify, strata, census, degenerate, dims, verify, enumerate.
-Exit codes: 0 ok, 1 property failure, 2 usage or parse error, 3 ring
-parameter mismatch.  The WITTLAT_SEED environment variable overrides the
+Exit codes: 0 ok, 1 property failure, 2 usage, parse or parameter error,
+3 ring length or ring mismatch.  The WITTLAT_SEED environment variable overrides the
 default seed of randomized commands; every randomized output embeds the
 seed that produced it.
 """
@@ -22,7 +22,7 @@ from .errors import BoundError, ParameterMismatchError, RingMismatchError
 from .field import _check_bound
 from .matrix import WittMat, mat_from_obj, mat_to_obj
 from .snf import Cochar
-from .strata import _random_raw, classify, enumerate_strata
+from .strata import _height, _random_raw, classify, enumerate_strata, subregular_cochar
 from .verify import DEFAULT_SEED, _child_seed
 from .witt import witt_ring
 
@@ -77,10 +77,7 @@ def _load_matrix(path):
 
 
 def cmd_classify(args):
-    A = _load_matrix(args.input)
-    if A.n < 2 or args.r < 1:
-        raise UsageError("need n >= 2 and r >= 1")
-    report = classify(A, args.r)
+    report = classify(_load_matrix(args.input), args.r)
     _emit(report.to_obj(), args.pretty)
     return EXIT_OK
 
@@ -107,14 +104,13 @@ def _census_matrix(ring, n, seed, k):
 
 
 def cmd_census(args):
-    if args.n < 2 or args.r < 1:
-        raise UsageError("need n >= 2 and r >= 1")
-    ring = witt_ring(args.p, args.n * args.r + 1, args.m)
+    N = _height(args.n, args.r) + 1
+    ring = witt_ring(args.p, N, args.m)
     counts = divisor_histogram(functools.partial(_census_matrix, ring, args.n, args.seed),
                                0, args.samples, args.jobs)
     out = {
         "p": args.p, "m": args.m, "n": args.n, "r": args.r,
-        "N": args.n * args.r + 1,
+        "N": N,
         "samples": args.samples, "seed": args.seed,
         "histogram": [{"exponents": list(k), "count": v}
                       for k, v in sorted(counts.items())],
@@ -170,17 +166,11 @@ def cmd_dims(args):
             gamma = Cochar(n, exps)
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
+        _check_bound("nr", total)  # the bound subregular_cochar reads for --n --r
+    elif args.n is None or args.r is None or args.i is None:
+        raise UsageError("dims requires either --type or all of --n --r --i")
     else:
-        if args.n is None or args.r is None or args.i is None:
-            raise UsageError("dims requires either --type or all of --n --r --i")
-        n, r = args.n, args.r
-        if n < 2 or r < 1:
-            raise UsageError("need n >= 2 and r >= 1")
-        nr = n * r
-        _check_bound("nr", nr)
-        if not 0 <= args.i <= nr // 2:
-            raise ParameterMismatchError(f"--i must lie in [0, {nr // 2}]")
-        gamma = Cochar(n, (nr - args.i, args.i) + (0,) * (n - 2))
+        r, gamma = args.r, subregular_cochar(args.n, args.r, args.i)
     report = dim_report(gamma, r)
     _emit(report.to_obj(), args.pretty)
     return EXIT_OK
@@ -194,7 +184,7 @@ def cmd_verify(args):
     # each suite takes the options its signature names, and defaults the rest
     kwargs = {name: getattr(args, name) for name in params if hasattr(args, name)}
     if "N" in kwargs and not args.N:  # the witt suite's ring length, N = nr + 1 by default
-        kwargs["N"] = args.n * args.r + 1
+        kwargs["N"] = _height(args.n, args.r) + 1
     report = suite(**kwargs)
     _emit(report, args.pretty)
     return EXIT_OK if report["ok"] else EXIT_PROPERTY

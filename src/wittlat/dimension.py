@@ -18,7 +18,7 @@ from operator import index, mul
 
 from .matrix import GroupShape, WittMat, in_group, p_power_diagonal
 from .snf import Cochar, _record, divisor_type
-from .strata import in_cover, subregular_cochar
+from .strata import _height, _index, in_cover, subregular_cochar
 from .witt import witt_ring
 
 
@@ -42,11 +42,8 @@ def dim_lattice_orbit(gamma, r):
 
 def dim_matrix_orbit_closed_form(i, n, r):
     """Closed form n^2(nr+1) - (nr+2i) for the index-i subregular orbit."""
-    i, n, r = index(i), index(n), index(r)
-    nr = n * r
-    if not 0 <= i <= nr // 2:
-        raise ValueError(f"index i must lie in [0, {nr // 2}]")
-    return n * n * (nr + 1) - (nr + 2 * i)
+    nr = _height(n, r)
+    return n * n * (nr + 1) - (nr + 2 * _index(nr, i))
 
 
 def _constraint_exponent(shape, i, j, N):
@@ -142,10 +139,8 @@ def dim_report(gamma, r):
     FULL), grouped by max(i, j): n^2 N + sum_k (2k+1) s_k = n^2 N + 2 s1 + s0.
     dim_lattice_orbit's -2 sum_k k (s_k - r) is r n(n-1) - 2 s1.  The closed
     form is cross-checked on subregular vectors."""
-    n, r = gamma.n, index(r)
-    if n < 2 or r < 1:
-        raise ValueError("need n >= 2 and r >= 1")
-    nr = n * r
+    n = gamma.n
+    nr = _height(n, r)
     N = nr + 1
     exps = gamma.exponents
     if exps[0] > N:  # the largest, as exponents decrease
@@ -172,8 +167,8 @@ def dim_report(gamma, r):
     if exps[0] > nr:
         raise ValueError("leading exponent exceeds nr")
     return _record(
-        DimReport, gamma=gamma, n=n, r=r,
-        dim_lattice_orbit=r * n * (n - 1) - 2 * s1,
+        DimReport, gamma=gamma, n=n, r=nr // n,
+        dim_lattice_orbit=nr * (n - 1) - 2 * s1,
         dim_matrix_orbit=orbit,
         stab_dim=stab,
         codim_in_mat=n * n * N - orbit,

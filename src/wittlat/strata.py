@@ -19,18 +19,40 @@ from .snf import Cochar, divisor_type
 from .witt import _draw_below
 
 
-def regular_cochar(n, r):
-    """Exponents of the open (regular) orbit: (nr, 0, ..., 0)."""
+def _height(n, r):
+    """nr for size n and height r, read through operator.index: the one check
+    that n >= 2 and r >= 1."""
+    n, r = operator.index(n), operator.index(r)
     if n < 2 or r < 1:
         raise ValueError("need n >= 2 and r >= 1")
-    return Cochar(n, (n * r,) + (0,) * (n - 1))
+    return n * r
+
+
+def _index(nr, i):
+    """The subregular index i, read through operator.index and checked against nr."""
+    if not 0 <= (i := operator.index(i)) <= nr // 2:
+        raise ValueError(f"index i must lie in [0, {nr // 2}]")
+    return i
+
+
+def _cover_height(ring, n, r):
+    """nr for size n and height r, once ring is checked to be W_{nr+1}."""
+    if ring.N != (nr := _height(n, r)) + 1:
+        raise ParameterMismatchError(
+            f"ring length N={ring.N} but height r={r} requires N={nr + 1}")
+    return nr
+
+
+def regular_cochar(n, r):
+    """Exponents of the open (regular) orbit: (nr, 0, ..., 0)."""
+    return subregular_cochar(n, r, 0)
 
 
 def subregular_cochar(n, r, i):
     """Exponents (nr-i, i, 0, ..., 0); i = 0 gives the regular vector."""
-    nr = n * r
-    if not 0 <= i <= nr // 2:
-        raise ValueError(f"index i must lie in [0, {nr // 2}]")
+    nr = _height(n, r)
+    _check_bound("nr", nr)  # before a vector of length n is built
+    i = _index(nr, i)
     return Cochar(n, (nr - i, i) + (0,) * (n - 2))
 
 
@@ -39,17 +61,12 @@ def _nr_and_index(A, i):
     nr = A.ring.N - 1
     if nr % A.n:
         raise ParameterMismatchError("ring length N-1 is not divisible by n")
-    if not 0 <= (i := operator.index(i)) <= nr // 2:
-        raise ValueError(f"index i must lie in [0, {nr // 2}]")
-    return nr, i
+    return nr, _index(nr, i)
 
 
 def in_cover(A, r):
     """det A = p^{nr} * unit, i.e. the determinant valuation is exactly nr."""
-    ring, nr = A.ring, A.n * operator.index(r)
-    if ring.N != nr + 1:
-        raise ParameterMismatchError(
-            f"ring length N={ring.N} but height r={r} requires N={nr + 1}")
+    ring, nr = A.ring, _cover_height(A.ring, A.n, r)
     return ring._val(_det(A._raw, ring)) == nr
 
 
@@ -144,9 +161,7 @@ class StrataPoset:
 
 def _ordered_strata(n, r):
     """Dominant vectors summing to nr in stratum order, as _partitions yields them."""
-    nr = n * operator.index(r)
-    if n < 2 or r < 1:
-        raise ValueError("need n >= 2 and r >= 1")
+    nr = _height(n, r)
     _check_bound("nr", nr)
     return [Cochar._make(n, exps) for exps in _partitions(nr, n, nr)]
 
@@ -242,8 +257,7 @@ def sample_orbit(ring, gamma, seed):
 def sample_cover(ring, n, r, seed):
     """A cover-variety sample: orbit sample over a uniformly chosen stratum."""
     rng = _as_rng(seed)
-    if ring.N != n * r + 1:
-        raise ParameterMismatchError("ring length must be nr + 1")
+    _cover_height(ring, n, r)
     strata = _ordered_strata(n, r)
     gamma = strata[rng.randrange(len(strata))]
     return sample_orbit(ring, gamma, rng)
@@ -281,11 +295,7 @@ class StratumReport:
 
 def classify(A, r):
     """Full stratum report for a matrix over W_{nr+1}."""
-    n = A.n
-    nr = n * operator.index(r)
-    if A.ring.N != nr + 1:
-        raise ParameterMismatchError(
-            f"ring length N={A.ring.N} but height r={r} requires N={nr + 1}")
+    nr = _cover_height(A.ring, A.n, r)
     div = divisor_type(A)
     member = div.total == nr
     val_b, val_c = _corner_valuations(A)

@@ -15,8 +15,8 @@ from .dimension import (GroupShape, complete_intersection_check,
                         tiny_exhaustive_census)
 from .matrix import mat_to_obj, p_power_diagonal
 from .snf import divisor_type, minor_valuations, snf
-from .strata import (_ordered_strata, classify, sample_cover, sample_group, sample_orbit,
-                     subregular_cochar)
+from .strata import (_height, _ordered_strata, classify, sample_cover, sample_group,
+                     sample_orbit, subregular_cochar)
 from .witt import witt_ring
 
 DEFAULT_SEED = 1729
@@ -106,7 +106,7 @@ def suite_witt(p=2, m=1, N=3, samples=300, seed=DEFAULT_SEED):
 
 
 def suite_snf(p=2, m=1, n=2, r=1, samples=200, seed=DEFAULT_SEED):
-    nr = n * r
+    nr = _height(n, r)
     ring = witt_ring(p, nr + 1, m)
     strata = _ordered_strata(n, r)
     rng = random.Random(_child_seed(seed, 1))
@@ -158,7 +158,7 @@ def suite_fac(p=2, m=1, max_total=4):
 
 
 def suite_strata(p=2, m=1, n=2, r=1, samples=300, seed=DEFAULT_SEED):
-    nr = n * r
+    nr = _height(n, r)
     ring = witt_ring(p, nr + 1, m)
     rng = random.Random(_child_seed(seed, 2))
     implication = _Check("valuation_predicate_implies_closure")

@@ -17,7 +17,7 @@ import pytest
 from wittlat import cli
 from wittlat import verify as verify_mod
 from wittlat.cli import build_parser, main
-from wittlat.dimension import TinyCensus
+from wittlat.dimension import TinyCensus, dim_matrix_orbit_closed_form
 from wittlat.field import BOUNDS
 from wittlat.matrix import identity, mat_from_obj, mat_to_obj, p_power_diagonal
 from wittlat.snf import Cochar, divisor_type
@@ -251,6 +251,11 @@ def test_dims_rejects_small_n_or_r_before_building_gamma(capsys):
         assert main(["dims", *argv]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == "error: need n >= 2 and r >= 1\n", argv
+    # an index out of range is a usage error (exit 2), not a ring mismatch (exit 3)
+    assert main(["dims", "--n", "2", "--r", "1", "--i", "9"]) == 2
+    assert capsys.readouterr().err == "error: index i must lie in [0, 1]\n"
+    with pytest.raises(ValueError, match="^need n >= 2 and r >= 1$"):
+        dim_matrix_orbit_closed_form(0, 1, 1)  # returned 1
 
 
 def test_verify_suites_pass(capsys):
@@ -363,6 +368,14 @@ def test_jobs_above_cpu_count_rejected(capsys, monkeypatch):
 
 def test_verify_rejects_zero_length(capsys):
     _assert_usage_error(capsys, ["verify", "--suite", "witt", "--N", "0"])
+    # without --N the witt suite's length is n*r + 1, read under the contract of
+    # the snf and strata suites: --n 0 ran on W_1 and exited 0
+    for argv in (["--n", "0"], ["--r", "0"], ["--n", "-1"]):
+        assert main(["verify", "--suite", "witt", *argv, "--samples", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: need n >= 2 and r >= 1\n", argv
+    code, out = run(capsys, "verify", "--suite", "witt", "--n", "0", "--N", "2", "--samples", "2")
+    assert code == 0 and json.loads(out)["params"]["N"] == 2
 
 
 def test_verify_sampled_suites_reject_zero_samples(capsys):
@@ -458,8 +471,8 @@ def test_ring_parameters_out_of_range_exit_2_within_a_second(tmp_path):
     # strata and verify refuse nr = n*r past the poset bound before they build a stratum
     argvs += [["strata", "--n", "37", "--r", "1"], ["strata", "--n", "6", "--r", "7"],
               ["verify", "--suite", "strata", "--n", "37", "--r", "1", "--samples", "1"],
-              ["dims", "--n", "37", "--r", "1", "--i", "0"]]
-    bounds += [f"nr = {nr} exceeds the bound nr <= {BOUNDS['nr']}" for nr in (37, 42, 37, 37)]
+              ["dims", "--n", "37", "--r", "1", "--i", "0"], ["dims", "--type", "38,0"]]
+    bounds += [f"nr = {nr} exceeds the bound nr <= {BOUNDS['nr']}" for nr in (37, 42, 37, 37, 38)]
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, "-c", _TIMED_MAIN, json.dumps(argvs)], cwd=ROOT,
                           env=env, capture_output=True, text=True, timeout=30)

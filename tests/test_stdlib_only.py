@@ -41,3 +41,23 @@ def test_generated_source_is_compiled_only_in_field_compiled():
                   and isinstance(node.func, ast.Name) and node.func.id in ("compile", "exec")]
     assert sorted(name for *_, name, ok in calls if ok) == ["compile", "exec"]
     assert [call for call in calls if not call[-1]] == []
+
+
+def test_stratification_contract_is_stated_in_one_function_each():
+    # valid heights, indices and cover-ring lengths are decided by strata's
+    # three helpers alone; a second site would be a second, drifting copy.
+    # "must be nr + 1" was a second spelling of the ring-length message.
+    messages = {"need n >= 2 and r >= 1": "strata._height",
+                "i must lie in": "strata._index",
+                "requires N=": "strata._cover_height", "must be nr + 1": None}
+    sites = {text: set() for text in messages}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for func in ast.walk(tree):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            for node in ast.walk(func):
+                for text in messages:
+                    if isinstance(node, ast.Constant) and text in str(node.value):
+                        sites[text].add(f"{path.stem}.{func.name}")
+    assert sites == {text: {site} if site else set() for text, site in messages.items()}

@@ -23,8 +23,13 @@ def test_cochar_families():
     assert regular_cochar(3, 2).exponents == (6, 0, 0)
     assert subregular_cochar(3, 2, 1).exponents == (5, 1, 0)
     assert subregular_cochar(2, 2, 2).exponents == (2, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^index i must lie in \[0, 1\]$"):
         subregular_cochar(2, 1, 2)  # i > nr/2
+    # r = 0 gave Cochar(2, (0, 0)); n = 1 failed later, on the exponent count
+    for n, r in ((2, 0), (1, 1), (0, 1)):
+        for call in (lambda: subregular_cochar(n, r, 0), lambda: regular_cochar(n, r)):
+            with pytest.raises(ValueError, match="^need n >= 2 and r >= 1$"):
+                call()
 
 
 def test_in_cover():
