@@ -24,17 +24,17 @@ from .witt import witt_ring
 
 def regular_lattice_dim(n, r):
     """Dimension of the full lattice variety: (n-1)nr."""
-    n, r = index(n), index(r)
-    return (n - 1) * n * r
+    return (index(n) - 1) * _height(n, r)
 
 
 def dim_lattice_orbit(gamma, r):
     """Lattice-orbit dimension 2 * sum_{i>=2} (1-i) * c_i for the centered
     exponents c = gamma - r (which sum to zero)."""
-    n, r = gamma.n, index(r)
-    if gamma.total != n * r:
+    n, nr = gamma.n, _height(gamma.n, r)
+    r = nr // n
+    if gamma.total != nr:
         raise ValueError("exponents must sum to nr")
-    if gamma.exponents[0] > n * r:
+    if gamma.exponents[0] > nr:
         raise ValueError("leading exponent exceeds nr")
     centered = [e - r for e in gamma.exponents]
     return -2 * sum(k * centered[k] for k in range(1, n))

@@ -93,7 +93,7 @@ def divisor_type(A):
     div = A._divisors
     if div is None:
         exps = _eliminate(A.ring, A._raw, with_transforms=False)[0]
-        div = A._divisors = Cochar(A.n, tuple(sorted(exps, reverse=True)))
+        div = A._divisors = Cochar._make(A.n, tuple(reversed(exps)))  # ascending exps
     return div
 
 

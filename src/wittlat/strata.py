@@ -8,14 +8,15 @@ the orbit of diag(p^{nr-i}, p^i, 1, ..., 1), cut out (locally) by
 valuation conditions on the corner entry and the corner minor.
 """
 
+import functools
 import operator
 import random
 from dataclasses import dataclass
 
-from .errors import NotInCoverError, ParameterMismatchError, ShapeError
+from .errors import NotInCoverError, ParameterMismatchError
 from .field import _check_bound
 from .matrix import GroupShape, WittMat, _det, _minor, in_group
-from .snf import Cochar, divisor_type
+from .snf import Cochar, _record, divisor_type
 from .witt import _draw_below
 
 
@@ -57,10 +58,12 @@ def subregular_cochar(n, r, i):
 
 
 def _nr_and_index(A, i):
-    """(nr, i) for A over W_{nr+1}, the subregular index i checked against nr."""
+    """(nr, i) for A over W_{nr+1}, r = nr / n read through _height and the
+    subregular index i checked against nr."""
     nr = A.ring.N - 1
     if nr % A.n:
         raise ParameterMismatchError("ring length N-1 is not divisible by n")
+    nr = _height(A.n, nr // A.n)
     return nr, _index(nr, i)
 
 
@@ -71,9 +74,8 @@ def in_cover(A, r):
 
 
 def _corner_valuations(A):
-    """(v_p(corner entry), v_p(corner minor)), read on bare values."""
-    if A.n < 2:
-        raise ShapeError("corner minor requires n >= 2")
+    """(v_p(corner entry), v_p(corner minor)), read on bare values; n >= 2 is
+    checked by every caller, through _height."""
     ring, raw = A.ring, A._raw
     return ring._val(raw[0][0]), ring._val(_det(_minor(raw, 0, 0), ring))
 
@@ -164,6 +166,13 @@ def _ordered_strata(n, r):
     nr = _height(n, r)
     _check_bound("nr", nr)
     return [Cochar._make(n, exps) for exps in _partitions(nr, n, nr)]
+
+
+@functools.lru_cache(maxsize=8)
+def _cover_strata(n, r):
+    """_ordered_strata(n, r) as a tuple, kept for the last few (n, r) that
+    sample_cover drew from; enumerate_strata builds afresh on every call."""
+    return tuple(_ordered_strata(n, r))
 
 
 def enumerate_strata(n, r):
@@ -258,7 +267,7 @@ def sample_cover(ring, n, r, seed):
     """A cover-variety sample: orbit sample over a uniformly chosen stratum."""
     rng = _as_rng(seed)
     _cover_height(ring, n, r)
-    strata = _ordered_strata(n, r)
+    strata = _cover_strata(operator.index(n), operator.index(r))
     gamma = strata[rng.randrange(len(strata))]
     return sample_orbit(ring, gamma, rng)
 
@@ -305,6 +314,5 @@ def classify(A, r):
         deep_i = min(a, nr // 2)
         if val_b <= nr:  # the corner conditions only weaken as i falls
             pred_i = min(val_c, nr - val_b, nr // 2)
-    return StratumReport(in_Xr=member, divisors=div, stratum_index=a,
-                         val_b=val_b, val_c=val_c,
-                         pred_val_i=pred_i, deepest_closure_i=deep_i)
+    return _record(StratumReport, in_Xr=member, divisors=div, stratum_index=a,
+                   val_b=val_b, val_c=val_c, pred_val_i=pred_i, deepest_closure_i=deep_i)

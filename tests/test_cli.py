@@ -17,7 +17,8 @@ import pytest
 from wittlat import cli
 from wittlat import verify as verify_mod
 from wittlat.cli import build_parser, main
-from wittlat.dimension import TinyCensus, dim_matrix_orbit_closed_form
+from wittlat.dimension import (TinyCensus, dim_lattice_orbit, dim_matrix_orbit_closed_form,
+                               regular_lattice_dim)
 from wittlat.field import BOUNDS
 from wittlat.matrix import identity, mat_from_obj, mat_to_obj, p_power_diagonal
 from wittlat.snf import Cochar, divisor_type
@@ -254,8 +255,11 @@ def test_dims_rejects_small_n_or_r_before_building_gamma(capsys):
     # an index out of range is a usage error (exit 2), not a ring mismatch (exit 3)
     assert main(["dims", "--n", "2", "--r", "1", "--i", "9"]) == 2
     assert capsys.readouterr().err == "error: index i must lie in [0, 1]\n"
-    with pytest.raises(ValueError, match="^need n >= 2 and r >= 1$"):
-        dim_matrix_orbit_closed_form(0, 1, 1)  # returned 1
+    # these returned 1, -6, 0 and 0
+    for call in (lambda: dim_matrix_orbit_closed_form(0, 1, 1), lambda: regular_lattice_dim(2, -3),
+                 lambda: regular_lattice_dim(0, 1), lambda: dim_lattice_orbit(Cochar(2, (0, 0)), 0)):
+        with pytest.raises(ValueError, match="^need n >= 2 and r >= 1$"):
+            call()
 
 
 def test_verify_suites_pass(capsys):

@@ -10,11 +10,12 @@ from wittlat.dimension import (DimReport, complete_intersection_check, dim_latti
                                dim_report, regular_lattice_dim,
                                shape_space_dim, stabilizer_dim,
                                tiny_exhaustive_census)
+from wittlat.cli import _census_matrix
 from wittlat.degeneration import degeneration_chain
-from wittlat.matrix import GroupShape
-from wittlat.snf import Cochar, snf
-from wittlat.strata import (enumerate_strata, regular_cochar, sample_orbit,
-                            subregular_cochar)
+from wittlat.matrix import GroupShape, WittMat, _eliminate, p_power_diagonal, zeros
+from wittlat.snf import Cochar, divisor_type, snf
+from wittlat.strata import (StratumReport, classify, enumerate_strata, regular_cochar,
+                            sample_orbit, subregular_cochar)
 from wittlat.witt import witt_ring
 
 FULL2 = (GroupShape.FULL, GroupShape.FULL)
@@ -175,6 +176,24 @@ def test_unchecked_records_match_checked_ones():
                 for step in degeneration_chain(ring, g, regular):
                     _assert_matches_checked_record(step)
                     _assert_matches_checked_record(step.witness)
+    # so are divisor_type's Cochar, against the sorted exponents of the
+    # elimination, and classify's StratumReport: on census samples (p = 2, 3, 5
+    # and n = 2..6 for m = 1; p = 3, n = 2..5 for m = 2), one with a zero row,
+    # the zero matrix and a p-power diagonal out of order, with exponent N
+    grid = [(1, p, n) for p in (2, 3, 5) for n in range(2, 7)] + [(2, 3, n) for n in range(2, 6)]
+    for m, p, n in grid:
+        ring = witt_ring(p, n + 1, m)
+        mats = [_census_matrix(ring, n, 29, k) for k in range(3)]
+        mats.append(WittMat(ring, mats[0].rows[:-1] + ((ring.zero,) * n,)))
+        mats += [zeros(ring, n), p_power_diagonal(ring, (0, ring.N) + tuple(range(1, n - 1)))]
+        for A in mats:
+            exps = _eliminate(ring, A._raw, with_transforms=False)[0]
+            div, rep = divisor_type(A), classify(A, 1)
+            for x, checked in ((div, Cochar(n, sorted(exps, reverse=True))),
+                               (rep, StratumReport(*[getattr(rep, f.name)
+                                                     for f in dataclasses.fields(rep)]))):
+                assert x == checked and hash(x) == hash(checked) and repr(x) == repr(checked)
+                _assert_matches_checked_record(x)
 
 
 def test_tiny_census_frozen_values():

@@ -766,3 +766,74 @@ def test_divisor_type_op_counts_are_pinned():
                 divisor_type(A)
         got[m] = dict(counts)
     assert got == _DIVISOR_TYPE_OP_COUNTS
+
+
+def _census_slice():
+    """((p, n), A) for four seeded census items per (p, n) of the census grid,
+    in kind order: a uniform draw (kind 0), then the three near-singular kinds
+    of the census workload: a zero row (1), a row times p^s (2) and scattered
+    entries times powers of p (3)."""
+    for p, n in itertools.product((2, 3, 5), range(2, 7)):
+        ring, rng = witt_ring(p, n + 1), random.Random(100 * p + n)
+        N, pN = ring.N, ring.pN
+        for kind in range(4):
+            rows = [[rng.randrange(pN) for _ in range(n)] for _ in range(n)]
+            if kind == 1:
+                rows[rng.randrange(n)] = [0] * n
+            elif kind == 2:
+                i, s = rng.randrange(n), p ** rng.randrange(1, N)
+                rows[i] = [x * s % pN for x in rows[i]]
+            elif kind == 3:
+                for _ in range(rng.randrange(1, n * n)):
+                    i, j = rng.randrange(n), rng.randrange(n)
+                    rows[i][j] = rows[i][j] * p ** rng.randrange(1, N + 1) % pN
+            yield (p, n), WittMat.from_ints(ring, rows)
+
+
+# Per-item protocol calls of divisor_type on _census_slice, as
+# (mul, sub, val, inv, divider, divide) for kinds 0-3 of each (p, n).  Where the
+# aggregate pin above says that elimination's work moved, this one names the
+# items, and the near-singular kinds exercise the non-unit pivots.
+_CENSUS_SLICE_OP_KEYS = ("mul", "sub", "val", "inv", "divider", "divide")
+_CENSUS_SLICE_OP_COUNTS = {
+    (2, 2): ((2, 1, 6, 1, 1, 1), (0, 0, 4, 1, 1, 0),
+             (2, 1, 4, 1, 1, 1), (2, 1, 4, 1, 1, 1)),
+    (2, 3): ((6, 4, 8, 2, 2, 2), (3, 2, 10, 2, 2, 1),
+             (8, 5, 14, 2, 2, 3), (8, 5, 8, 2, 2, 3)),
+    (2, 4): ((20, 14, 19, 3, 3, 6), (11, 8, 18, 3, 3, 3),
+             (11, 8, 18, 3, 3, 3), (20, 14, 22, 3, 3, 6)),
+    (2, 5): ((36, 27, 21, 4, 4, 9), (26, 20, 28, 4, 4, 6),
+             (40, 30, 21, 4, 4, 10), (35, 26, 24, 4, 4, 9)),
+    (2, 6): ((70, 55, 41, 5, 5, 15), (50, 40, 39, 5, 5, 10),
+             (60, 47, 36, 5, 5, 13), (60, 47, 26, 5, 5, 13)),
+    (3, 2): ((2, 1, 4, 1, 1, 1), (0, 0, 6, 1, 1, 0),
+             (2, 1, 7, 1, 1, 1), (0, 0, 6, 1, 1, 0)),
+    (3, 3): ((8, 5, 10, 2, 2, 3), (3, 2, 8, 2, 2, 1),
+             (8, 5, 11, 2, 2, 3), (8, 5, 10, 2, 2, 3)),
+    (3, 4): ((20, 14, 13, 3, 3, 6), (11, 8, 15, 3, 3, 3),
+             (20, 14, 13, 3, 3, 6), (20, 14, 13, 3, 3, 6)),
+    (3, 5): ((40, 30, 19, 4, 4, 10), (26, 20, 19, 4, 4, 6),
+             (40, 30, 19, 4, 4, 10), (26, 20, 28, 4, 4, 6)),
+    (3, 6): ((70, 55, 28, 5, 5, 15), (50, 40, 26, 5, 5, 10),
+             (70, 55, 36, 5, 5, 15), (70, 55, 28, 5, 5, 15)),
+    (5, 2): ((2, 1, 4, 1, 1, 1), (0, 0, 4, 1, 1, 0),
+             (2, 1, 4, 1, 1, 1), (2, 1, 4, 1, 1, 1)),
+    (5, 3): ((8, 5, 8, 2, 2, 3), (3, 2, 10, 2, 2, 1),
+             (8, 5, 8, 2, 2, 3), (8, 5, 10, 2, 2, 3)),
+    (5, 4): ((20, 14, 13, 3, 3, 6), (11, 8, 13, 3, 3, 3),
+             (20, 14, 13, 3, 3, 6), (17, 12, 13, 3, 3, 5)),
+    (5, 5): ((40, 30, 19, 4, 4, 10), (26, 20, 19, 4, 4, 6),
+             (40, 30, 19, 4, 4, 10), (25, 18, 19, 4, 4, 7)),
+    (5, 6): ((70, 55, 26, 5, 5, 15), (50, 40, 26, 5, 5, 10),
+             (70, 55, 28, 5, 5, 15), (59, 46, 41, 5, 5, 13)),
+}
+
+
+def test_census_slice_item_op_counts_are_pinned():
+    got = {}
+    for cell, A in _census_slice():
+        with counting(A.ring) as counts:
+            divisor_type(A)
+        assert set(counts) <= set(_CENSUS_SLICE_OP_KEYS), counts
+        got.setdefault(cell, []).append(tuple(counts[k] for k in _CENSUS_SLICE_OP_KEYS))
+    assert {key: tuple(items) for key, items in got.items()} == _CENSUS_SLICE_OP_COUNTS

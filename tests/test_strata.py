@@ -1,3 +1,4 @@
+import collections
 import random
 
 import pytest
@@ -9,8 +10,9 @@ from wittlat.errors import BoundError, NotAUnitError, NotInCoverError, Parameter
 from wittlat.field import BOUNDS
 from wittlat.matrix import (GroupShape, WittMat, identity, in_group, mat_to_obj,
                             p_power_diagonal)
+from wittlat import strata as strata_mod
 from wittlat.snf import Cochar, divisor_type, minor_valuations
-from wittlat.strata import (_partitions, classify, dominance_leq, enumerate_strata,
+from wittlat.strata import (_ordered_strata, _partitions, classify, dominance_leq, enumerate_strata,
                             in_cover, in_orbit_closure, regular_cochar,
                             sample_cover, sample_group, sample_orbit,
                             subregular_cochar, valuation_predicate)
@@ -66,6 +68,15 @@ def test_predicate_and_closure_share_the_parameter_check():
     for test in (valuation_predicate, in_orbit_closure):
         with pytest.raises(ParameterMismatchError):
             test(A, 1)
+    # r = 0 (the identity over W_1) and n = 1 are outside the contract for all
+    # four; the predicates returned True, True at the first and the closure
+    # test False at the second
+    one = WittMat.from_ints(witt_ring(2, 3), [[4]])
+    for A, r, i in ((identity(witt_ring(2, 1), 2), 0, 0), (one, 2, 1)):
+        for call in (lambda: valuation_predicate(A, i), lambda: in_orbit_closure(A, i),
+                     lambda: in_cover(A, r), lambda: classify(A, r)):
+            with pytest.raises(ValueError, match="^need n >= 2 and r >= 1$"):
+                call()
 
 
 @pytest.mark.parametrize("call", [
@@ -490,3 +501,30 @@ def test_poset_size_is_bounded_before_any_stratum_is_built():
         enumerate_strata(37, 1)
     with pytest.raises(BoundError, match=message):
         sample_cover(witt_ring(2, 38), 37, 1, 0)
+
+
+def test_sample_cover_builds_the_strata_once_per_height(monkeypatch):
+    # sample_cover draws from a memo per (n, r); enumerate_strata builds on
+    # every call, so the poset workload still times enumeration
+    builds = collections.Counter()
+
+    def counting_build(n, r):
+        out = _ordered_strata(n, r)
+        builds[n, r] += 1  # counted once built: a refused (n, r) is not
+        return out
+    strata_mod._cover_strata.cache_clear()
+    monkeypatch.setattr(strata_mod, "_ordered_strata", counting_build)
+    for seed in range(3):
+        for p, n, r in _STRATA_COVER_OP_COUNTS:
+            ring = witt_ring(p, n * r + 1)
+            A, rng = sample_cover(ring, n, r, seed), random.Random(seed)
+            cells = _ordered_strata(n, r)
+            assert A == sample_orbit(ring, cells[rng.randrange(len(cells))], rng)
+    assert builds == {(n, r): 1 for _, n, r in _STRATA_COVER_OP_COUNTS}
+    assert enumerate_strata(3, 1) == enumerate_strata(3, 1)
+    assert builds[3, 1] == 3
+    cached = strata_mod._cover_strata.cache_info().currsize
+    for _ in range(2):  # refused before any build, each time: no error is cached
+        with pytest.raises(BoundError):
+            sample_cover(witt_ring(2, 38), 37, 1, 0)
+    assert (37, 1) not in builds and strata_mod._cover_strata.cache_info().currsize == cached
