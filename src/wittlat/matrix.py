@@ -32,23 +32,25 @@ class WittMat:
 
     Its value is `_raw`, row tuples of bare values reduced mod p^N (ints for
     m = 1, coefficient tuples for m > 1), its only stored value; `rows`,
-    the WittElem view, is built on each read.  `_divisors` memoises the
-    divisor type: `snf.divisor_type` fills it on first use, so every later
-    caller shares one elimination.  `==` and `hash` read `_raw` alone.
+    the WittElem view, is built on each read.  The memos `_divisors` (divisor
+    type) and `_corner` (corner valuations) are filled on first use by
+    `snf.divisor_type` and `strata._corner_valuations`, so later callers share
+    one elimination and one corner-minor det.  `==` and `hash` read `_raw` alone.
     """
 
-    __slots__ = ("ring", "n", "_raw", "_divisors")
+    __slots__ = ("ring", "n", "_raw", "_divisors", "_corner")
 
     def __init__(self, ring, rows):
         rows = _square(rows)
-        self.ring, self.n, self._divisors = ring, len(rows), None
+        self.ring, self.n, self._divisors, self._corner = ring, len(rows), None, None
         self._raw = tuple([_values(ring, r) for r in rows])
 
     @classmethod
     def _from_raw(cls, ring, raw):
         """Matrix from row tuples of bare values already reduced mod p^N."""
         self = object.__new__(cls)
-        self.ring, self.n, self._raw, self._divisors = ring, len(raw), raw, None
+        self.ring, self.n, self._raw = ring, len(raw), raw
+        self._divisors = self._corner = None
         return self
 
     @classmethod
@@ -127,6 +129,8 @@ class WittMat:
         """Determinant of the submatrix with row i and column j removed (0-based)."""
         if self.n < 2:
             raise ShapeError("minor requires n >= 2")
+        if not (0 <= i < self.n and 0 <= j < self.n):
+            raise ValueError(f"minor requires indices in [0, {self.n})")
         return WittElem._make(self.ring, _det(_minor(self._raw, i, j), self.ring))
 
     def inverse(self):

@@ -13,12 +13,15 @@ from dataclasses import dataclass
 from .errors import ShapeError
 from .matrix import WittMat, _det, _eliminate, p_power_diagonal
 
+_new, _setattr = object.__new__, object.__setattr__
+
 
 def _record(cls, **fields):
-    """The frozen dataclass cls from all its fields, unchecked, as pickle restores it:
-    only for values the library built itself and knows valid, as with WittElem._make."""
-    self = object.__new__(cls)
-    self.__dict__.update(fields)
+    """The frozen dataclass cls from all its fields, unchecked, as pickle restores it, the
+    fresh keyword dict installed uncopied as its __dict__: only for values the library
+    built itself and knows valid, as with WittElem._make."""
+    self = _new(cls)
+    _setattr(self, "__dict__", fields)
     return self
 
 
@@ -41,7 +44,9 @@ class Cochar:
 
     @classmethod
     def _make(cls, n, exponents):
-        return _record(cls, n=n, exponents=exponents)
+        self = _new(cls)  # _record inline: one per divisor type and stratum
+        _setattr(self, "__dict__", {"n": n, "exponents": exponents})
+        return self
 
     def __iter__(self):
         return iter(self.exponents)

@@ -13,7 +13,7 @@ import operator
 import random
 from dataclasses import dataclass
 
-from .errors import NotInCoverError, ParameterMismatchError
+from .errors import NotInCoverError, ParameterMismatchError, ShapeError
 from .field import _check_bound
 from .matrix import GroupShape, WittMat, _det, _minor, in_group
 from .snf import Cochar, _record, divisor_type
@@ -74,10 +74,13 @@ def in_cover(A, r):
 
 
 def _corner_valuations(A):
-    """(v_p(corner entry), v_p(corner minor)), read on bare values; n >= 2 is
-    checked by every caller, through _height."""
-    ring, raw = A.ring, A._raw
-    return ring._val(raw[0][0]), ring._val(_det(_minor(raw, 0, 0), ring))
+    """(v_p(corner entry), v_p(corner minor)) on bare values, memoised on A (it is
+    immutable); n >= 2 is checked by every caller, through _height."""
+    corner = A._corner
+    if corner is None:
+        ring, raw = A.ring, A._raw
+        corner = A._corner = (ring._val(raw[0][0]), ring._val(_det(_minor(raw, 0, 0), ring)))
+    return corner
 
 
 def valuation_predicate(A, i):
@@ -220,11 +223,15 @@ def sample_group(ring, n, shape, seed):
     FULL uses rejection on the unit-determinant condition; the triangular
     and parabolic shapes are built structurally so acceptance is certain.
     """
+    if n < 1:
+        raise ShapeError("matrix must be square and nonempty")
     rng = _as_rng(seed)
     if shape is GroupShape.FULL:
+        val = ring._val
+        det = ring._matrix_kernels(n)[1] if n <= 4 else functools.partial(_det, ring=ring)
         for _ in range(10000):
             raw = _random_raw(ring, n, rng)
-            if ring._val(_det(raw, ring)) == 0:
+            if val(det(raw)) == 0:
                 return WittMat._from_raw(ring, raw)
         raise RuntimeError("unit-determinant rejection sampling did not converge")
     if shape in (GroupShape.B, GroupShape.B_MINUS):
@@ -257,10 +264,11 @@ def sample_orbit(ring, gamma, seed):
     n = gamma.n
     x = sample_group(ring, n, GroupShape.FULL, rng)
     y = sample_group(ring, n, GroupShape.FULL, rng)
-    # diag(p^gamma) * y scales row i of y by p^gamma_i (0 once gamma_i >= N; kept if 1)
+    # diag(p^gamma) * y scales row i of y by p^gamma_i (0 once gamma_i >= N; kept if 1);
+    # x and that product are n x n over ring, so the kernel needs no operand check
     mul, one, scale = ring._mul, ring._one, [ring.p_power(e)._v for e in gamma.exponents]
-    return x * WittMat._from_raw(ring, tuple(
-        [r if f == one else tuple([mul(f, c) for c in r]) for r, f in zip(y._raw, scale)]))
+    return WittMat._from_raw(ring, ring._matrix_kernels(n)[0](x._raw, tuple(
+        [r if f == one else tuple([mul(f, c) for c in r]) for r, f in zip(y._raw, scale)])))
 
 
 def sample_cover(ring, n, r, seed):

@@ -178,6 +178,16 @@ def test_minor_and_corners():
         WittMat.from_ints(R, [[1]]).corner_minor()
 
 
+@pytest.mark.parametrize("i,j", [(-1, -1), (-3, 0), (0, -1), (0, 3), (3, 0), (3, 3)])
+def test_minor_rejects_indices_out_of_range(i, j):
+    # (-1, -1) returned W(0), (-3, 0) the (0, 0) minor, (0, 3) and (3, 0)
+    # an unpacking ValueError from the det kernel
+    A = WittMat.from_ints(witt_ring(3, 4), [[1, 2, 3], [4, 5, 6], [7, 8, 10]])
+    assert A.minor(2, 2).to_int() == 78 and A.minor(0, 0).to_int() == 2
+    with pytest.raises(ValueError, match=r"^minor requires indices in \[0, 3\)$"):
+        A.minor(i, j)
+
+
 def test_corner_minor_valuation_under_parabolic_action():
     # v_p(corner_minor(g * D * h)) >= v_p(corner_minor(D)) for g in P,
     # h in P_MINUS and diagonal D

@@ -61,3 +61,13 @@ def test_stratification_contract_is_stated_in_one_function_each():
                     if isinstance(node, ast.Constant) and text in str(node.value):
                         sites[text].add(f"{path.stem}.{func.name}")
     assert sites == {text: {site} if site else set() for text, site in messages.items()}
+
+
+def test_corner_minor_is_taken_only_in_corner_valuations():
+    # strata reads the corner minor through the memo of _corner_valuations
+    # alone; a second _minor call would be a second, unshared determinant
+    tree = ast.parse((SRC / "strata.py").read_text())
+    callers = [f.name for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
+               for node in ast.walk(f) if isinstance(node, ast.Call)
+               and isinstance(node.func, ast.Name) and node.func.id == "_minor"]
+    assert callers == ["_corner_valuations"]

@@ -1,4 +1,5 @@
 import collections
+import pickle
 import random
 
 import pytest
@@ -6,7 +7,8 @@ from sympy.utilities.iterables import partitions
 
 from wittlat.dimension import (dim_lattice_orbit, dim_matrix_orbit, dim_matrix_orbit_closed_form,
                                dim_report, regular_lattice_dim, stabilizer_dim)
-from wittlat.errors import BoundError, NotAUnitError, NotInCoverError, ParameterMismatchError
+from wittlat.errors import (BoundError, NotAUnitError, NotInCoverError, ParameterMismatchError,
+                            ShapeError)
 from wittlat.field import BOUNDS
 from wittlat.matrix import (GroupShape, WittMat, identity, in_group, mat_to_obj,
                             p_power_diagonal)
@@ -321,6 +323,68 @@ def test_sample_orbit_contract():
     assert sample_orbit(R, strata[0], 11) == sample_orbit(R, strata[0], 11)
 
 
+class _NoDraws(random.Random):
+    def getrandbits(self, k):  # every sampler draw, randrange's included, lands here
+        raise AssertionError("a draw was made")
+
+
+def test_samplers_reject_sizes_below_one_before_any_draw():
+    # each raised KeyError(()) from the size-0 kernel lookup, B after its
+    # (empty) draws and FULL on its first determinant
+    R = witt_ring(2, 3)
+    message = "^matrix must be square and nonempty$"
+    for n in (0, -1):
+        for shape in GroupShape:
+            with pytest.raises(ShapeError, match=message):
+                sample_group(R, n, shape, _NoDraws(1))
+    with pytest.raises(ShapeError, match=message):
+        sample_orbit(R, Cochar(0, ()), _NoDraws(1))
+    with pytest.raises(ShapeError, match=message):
+        sample_orbit(R, Cochar(0, ()), 1)
+
+
+def _direct_corner(A):
+    # the corner valuations from the public readers, bypassing the memo
+    R = A.ring
+    return R._val(A[0, 0]._v), R._val(A.minor(0, 0)._v)
+
+
+def test_corner_valuations_are_computed_once_per_matrix():
+    # classify and every valuation_predicate on one matrix object share one
+    # corner-minor det; a second round makes no ring call at all
+    cells = [(p, 1, n, r) for p, n, r in _STRATA_COVER_OP_COUNTS]
+    cells += [(3, 2, n, 1) for n in (2, 3, 4)]
+    for p, m, n, r in cells:
+        R = witt_ring(p, n * r + 1, m)
+        for seed in range(4):
+            A = sample_cover(R, n, r, seed)
+            assert A._corner is None
+            with counting(R) as counts:
+                classify(A, r)
+                for i in range(n * r // 2 + 1):
+                    valuation_predicate(A, i)
+            assert counts["det"] == 1, (p, m, n, r, seed)
+            with counting(R) as again:
+                rep = classify(A, r)
+                for i in range(n * r // 2 + 1):
+                    valuation_predicate(A, i)
+            assert again == {}, (p, m, n, r, seed)
+            assert A._corner == (rep.val_b, rep.val_c) == _direct_corner(A), (p, m, n, r, seed)
+
+
+def test_corner_memo_is_not_part_of_the_value():
+    R = witt_ring(3, 4)
+    A = sample_cover(R, 3, 1, 5)
+    classify(A, 1)
+    B = WittMat._from_raw(R, A._raw)
+    assert A._corner is not None and B._corner is None and B._divisors is None
+    assert B == A and hash(B) == hash(A)
+    C = pickle.loads(pickle.dumps(A))
+    assert C == A == B and hash(C) == hash(B)
+    assert valuation_predicate(B, 1) == valuation_predicate(A, 1) == valuation_predicate(C, 1)
+    assert B._corner == A._corner == _direct_corner(B)
+
+
 def test_classify_reports():
     R = witt_ring(2, 3)
     mu = p_power_diagonal(R, (2, 0))
@@ -457,23 +521,24 @@ def test_internal_readers_build_no_witt_elem(p, m, monkeypatch):
 # sample_cover, classify, in_cover, both predicates for every i, two FULL
 # group draws and divisor_type(g * A * h).  Each is one ring protocol call
 # counted by tests/counting.py; "det" includes every rejected draw of the
-# FULL sampler.  Together with test_divisor_type_op_counts_are_pinned (census
+# FULL sampler, and the corner minor is one "det" per matrix (see
+# test_corner_valuations_are_computed_once_per_matrix).  Together with test_divisor_type_op_counts_are_pinned (census
 # inputs), a move here names the layer whose work changed.
 _STRATA_COVER_OP_COUNTS = {
-    (2, 2, 1): {"det": 17, "divide": 1, "divider": 2, "inv": 2, "matmul": 3, "mul": 4,
-                "sub": 1, "val": 28},
-    (2, 2, 2): {"det": 21, "divide": 2, "divider": 2, "inv": 2, "matmul": 3, "mul": 6,
-                "sub": 2, "val": 33},
-    (2, 3, 1): {"det": 10, "divide": 3, "divider": 4, "inv": 4, "matmul": 3, "mul": 12,
-                "sub": 6, "val": 29},
-    (3, 3, 1): {"det": 9, "divide": 6, "divider": 4, "inv": 4, "matmul": 3, "mul": 25,
-                "sub": 10, "val": 46},
-    (5, 3, 1): {"det": 10, "divide": 6, "divider": 4, "inv": 4, "matmul": 3, "mul": 25,
-                "sub": 10, "val": 47},
-    (2, 3, 2): {"det": 20, "divide": 6, "divider": 4, "inv": 4, "matmul": 3, "mul": 22,
-                "sub": 10, "val": 53},
-    (2, 4, 1): {"det": 18, "divide": 11, "divider": 6, "inv": 6, "matmul": 3, "mul": 53,
-                "sub": 26, "val": 83},
+    (2, 2, 1): {"det": 15, "divide": 1, "divider": 2, "inv": 2, "matmul": 3, "mul": 4,
+                "sub": 1, "val": 24},
+    (2, 2, 2): {"det": 18, "divide": 2, "divider": 2, "inv": 2, "matmul": 3, "mul": 6,
+                "sub": 2, "val": 27},
+    (2, 3, 1): {"det": 8, "divide": 3, "divider": 4, "inv": 4, "matmul": 3, "mul": 12,
+                "sub": 6, "val": 25},
+    (3, 3, 1): {"det": 7, "divide": 6, "divider": 4, "inv": 4, "matmul": 3, "mul": 25,
+                "sub": 10, "val": 42},
+    (5, 3, 1): {"det": 8, "divide": 6, "divider": 4, "inv": 4, "matmul": 3, "mul": 25,
+                "sub": 10, "val": 43},
+    (2, 3, 2): {"det": 16, "divide": 6, "divider": 4, "inv": 4, "matmul": 3, "mul": 22,
+                "sub": 10, "val": 45},
+    (2, 4, 1): {"det": 15, "divide": 11, "divider": 6, "inv": 6, "matmul": 3, "mul": 53,
+                "sub": 26, "val": 77},
 }
 
 
