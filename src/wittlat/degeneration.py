@@ -8,6 +8,7 @@ u1, u2, u3, for every nonzero t.  Chains of such moves certify any
 dominance relation between exponent vectors of equal total.
 """
 
+import operator
 from dataclasses import dataclass
 
 from .matrix import WittMat, identity, p_power_diagonal
@@ -117,7 +118,7 @@ def embed_witness(w, n, j, ambient, i=0):
     embedded deformation matrix; x and y are invertible.
     """
     ring = w.target.ring
-    ambient = tuple(int(e) for e in ambient)
+    ambient, j, i = tuple(map(operator.index, ambient)), operator.index(j), operator.index(i)
     if len(ambient) != n:
         raise ValueError("ambient exponent vector must have length n")
     if not 0 <= i < j < n:

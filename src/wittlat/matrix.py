@@ -35,7 +35,8 @@ class WittMat:
     the WittElem view, is built on each read.  The memos `_divisors` (divisor
     type) and `_corner` (corner valuations) are filled on first use by
     `snf.divisor_type` and `strata._corner_valuations`, so later callers share
-    one elimination and one corner-minor det.  `==` and `hash` read `_raw` alone.
+    one elimination and one corner-minor det; `strata.sample_orbit` fills
+    `_divisors` with the type it was built with.  `==` and `hash` read `_raw` alone.
     """
 
     __slots__ = ("ring", "n", "_raw", "_divisors", "_corner")
@@ -388,6 +389,8 @@ def elementary_matrix(ring, n, i, j, c):
 
 def in_group(A, shape):
     """Membership test for the subgroup shapes of GL_n over the ring."""
+    if not isinstance(shape, GroupShape):
+        raise ValueError(f"unknown shape {shape!r}")
     ring, n = A.ring, A.n
     if ring._val(_det(A._raw, ring)):
         return False
@@ -398,9 +401,7 @@ def in_group(A, shape):
         return True
     if shape in (GroupShape.P, GroupShape.P_MINUS):
         return all(raw[i][0] == ring._zero for i in range(1, n))
-    if shape in (GroupShape.B, GroupShape.B_MINUS):
-        return all(ring._val(raw[i][j]) >= 1 for i in range(n) for j in range(i))
-    raise ValueError(f"unknown shape {shape!r}")
+    return all(ring._val(raw[i][j]) >= 1 for i in range(n) for j in range(i))  # B, B_MINUS
 
 
 # -- JSON codec ----------------------------------------------------------------------

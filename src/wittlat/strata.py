@@ -259,7 +259,11 @@ def sample_group(ring, n, shape, seed):
 
 
 def sample_orbit(ring, gamma, seed):
-    """x * diag(p^gamma) * y with fresh FULL samples x, y."""
+    """x * diag(p^gamma) * y with fresh FULL samples x, y.
+
+    x and y are units, so the divisor type is gamma with each exponent clamped
+    to N (exponent N encodes a zero); it is stamped into the `_divisors` memo,
+    and divisor_type reads it from there without an elimination."""
     rng = _as_rng(seed)
     n = gamma.n
     x = sample_group(ring, n, GroupShape.FULL, rng)
@@ -267,8 +271,10 @@ def sample_orbit(ring, gamma, seed):
     # diag(p^gamma) * y scales row i of y by p^gamma_i (0 once gamma_i >= N; kept if 1);
     # x and that product are n x n over ring, so the kernel needs no operand check
     mul, one, scale = ring._mul, ring._one, [ring.p_power(e)._v for e in gamma.exponents]
-    return WittMat._from_raw(ring, ring._matrix_kernels(n)[0](x._raw, tuple(
+    A = WittMat._from_raw(ring, ring._matrix_kernels(n)[0](x._raw, tuple(
         [r if f == one else tuple([mul(f, c) for c in r]) for r, f in zip(y._raw, scale)])))
+    A._divisors = Cochar._make(n, tuple([min(e, ring.N) for e in gamma.exponents]))
+    return A
 
 
 def sample_cover(ring, n, r, seed):

@@ -114,6 +114,17 @@ def test_embed_witness_n3():
         embed_witness(w, 3, 2, (2, 2, 2), i=0)  # ambient slot mismatch
 
 
+def test_embed_witness_reads_exponents_and_slots_as_integers():
+    # ambient went through int(), so (2.9, 1.2) and ("2", "1") were read as (2, 1)
+    R = witt_ring(2, 5)
+    w = transfer_witness(R, 2, 1, 1, (1,))
+    embed_witness(w, 2, 1, (2, 1))
+    for ambient, j, i in (((2.9, 1.2), 1, 0), (("2", "1"), 1, 0), ((2.0, 1), 1, 0),
+                          ((2, 1), 1.0, 0), ((2, 1), 1, 0.0), ((2, 1), "1", 0)):
+        with pytest.raises(TypeError):
+            embed_witness(w, 2, j, ambient, i)
+
+
 def test_chain_single_step():
     R = witt_ring(2, 3)
     steps = degeneration_chain(R, Cochar(2, (1, 1)), Cochar(2, (2, 0)))

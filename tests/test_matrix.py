@@ -218,6 +218,15 @@ def test_in_group_examples():
     assert in_group(P.transpose(), GroupShape.P_MINUS)
 
 
+def test_in_group_checks_the_shape_before_the_determinant():
+    # a singular matrix returned False for any shape, a unit one raised
+    R = witt_ring(2, 3)
+    for A in (zeros(R, 2), p_power_diagonal(R, (1, 0)), identity(R, 2)):
+        for shape in ("bogus", GroupShape.FULL.value, None):
+            with pytest.raises(ValueError, match="^unknown shape"):
+                in_group(A, shape)
+
+
 def test_full_group_closed_under_product_and_inverse():
     R = witt_ring(3, 3)
     rng = random.Random(6)

@@ -71,3 +71,26 @@ def test_corner_minor_is_taken_only_in_corner_valuations():
                for node in ast.walk(f) if isinstance(node, ast.Call)
                and isinstance(node.func, ast.Name) and node.func.id == "_minor"]
     assert callers == ["_corner_valuations"]
+
+
+def _stores(node, attr, scope=()):
+    """The enclosing scope, as dotted class and function names, of every store
+    to `.attr` under node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+            yield from _stores(child, attr, scope + (child.name,))
+            continue
+        if (isinstance(child, ast.Attribute) and child.attr == attr
+                and isinstance(child.ctx, (ast.Store, ast.Del))):
+            yield ".".join(scope)
+        yield from _stores(child, attr, scope)
+
+
+def test_divisor_memo_is_filled_only_where_the_type_is_known():
+    # the constructors clear the memo, divisor_type fills it by elimination and
+    # sample_orbit by construction; a stamp anywhere else (a product, a copy, a
+    # deformation) would let a cross-check compare a value with itself
+    sites = sorted(f"{path.stem}.{scope}" for path in sorted(SRC.glob("*.py"))
+                   for scope in _stores(ast.parse(path.read_text(), str(path)), "_divisors"))
+    assert sites == ["matrix.WittMat.__init__", "matrix.WittMat._from_raw",
+                     "snf.divisor_type", "strata.sample_orbit"]

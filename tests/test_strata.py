@@ -1,4 +1,5 @@
 import collections
+import itertools
 import pickle
 import random
 
@@ -118,7 +119,8 @@ def test_in_orbit_closure_basic():
     strata = enumerate_strata(n, r).strata
     for gamma in strata:
         a = n * r - gamma.exponents[0]
-        A = sample_orbit(R, gamma, rng)
+        # a copy, as the sample carries its type: this runs the elimination
+        A = WittMat._from_raw(R, sample_orbit(R, gamma, rng)._raw)
         for i in range(n * r // 2 + 1):
             assert in_orbit_closure(A, i) == (a >= i)
     mu = p_power_diagonal(R, regular_cochar(n, r).exponents)
@@ -142,6 +144,30 @@ def test_predicate_does_not_imply_closure():
             assert valuation_predicate(A, 1)
             assert divisor_type(A).exponents == (nr, 0)
             assert not in_orbit_closure(A, 1)
+
+
+def test_criterion_4_on_every_2x2_matrix_over_z8():
+    # Exhaustive n = 2, r = 1 slice of criterion 4 (predicate => closure).  At
+    # n = 2 the corner minor is the entry A[1, 1]; closure at i = 1 asks every
+    # entry to be a non-unit.  The violations are the type-(2, 0) matrices with
+    # p | A[1, 1], v(A[0, 0]) <= 1 and a unit entry: 256 of the 672 in the cover
+    # (8/21), none inside the chart where A[1, 1] has the least valuation.
+    R = witt_ring(2, 3)
+    types, failed, failed_in_chart = collections.Counter(), collections.Counter(), 0
+    for a, b, c, d in itertools.product(range(8), repeat=4):
+        A = WittMat.from_ints(R, [[a, b], [c, d]])
+        if not in_cover(A, 1):
+            continue
+        gamma = divisor_type(A).exponents
+        types[gamma] += 1
+        in_chart = R._val(d) == min(map(R._val, (a, b, c, d)))
+        for i in (0, 1):
+            if valuation_predicate(A, i) and not in_orbit_closure(A, i):
+                failed[i, gamma] += 1
+                failed_in_chart += in_chart
+    assert types == {(2, 0): 576, (1, 1): 96}
+    assert failed == {(1, (2, 0)): 256}
+    assert failed_in_chart == 0
 
 
 def test_closure_implies_corner_minor_valuation():
@@ -319,7 +345,7 @@ def test_sample_orbit_contract():
     strata = enumerate_strata(3, 1).strata
     for gamma in strata:
         A = sample_orbit(R, gamma, rng)
-        assert divisor_type(A) == gamma
+        assert divisor_type(WittMat._from_raw(R, A._raw)) == gamma == divisor_type(A)
     assert sample_orbit(R, strata[0], 11) == sample_orbit(R, strata[0], 11)
 
 
@@ -476,6 +502,22 @@ def test_sample_orbit_is_x_times_diagonal_times_y(p, N, m):
             assert A == x * p_power_diagonal(R, gamma.exponents) * y
 
 
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_sample_orbit_stamp_matches_elimination(p, m):
+    # sample_orbit stamps gamma, clamped to N, into the divisor-type memo; an
+    # unstamped copy eliminates, for every descending gamma over [0, N + 1]
+    R, N = witt_ring(p, 2, m), 2
+    rng = random.Random(f"stamp-{p}-{m}")
+    for n in range(1, 7):
+        for exps in itertools.combinations_with_replacement(range(N + 1, -1, -1), n):
+            A = sample_orbit(R, Cochar(n, exps), rng)
+            clamped = Cochar(n, tuple(min(e, N) for e in exps))
+            copy = WittMat._from_raw(R, A._raw)
+            assert A._divisors == divisor_type(copy) == clamped, (p, m, exps)
+            assert divisor_type(A) is A._divisors
+
+
 @pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 2), (3, 2)])
 def test_internal_readers_build_no_witt_elem(p, m, monkeypatch):
     # the stratum readers, the minor oracle, the adjugate inverse and
@@ -525,20 +567,20 @@ def test_internal_readers_build_no_witt_elem(p, m, monkeypatch):
 # test_corner_valuations_are_computed_once_per_matrix).  Together with test_divisor_type_op_counts_are_pinned (census
 # inputs), a move here names the layer whose work changed.
 _STRATA_COVER_OP_COUNTS = {
-    (2, 2, 1): {"det": 15, "divide": 1, "divider": 2, "inv": 2, "matmul": 3, "mul": 4,
-                "sub": 1, "val": 24},
-    (2, 2, 2): {"det": 18, "divide": 2, "divider": 2, "inv": 2, "matmul": 3, "mul": 6,
-                "sub": 2, "val": 27},
-    (2, 3, 1): {"det": 8, "divide": 3, "divider": 4, "inv": 4, "matmul": 3, "mul": 12,
-                "sub": 6, "val": 25},
-    (3, 3, 1): {"det": 7, "divide": 6, "divider": 4, "inv": 4, "matmul": 3, "mul": 25,
-                "sub": 10, "val": 42},
-    (5, 3, 1): {"det": 8, "divide": 6, "divider": 4, "inv": 4, "matmul": 3, "mul": 25,
-                "sub": 10, "val": 43},
-    (2, 3, 2): {"det": 16, "divide": 6, "divider": 4, "inv": 4, "matmul": 3, "mul": 22,
-                "sub": 10, "val": 45},
-    (2, 4, 1): {"det": 15, "divide": 11, "divider": 6, "inv": 6, "matmul": 3, "mul": 53,
-                "sub": 26, "val": 77},
+    (2, 2, 1): {"det": 15, "divide": 1, "divider": 1, "inv": 1, "matmul": 3, "mul": 4,
+                "sub": 1, "val": 20},
+    (2, 2, 2): {"det": 18, "divide": 1, "divider": 1, "inv": 1, "matmul": 3, "mul": 4,
+                "sub": 1, "val": 23},
+    (2, 3, 1): {"det": 8, "divide": 2, "divider": 2, "inv": 2, "matmul": 3, "mul": 9,
+                "sub": 4, "val": 17},
+    (3, 3, 1): {"det": 7, "divide": 3, "divider": 2, "inv": 2, "matmul": 3, "mul": 17,
+                "sub": 5, "val": 25},
+    (5, 3, 1): {"det": 8, "divide": 3, "divider": 2, "inv": 2, "matmul": 3, "mul": 17,
+                "sub": 5, "val": 26},
+    (2, 3, 2): {"det": 16, "divide": 3, "divider": 2, "inv": 2, "matmul": 3, "mul": 14,
+                "sub": 5, "val": 34},
+    (2, 4, 1): {"det": 15, "divide": 6, "divider": 3, "inv": 3, "matmul": 3, "mul": 36,
+                "sub": 14, "val": 47},
 }
 
 
