@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from operator import index, mul
 
 from .matrix import GroupShape, WittMat, in_group, p_power_diagonal
-from .snf import Cochar, _record, divisor_type
+from .snf import Cochar, _new, _setattr, divisor_type
 from .strata import _height, _index, in_cover, subregular_cochar
 from .witt import witt_ring
 
@@ -136,7 +136,8 @@ class DimReport:
 def dim_report(gamma, r):
     """All dimension quantities for one stratum, from s0 = sum_k s_k and
     s1 = sum_k k s_k.  stab is stabilizer_dim's per-entry count for (FULL,
-    FULL), grouped by max(i, j): n^2 N + sum_k (2k+1) s_k = n^2 N + 2 s1 + s0.
+    FULL), grouped by max(i, j): n^2 N + sum_k (2k+1) s_k = n^2 N + 2 s1 + s0,
+    so codim_in_mat is 2 s1 + s0 and the orbit n^2 N minus it.
     dim_lattice_orbit's -2 sum_k k (s_k - r) is r n(n-1) - 2 s1.  The closed
     form is cross-checked on subregular vectors."""
     n = gamma.n
@@ -147,33 +148,32 @@ def dim_report(gamma, r):
         raise ValueError("exponents must lie in [0, N]")
     s0 = sum(exps)
     s1 = sum(map(mul, range(n), exps))
-    stab = n * n * N + 2 * s1 + s0
-    orbit = 2 * n * n * N - stab
-    sources = {
-        "dim_lattice_orbit": "closed-form",
-        "dim_matrix_orbit": "linear-oracle",
-        "stab_dim": "linear-oracle",
-        "codim_in_mat": "linear-oracle",
-    }
+    nnN, codim = n * n * N, 2 * s1 + s0
+    matrix_source = "linear-oracle"
     if not any(exps[2:]) and exps[1] <= nr // 2:
-        i = exps[1]
-        closed = dim_matrix_orbit_closed_form(i, n, r)
-        if closed != orbit:
+        if dim_matrix_orbit_closed_form(exps[1], n, r) != nnN - codim:
             raise RuntimeError("oracle disagrees with the closed form")
-        sources["dim_matrix_orbit"] = "closed-form+linear-oracle"
+        matrix_source = "closed-form+linear-oracle"
     # dim_lattice_orbit's checks, in its order
     if s0 != nr:
         raise ValueError("exponents must sum to nr")
     if exps[0] > nr:
         raise ValueError("leading exponent exceeds nr")
-    return _record(
-        DimReport, gamma=gamma, n=n, r=nr // n,
-        dim_lattice_orbit=nr * (n - 1) - 2 * s1,
-        dim_matrix_orbit=orbit,
-        stab_dim=stab,
-        codim_in_mat=n * n * N - orbit,
-        sources=sources,
-    )
+    report = _new(DimReport)  # _record inline: one per stratum
+    _setattr(report, "__dict__", {
+        "gamma": gamma, "n": n, "r": nr // n,
+        "dim_lattice_orbit": nr * (n - 1) - 2 * s1,
+        "dim_matrix_orbit": nnN - codim,
+        "stab_dim": nnN + codim,
+        "codim_in_mat": codim,
+        "sources": {
+            "dim_lattice_orbit": "closed-form",
+            "dim_matrix_orbit": matrix_source,
+            "stab_dim": "linear-oracle",
+            "codim_in_mat": "linear-oracle",
+        },
+    })
+    return report
 
 
 # -- divisor-type histograms -------------------------------------------------------

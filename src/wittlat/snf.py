@@ -35,7 +35,8 @@ class Cochar:
     def __post_init__(self):
         exps = tuple(map(operator.index, self.exponents))
         object.__setattr__(self, "exponents", exps)
-        if len(exps) != operator.index(self.n):
+        object.__setattr__(self, "n", operator.index(self.n))
+        if len(exps) != self.n:
             raise ValueError("exponent count must equal n")
         if any(e < 0 for e in exps):
             raise ValueError("exponents must be nonnegative")

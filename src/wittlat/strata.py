@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .errors import NotInCoverError, ParameterMismatchError, ShapeError
 from .field import _check_bound
 from .matrix import GroupShape, WittMat, _det, _minor, in_group
-from .snf import Cochar, _record, divisor_type
+from .snf import Cochar, _new, _record, _setattr, divisor_type
 from .witt import _draw_below
 
 
@@ -124,18 +124,20 @@ def _partitions(total, parts, cap):
     """Weakly decreasing `parts`-tuples over [0, cap] summing to `total`, in
     reverse lexicographic order.  Each step lowers by one the last entry k
     whose tail can still hold the remainder (sum(a[k:]) <= (parts - k) *
-    (a[k] - 1)), then refills the tail greedily, largest entries first."""
+    (a[k] - 1)), then refills the tail greedily in one list step: q copies of
+    a[k], then rem, for q, rem = divmod(remainder, a[k]).  Only the nonzero
+    parts are held, so the backward scan starts at the last of them (a zero
+    never passes the test), and the zeros are padded on at the yield."""
     if total > parts * cap:
         return
-    a = [0] * parts
-    k, s, top = 0, total, cap
+    zeros = [(0,) * j for j in range(parts + 1)]
+    a, k, s, top = [], 0, total, cap or 1  # cap = 0 leaves total = 0: no part
     while True:
-        for j in range(k, parts):
-            top = a[j] = min(s, top)
-            s -= top
-        yield tuple(a)
-        s = a[-1]
-        for k in range(parts - 2, -1, -1):
+        q, rem = divmod(s, top)
+        a[k:] = [top] * q + [rem] if rem else [top] * q
+        yield tuple(a) + zeros[parts - len(a)]
+        s = 0
+        for k in range(len(a) - 1, -1, -1):
             s += a[k]
             top = a[k] - 1
             if s <= (parts - k) * top:
@@ -168,7 +170,12 @@ def _ordered_strata(n, r):
     """Dominant vectors summing to nr in stratum order, as _partitions yields them."""
     nr = _height(n, r)
     _check_bound("nr", nr)
-    return [Cochar._make(n, exps) for exps in _partitions(nr, n, nr)]
+    strata = []
+    for exps in _partitions(nr, n, nr):
+        c = _new(Cochar)  # Cochar._make inline: one per stratum
+        _setattr(c, "__dict__", {"n": n, "exponents": exps})
+        strata.append(c)
+    return strata
 
 
 @functools.lru_cache(maxsize=8)
@@ -184,13 +191,17 @@ def enumerate_strata(n, r):
     mu = lam - e_i + e_j, i < j, and j = i + 1 or lam_i = lam_j + 2.  Partitions
     with at most n parts form an up-set, so these are the covers here too.  As mu
     must decrease weakly, i ends a block of equal parts and j is i + 1 when
-    lam_{i+1} <= lam_i - 2, else the start of the block after next if it holds lam_i - 2."""
+    lam_{i+1} <= lam_i - 2, else the start of the block after next if it holds lam_i - 2.
+    A zero lam_i has no smaller part after it, so the scan stops at the first."""
+    n, r = operator.index(n), operator.index(r)
     strata = _ordered_strata(n, r)
     index = {c.exponents: k for k, c in enumerate(strata)}
     hasse = []
     for lam, hi in index.items():
-        for i in range(n - 1):
-            top, j = lam[i], i + 1
+        for i, top in enumerate(lam):
+            if not top:
+                break
+            j = i + 1
             while j < n and lam[j] == top - 1:  # a block of top - 1 follows i
                 j += 1
             if j < n and lam[j] < top and (j == i + 1 or lam[j] == top - 2):

@@ -5,7 +5,9 @@ before the matrix layer moved to bare-value storage (the first eight) or
 before the census loops and the m > 1 determinant were folded into the
 shared elimination and histogram code (the next five) or before the
 irreducibility test, the modulus search and the modulus lift moved onto
-the generated kernels (the m >= 3 cases), and its exit code with
+the generated kernels (the m >= 3 cases) or before the partition refill and
+the cover scan stopped at the last and first zero part (the poset
+commands), and its exit code with
 the recorded one (`verify --suite strata` exits 1 by design: criterion 4's
 containment is false).  A change that alters any seeded output fails here.
 The `--jobs 2` cases are skipped on one CPU, where `main` rejects them.
@@ -57,6 +59,18 @@ GOLDEN = [
      "bc3e00db7cf813673181fad024aa24f2a080f2101b3d3b088c3c630d5ef4a2db"),
     ("verify --suite witt --p 3 --m 4 --N 2 --samples 10 --seed 11", 0,
      "91270764fde1fa37661873506c11c8c5c43bc204fa7179de0725a855eb78de46"),
+    # the poset commands: strata at (6, 4) and at the nr bound, the Hasse
+    # diagram, and dimension reports by index and by type
+    ("strata --n 6 --r 4", 0,
+     "a9332aec9273c770a2a6983cbc3b01080740895838286177407e3c8bbc07714b"),
+    ("strata --n 36 --r 1", 0,
+     "63e8f0f1fa2739179411fdf82d1e19c69ce4e185de3d38139c3f57a7a419f9d6"),
+    ("strata --n 4 --r 3 --dot", 0,
+     "6a526477fdd46cab93668f09417181fe78904252c7ca8a79d8678a684b89af49"),
+    ("dims --n 5 --r 3 --i 2", 0,
+     "f8bc90db2e70e381a0d31c3bc3dbe85ec1f8c570b1338acacd942c05228aad81"),
+    ("dims --type 4,2,1,1", 0,
+     "6dfc174d9f96075570abe031c3e217bfe38ad7c40aacc7962923c649be98470f"),
 ]
 
 

@@ -1,8 +1,11 @@
 import collections
 import itertools
+import json
 import pickle
 import random
+import time
 
+import numpy as np
 import pytest
 from sympy.utilities.iterables import partitions
 
@@ -252,13 +255,15 @@ def _brylawski_all_pairs(poset):
 
 
 def test_enumerate_strata_block_covers_match_all_pairs():
-    for n in range(2, 9):
-        for r in range(1, 24 // n + 1):
-            poset = enumerate_strata(n, r)
-            assert poset.hasse == _brylawski_all_pairs(poset), (n, r)
-            for c in poset.strata:
-                checked = Cochar(n, c.exponents)
-                assert c == checked and hash(c) == hash(checked), c
+    # n <= 8 and beyond, where most strata end in zero parts: the cover scan
+    # stops at the first of them
+    sizes = [(n, r) for n in range(2, 9) for r in range(1, 24 // n + 1)]
+    for n, r in sizes + [(12, 1), (16, 1), (20, 1), (9, 2), (12, 2)]:
+        poset = enumerate_strata(n, r)
+        assert poset.hasse == _brylawski_all_pairs(poset), (n, r)
+        for c in poset.strata:
+            checked = Cochar(n, c.exponents)
+            assert c == checked and hash(c) == hash(checked), c
 
 
 def _partitions_recursive(total, parts, cap):
@@ -284,11 +289,31 @@ def test_partitions_match_recursive_oracle():
             for cap in range(32):
                 want = [t for t in full if t[0] <= cap]
                 assert list(_partitions(total, parts, cap)) == want, (total, parts, cap)
+    # every partition of 30, most of them padded with zeros to 30 parts
+    assert list(_partitions(30, 30, 30)) == list(_partitions_recursive(30, 30, 30))
 
 
 def test_enumerate_strata_large_counts():
     poset = enumerate_strata(6, 4)
     assert len(poset.strata) == 532 and len(poset.hasse) == 1252
+    # (36, 1), the largest poset BOUNDS["nr"] admits
+    start = time.perf_counter()
+    poset = enumerate_strata(36, 1)
+    elapsed = time.perf_counter() - start
+    assert len(poset.strata) == 17977 and len(poset.hasse) == 58339
+    assert elapsed < 1.0, elapsed
+
+
+def test_poset_records_hold_plain_ints():
+    # the caller's n and r are read through operator.index, not stored as given:
+    # True printed as `"r": true` and numpy integers did not serialize
+    for n, r in ((2, True), (np.int64(2), np.int64(1))):
+        obj = enumerate_strata(n, r).to_obj()
+        assert json.loads(json.dumps(obj)) == enumerate_strata(2, 1).to_obj()
+        assert type(obj["n"]) is int and type(obj["r"]) is int
+    c = Cochar(np.int64(2), (1, 1))
+    assert json.dumps(c.to_obj()) == '{"n": 2, "exponents": [1, 1]}'
+    assert type(c.n) is int and c == Cochar(2, (1, 1))
 
 
 def test_hasse_edges_are_single_unit_transfers():
