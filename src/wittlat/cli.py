@@ -157,11 +157,10 @@ def cmd_degenerate(args):
 def cmd_dims(args):
     if args.type is not None:
         exps = _parse_exponents(args.type)
-        n = len(exps)
-        total = sum(exps)
-        if n < 2 or total % n:
-            raise UsageError("--type must have length >= 2 and total divisible by n")
-        r = total // n
+        n, total = len(exps), sum(exps)
+        r, rem = divmod(total, n)
+        if rem:  # n >= 2 and r >= 1 are left to dim_report, through strata._height
+            raise UsageError("--type total must be divisible by its length")
         try:
             gamma = Cochar(n, exps)
         except ValueError as exc:

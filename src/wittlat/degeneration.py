@@ -115,7 +115,7 @@ def embed_witness(w, n, j, ambient, i=0):
     """Place the 2x2 witness into slots (i, j) of an n x n ambient diagonal.
 
     Returns (x, eta_prime, y) with x * eta_prime * y^{-1} equal to the
-    embedded deformation matrix; x and y are invertible.
+    embedded deformation matrix; x and y are invertible, with g^-1 from _transfer.
     """
     ring = w.target.ring
     ambient, j, i = tuple(map(operator.index, ambient)), operator.index(j), operator.index(i)
@@ -125,9 +125,9 @@ def embed_witness(w, n, j, ambient, i=0):
         raise ValueError("need 0 <= i < j < n")
     if ambient[i] != w.r1 or ambient[j] != w.rj:
         raise ValueError("ambient slots must carry the witness exponents")
-    eta = deformation_matrix(ring, ambient, j, w.b, w.t, i)
-    g = w.factors[2] * w.factors[3]
-    return _embed(w, n, j, ambient, i, eta, g._raw, g.inverse()._raw)
+    xi = ring.teichmuller(w.t)._v
+    _, g, g_inv = _transfer(ring, w.r1, w.rj, w.b, w.t, xi, ring._inv(xi))
+    return _embed(w, n, j, ambient, i, _deformation(ring, ambient, j, w.b, xi, i), g, g_inv)
 
 
 def _embed(w, n, j, ambient, i, eta, g, g_inv):
@@ -193,7 +193,7 @@ def degeneration_chain(ring, src, dst, t=None):
     xi_inv = ring._inv(xi)
     n = src.n
     steps = []
-    upper = Cochar._make(n, tuple(dst.exponents))
+    upper = _record(Cochar, n=n, exponents=tuple(dst.exponents))
     tgt = src.exponents
     while upper.exponents != tgt:
         i, j = _transfer_slots(upper.exponents, tgt)
@@ -206,7 +206,8 @@ def degeneration_chain(ring, src, dst, t=None):
         w, g, g_inv = _transfer(ring, lower[i], lower[j], 1, t, xi, xi_inv)
         deformed = _deformation(ring, lower, j, 1, xi, i)
         x, eta_prime, y = _embed(w, n, j, lower, i, deformed, g, g_inv)
-        steps.append(_record(ChainStep, upper=upper, lower=Cochar._make(n, lower), i=i, j=j,
-                             b=1, witness=w, x=x, eta_prime=eta_prime, y=y, deformed=deformed))
+        steps.append(_record(ChainStep, upper=upper, lower=_record(Cochar, n=n, exponents=lower),
+                             i=i, j=j, b=1, witness=w, x=x, eta_prime=eta_prime, y=y,
+                             deformed=deformed))
         upper = steps[-1].lower
     return steps

@@ -14,23 +14,13 @@ x^(p^m) == x mod f, F_p[x]/(f) is a product of fields F_{p^d} with d | m.
 import functools
 import itertools
 import linecache
+import operator
 
 from .errors import BoundError
 
 
 def is_prime(n):
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    return n >= 2 and _prime_factors(n) == [n]
 
 
 def _prime_factors(n):
@@ -235,9 +225,10 @@ def is_irreducible(coeffs, p):
         for ell in _prime_factors(m))
 
 
+@functools.cache
 def default_modulus(p, m):
-    """First monic irreducible of degree m over Z/p, in base-p order (the
-    order of FieldDescriptor.elements() on the lower coefficients)."""
+    """First monic irreducible of degree m over Z/p, in base-p order (the order
+    of FieldDescriptor.elements() on the lower coefficients), sought once per (p, m)."""
     candidates = (t[::-1] + (1,) for t in itertools.product(range(p), repeat=m))
     return next(f for f in candidates if is_irreducible(f, p))
 
@@ -260,6 +251,7 @@ class FieldDescriptor:
     __slots__ = ("p", "m", "q", "modulus", "key", "_mul")
 
     def __init__(self, p, m=1):
+        p, m = operator.index(p), operator.index(m)
         _check_bound("p", p)
         _check_bound("m", m)
         if not is_prime(p):

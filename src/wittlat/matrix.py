@@ -156,8 +156,6 @@ class WittMat:
 
     def corner_minor(self):
         """Determinant of the complementary minor of the (0,0) entry."""
-        if self.n < 2:
-            raise ShapeError("corner minor requires n >= 2")
         return self.minor(0, 0)
 
 
@@ -231,18 +229,18 @@ def _det(rows, ring):
 # -- elimination -------------------------------------------------------------------
 
 def _find_pivot(M, k, n, N, lo):
-    """Minimal-valuation entry of the active block; ties prefer the
-    smallest column index, then the largest row index.  No entry lies below
-    lo, the last pivot's valuation (0 at k = 0), as each is x - q*y with v(x),
-    v(y) >= lo and v(q) >= 0; so the scan ends after the first whole column
-    holding valuation lo, since later columns could only tie."""
+    """Minimal-valuation entry of the active block, scanned down each column in
+    turn: ties go to the first column met, then to the last row met in it.  No
+    entry lies below lo, the last pivot's valuation (0 at k = 0), as each is
+    x - q*y with v(x), v(y) >= lo and v(q) >= 0; so the scan ends after the
+    first whole column holding valuation lo, since later columns could only tie."""
     bv, bj, bi = N, n, -1
     for j in range(k, n):
         for i in range(k, n):
             v = M[i][j].valuation()
             if v >= N:
                 continue
-            if v < bv or (v == bv and (j < bj or (j == bj and i > bi))):
+            if v < bv or (v == bv and j == bj):
                 bv, bj, bi = v, j, i
         if bv == lo:
             break

@@ -43,12 +43,6 @@ class Cochar:
         if any(exps[i] < exps[i + 1] for i in range(self.n - 1)):
             raise ValueError("exponents must be weakly decreasing")
 
-    @classmethod
-    def _make(cls, n, exponents):
-        self = _new(cls)  # _record inline: one per divisor type and stratum
-        _setattr(self, "__dict__", {"n": n, "exponents": exponents})
-        return self
-
     def __iter__(self):
         return iter(self.exponents)
 
@@ -85,7 +79,7 @@ def snf(A):
     exps, _, _, L, R = _eliminate(ring, A._raw, with_transforms=True)
     left = WittMat._from_raw(ring, tuple(map(tuple, L)))
     right = WittMat._from_raw(ring, tuple(map(tuple, R)))
-    divisors = Cochar._make(A.n, tuple(reversed(exps)))  # ascending exps: sorted
+    divisors = _record(Cochar, n=A.n, exponents=tuple(reversed(exps)))  # exps ascend
     matmul, target = ring._matrix_kernels(A.n)[0], p_power_diagonal(ring, divisors.exponents)
     if matmul(matmul(left._raw, A._raw), right._raw) != target._raw:
         raise RuntimeError("diagonalization self-check failed")
@@ -99,7 +93,7 @@ def divisor_type(A):
     div = A._divisors
     if div is None:
         exps = _eliminate(A.ring, A._raw, with_transforms=False)[0]
-        div = A._divisors = Cochar._make(A.n, tuple(reversed(exps)))  # ascending exps
+        div = A._divisors = _record(Cochar, n=A.n, exponents=tuple(reversed(exps)))
     return div
 
 

@@ -172,7 +172,7 @@ def _ordered_strata(n, r):
     _check_bound("nr", nr)
     strata = []
     for exps in _partitions(nr, n, nr):
-        c = _new(Cochar)  # Cochar._make inline: one per stratum
+        c = _new(Cochar)  # _record inline: one per stratum
         _setattr(c, "__dict__", {"n": n, "exponents": exps})
         strata.append(c)
     return strata
@@ -192,14 +192,14 @@ def enumerate_strata(n, r):
     with at most n parts form an up-set, so these are the covers here too.  As mu
     must decrease weakly, i ends a block of equal parts and j is i + 1 when
     lam_{i+1} <= lam_i - 2, else the start of the block after next if it holds lam_i - 2.
-    A zero lam_i has no smaller part after it, so the scan stops at the first."""
+    The scan stops at the first lam_i below 2: only ones and zeros follow it, so no cover."""
     n, r = operator.index(n), operator.index(r)
     strata = _ordered_strata(n, r)
     index = {c.exponents: k for k, c in enumerate(strata)}
     hasse = []
     for lam, hi in index.items():
         for i, top in enumerate(lam):
-            if not top:
+            if top < 2:
                 break
             j = i + 1
             while j < n and lam[j] == top - 1:  # a block of top - 1 follows i
@@ -276,15 +276,15 @@ def sample_orbit(ring, gamma, seed):
     to N (exponent N encodes a zero); it is stamped into the `_divisors` memo,
     and divisor_type reads it from there without an elimination."""
     rng = _as_rng(seed)
-    n = gamma.n
+    n, exps = gamma.n, gamma.exponents
     x = sample_group(ring, n, GroupShape.FULL, rng)
     y = sample_group(ring, n, GroupShape.FULL, rng)
     # diag(p^gamma) * y scales row i of y by p^gamma_i (0 once gamma_i >= N; kept if 1);
     # x and that product are n x n over ring, so the kernel needs no operand check
-    mul, one, scale = ring._mul, ring._one, [ring.p_power(e)._v for e in gamma.exponents]
+    mul, one, scale = ring._mul, ring._one, [ring.p_power(e)._v for e in exps]
     A = WittMat._from_raw(ring, ring._matrix_kernels(n)[0](x._raw, tuple(
         [r if f == one else tuple([mul(f, c) for c in r]) for r, f in zip(y._raw, scale)])))
-    A._divisors = Cochar._make(n, tuple([min(e, ring.N) for e in gamma.exponents]))
+    A._divisors = _record(Cochar, n=n, exponents=tuple([min(e, ring.N) for e in exps]))
     return A
 
 

@@ -15,8 +15,7 @@ from .dimension import (GroupShape, complete_intersection_check,
                         tiny_exhaustive_census)
 from .matrix import mat_to_obj, p_power_diagonal
 from .snf import divisor_type, minor_valuations, snf
-from .strata import (_height, _ordered_strata, classify, sample_cover, sample_group,
-                     sample_orbit, subregular_cochar)
+from .strata import _height, classify, sample_cover, sample_group, subregular_cochar
 from .witt import witt_ring
 
 DEFAULT_SEED = 1729
@@ -108,16 +107,14 @@ def suite_witt(p=2, m=1, N=3, samples=300, seed=DEFAULT_SEED):
 def suite_snf(p=2, m=1, n=2, r=1, samples=200, seed=DEFAULT_SEED):
     nr = _height(n, r)
     ring = witt_ring(p, nr + 1, m)
-    strata = _ordered_strata(n, r)
     rng = random.Random(_child_seed(seed, 1))
     roundtrip = _Check("orbit_roundtrip_recovers_divisors")
     recon = _Check("transform_reconstruction")
     sumrule = _Check("divisor_sum_equals_det_valuation")
     minors = _Check("determinantal_minor_oracle")
     for k in range(samples):
-        gamma = strata[rng.randrange(len(strata))]
-        A = sample_orbit(ring, gamma, rng)
-        res = snf(A)
+        A = sample_cover(ring, n, r, rng)
+        gamma, res = divisor_type(A), snf(A)  # gamma is the type A was sampled with
         ok = res.divisors == gamma  # a failure carries A, for classify --input
         roundtrip.record(ok, {"gamma": list(gamma.exponents),
                               "got": list(res.divisors.exponents), "seed_index": k,

@@ -38,14 +38,14 @@ _RING_LOCK = threading.Lock()
 
 
 def witt_ring(p, N, m=1):
-    """Shared-instance constructor for W_N(F_{p^m}), keyed by (p, N, m)."""
-    key = (p, N, m)
+    """Shared-instance constructor for W_N(F_{p^m}), keyed by (p, N, m) read as ints."""
+    key = (operator.index(p), operator.index(N), operator.index(m))
     ring = _RING_CACHE.get(key)
     if ring is None:
         with _RING_LOCK:
             ring = _RING_CACHE.get(key)
             if ring is None:
-                ring = _RING_CACHE[key] = WittRing(p, N, m)
+                ring = _RING_CACHE[key] = WittRing(*key)
     return ring
 
 
@@ -128,6 +128,7 @@ class WittRing:
                  "_digit_rows", "_codecs", "_p_powers", "zero", "one", "_zero", "_one")
 
     def __init__(self, p, N, m=1):
+        p, N, m = operator.index(p), operator.index(N), operator.index(m)
         if N < 1:
             raise ValueError("length N must be >= 1")
         _check_bound("N", N)

@@ -89,6 +89,8 @@ def test_classify_malformed(tmp_path, capsys):
     path.write_text('{"p": 2}')
     code, _ = run(capsys, "classify", "--input", str(path), "--r", "1")
     assert code == 2
+    for missing in (tmp_path / "absent.json", tmp_path):  # no file; a directory
+        _assert_usage_error(capsys, ["classify", "--input", str(missing), "--r", "1"])
 
 
 def test_strata_json_and_dot(capsys):
@@ -239,6 +241,12 @@ def test_dims_by_type(capsys):
     assert code == 2
     code, _ = run(capsys, "dims", "--n", "2", "--r", "1")  # missing --i
     assert code == 2
+    # a --type of length 1 fails the n >= 2 of strata._height, as --n 1 does
+    for argv, err in ((["--type", "5"], "need n >= 2 and r >= 1"),
+                      (["--type", "3,0"], "--type total must be divisible by its length")):
+        assert main(["dims", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {err}\n", argv
 
 
 def test_dims_rejects_zero_height(capsys):
@@ -321,6 +329,7 @@ def test_enumerate_tiny(capsys):
     obj = json.loads(out)
     assert obj["group_order"] == 1536 and obj["cover_size"] == 672
     assert obj["orbit_counts_ok"] and obj["partition_ok"]
+    _assert_usage_error(capsys, ["enumerate"])  # --tiny is the only census it runs
 
 
 def test_enumerate_tiny_shares_the_verify_verdict(capsys, monkeypatch):

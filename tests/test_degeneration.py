@@ -87,6 +87,9 @@ def test_transfer_witness_validation():
         transfer_witness(R, 1, 1, 2, (1,))
     with pytest.raises(ValueError):
         transfer_witness(R, 0, 2, 1, (1,))  # r1 + b < rj
+    for r1, rj in ((-1, 0), (1, -1)):
+        with pytest.raises(ValueError, match="nonnegative"):
+            transfer_witness(R, r1, rj, 0, (1,))
 
 
 def test_embed_witness_n2():
@@ -112,6 +115,11 @@ def test_embed_witness_n3():
     assert divisor_type(eta).exponents == (3, 2, 0)
     with pytest.raises(ValueError):
         embed_witness(w, 3, 2, (2, 2, 2), i=0)  # ambient slot mismatch
+    with pytest.raises(ValueError, match="length n"):
+        embed_witness(w, 3, 2, (2, 1), i=0)
+    for j, i in ((2, 2), (1, 2), (3, 0)):
+        with pytest.raises(ValueError, match="0 <= i < j < n"):
+            embed_witness(w, 3, j, ambient, i)
 
 
 def test_embed_witness_reads_exponents_and_slots_as_integers():
@@ -201,6 +209,13 @@ def test_chain_requires_comparability():
         degeneration_chain(R, Cochar(3, (4, 1, 1)), Cochar(3, (3, 3, 0)))
     with pytest.raises(ValueError):
         degeneration_chain(R, Cochar(2, (2, 0)), Cochar(2, (1, 1)))
+
+
+def test_chain_requires_a_ring_longer_than_the_total():
+    for N in (1, 4):
+        with pytest.raises(ValueError, match="exceed the exponent total"):
+            degeneration_chain(witt_ring(2, N), Cochar(2, (2, 2)), Cochar(2, (4, 0)))
+    assert len(degeneration_chain(witt_ring(2, 5), Cochar(2, (2, 2)), Cochar(2, (4, 0)))) == 2
 
 
 def test_chain_nontrivial_t():

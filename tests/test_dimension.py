@@ -13,7 +13,7 @@ from wittlat.dimension import (DimReport, complete_intersection_check, dim_latti
 from wittlat.cli import _census_matrix
 from wittlat.degeneration import degeneration_chain
 from wittlat.matrix import GroupShape, WittMat, _eliminate, p_power_diagonal, zeros
-from wittlat.snf import Cochar, divisor_type, snf
+from wittlat.snf import Cochar, _record, divisor_type, snf
 from wittlat.strata import (StratumReport, classify, enumerate_strata, regular_cochar,
                             sample_orbit, subregular_cochar)
 from wittlat.witt import witt_ring
@@ -73,6 +73,9 @@ def test_shape_space_dims():
             assert shape_space_dim(GroupShape.B, n, N) == n * n * nr + n * (n + 1) // 2
             assert shape_space_dim(GroupShape.B_MINUS, n, N) == \
                 n * n * nr + n * (n + 1) // 2
+    for shape in ("full", None):
+        with pytest.raises(ValueError, match="^unknown shape"):
+            shape_space_dim(shape, 2, 3)
 
 
 def test_orbit_dim_examples():
@@ -245,7 +248,8 @@ def test_dim_report_rejects_exponent_above_N():
 def test_dim_report_raises_lattice_orbit_errors_after_closed_form():
     # dim_report computes the lattice-orbit dimension itself but keeps
     # dim_lattice_orbit's errors, after the closed-form cross-check
-    for gamma, r in ((Cochar(3, (1, 1, 1)), 2), (Cochar._make(3, (4, 0, -1)), 1)):
+    negative = _record(Cochar, n=3, exponents=(4, 0, -1))  # past Cochar's own checks
+    for gamma, r in ((Cochar(3, (1, 1, 1)), 2), (negative, 1)):
         with pytest.raises(ValueError) as want:
             dim_lattice_orbit(gamma, r)
         with pytest.raises(ValueError, match=str(want.value)):

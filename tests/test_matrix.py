@@ -242,8 +242,23 @@ def test_full_group_closed_under_product_and_inverse():
 
 def test_inverse_requires_unit_det():
     R = witt_ring(2, 3)
-    with pytest.raises(NotAUnitError):
-        p_power_diagonal(R, (1, 0)).inverse()
+    for n in (1, 2):
+        with pytest.raises(NotAUnitError):
+            p_power_diagonal(R, (1, 0)[:n]).inverse()
+
+
+def test_inverse_n1():
+    R = witt_ring(3, 2, 2)
+    u = R.from_coeffs((4, 1))
+    inv = WittMat(R, [[u]]).inverse()
+    assert inv == WittMat(R, [[u.inverse()]]) and inv.rows[0][0] * u == R.one
+
+
+def test_sample_group_rejects_an_unknown_shape():
+    R = witt_ring(2, 3)
+    for shape in ("full", None, GroupShape.FULL.value):
+        with pytest.raises(ValueError, match="^unknown shape"):
+            sample_group(R, 2, shape, 1)
 
 
 def test_inverse_n3():

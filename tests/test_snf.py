@@ -23,6 +23,11 @@ def test_cochar_validation():
         Cochar(2, (1, 1, 1))
     assert Cochar.from_obj({"n": 2, "exponents": [2, 0]}).to_obj() == \
         {"n": 2, "exponents": [2, 0]}
+    c = Cochar(3, (4, 1, 1))  # a sequence of its exponents
+    assert len(c) == 3 and c[0] == 4 and c[-1] == 1 and c[1:] == (1, 1)
+    assert list(c) == [4, 1, 1] and tuple(reversed(c)) == (1, 1, 4)
+    with pytest.raises(IndexError):
+        c[3]
 
 
 def test_already_diagonal():

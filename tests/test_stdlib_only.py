@@ -73,24 +73,43 @@ def test_corner_minor_is_taken_only_in_corner_valuations():
     assert callers == ["_corner_valuations"]
 
 
-def _stores(node, attr, scope=()):
-    """The enclosing scope, as dotted class and function names, of every store
-    to `.attr` under node."""
+def _scopes(node, match, scope=()):
+    """The enclosing scope, as dotted class and function names, of every node
+    under node for which match(node) holds."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
-            yield from _stores(child, attr, scope + (child.name,))
+            yield from _scopes(child, match, scope + (child.name,))
             continue
-        if (isinstance(child, ast.Attribute) and child.attr == attr
-                and isinstance(child.ctx, (ast.Store, ast.Del))):
+        if match(child):
             yield ".".join(scope)
-        yield from _stores(child, attr, scope)
+        yield from _scopes(child, match, scope)
+
+
+def _sites(match):
+    return sorted({f"{path.stem}.{scope}" for path in sorted(SRC.glob("*.py"))
+                   for scope in _scopes(ast.parse(path.read_text(), str(path)), match)})
 
 
 def test_divisor_memo_is_filled_only_where_the_type_is_known():
     # the constructors clear the memo, divisor_type fills it by elimination and
     # sample_orbit by construction; a stamp anywhere else (a product, a copy, a
     # deformation) would let a cross-check compare a value with itself
-    sites = sorted(f"{path.stem}.{scope}" for path in sorted(SRC.glob("*.py"))
-                   for scope in _stores(ast.parse(path.read_text(), str(path)), "_divisors"))
-    assert sites == ["matrix.WittMat.__init__", "matrix.WittMat._from_raw",
-                     "snf.divisor_type", "strata.sample_orbit"]
+    def stores_divisors(node):
+        return (isinstance(node, ast.Attribute) and node.attr == "_divisors"
+                and isinstance(node.ctx, (ast.Store, ast.Del)))
+    assert _sites(stores_divisors) == ["matrix.WittMat.__init__", "matrix.WittMat._from_raw",
+                                       "snf.divisor_type", "strata.sample_orbit"]
+
+
+def test_unchecked_constructors_are_the_pinned_few():
+    # an object built by object.__new__ (or snf's _new binding of it) skips its
+    # class's checks: _record is the one such constructor for records, inlined
+    # only where a record is built once per stratum; a new site is a decision
+    def builds_unchecked(node):
+        func = getattr(node, "func", None) if isinstance(node, ast.Call) else None
+        return (isinstance(func, ast.Name) and func.id == "_new"
+                or isinstance(func, ast.Attribute) and func.attr == "__new__"
+                and isinstance(func.value, ast.Name) and func.value.id == "object")
+    assert _sites(builds_unchecked) == ["dimension.dim_report", "matrix.WittMat._from_raw",
+                                        "snf._record", "strata._ordered_strata",
+                                        "witt.WittElem._make"]

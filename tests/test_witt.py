@@ -4,13 +4,14 @@ import pickle
 import random
 import time
 
+import numpy as np
 import pytest
 from counting import compiles
 
 from wittlat import field, witt
 from wittlat.errors import CodecUnsupportedError, NotAUnitError, RingMismatchError
-from wittlat.field import BOUNDS, FieldDescriptor, is_prime
-from wittlat.matrix import WittMat
+from wittlat.field import BOUNDS, FieldDescriptor, is_irreducible, is_prime
+from wittlat.matrix import WittMat, mat_from_obj, mat_to_obj
 from wittlat.snf import divisor_type
 from wittlat.witt import elem_from_obj, elem_to_obj, witt_ring
 
@@ -410,6 +411,47 @@ def test_teichmuller_digits_exhaustive_against_reduced_loop(p, m):
 def test_explicit_default_modulus_is_the_shared_ring():
     with pytest.raises(ValueError):
         witt_ring(4, 2, 2)  # p is validated before the default modulus is sought
+
+
+def test_ring_parameters_are_read_as_ints(monkeypatch):
+    # an np.int64 p overflowed pN, a float p built a float ring and a bool N
+    # was written as "N": true, each then shared under the int key
+    monkeypatch.setattr(witt, "_RING_CACHE", {})
+    R = witt_ring(np.int64(3), 41)
+    assert (R.pN, R.from_int(5).valuation()) == (3 ** 41, 0) and witt_ring(3, 41) is R
+    R = witt_ring(np.int64(3), np.int64(2), np.int64(2))
+    assert [type(x) for x in (R.p, R.N, R.m, R.pN, R.field.p, R.field.q)] == [int] * 6
+    assert R is witt_ring(3, 2, 2) and R.key == (3, 2, 2, R.field.modulus)
+    for args in ((3.0, 2), (3, 2.0), (3, 2, 2.0), ("3", 2)):
+        with pytest.raises(TypeError):
+            witt_ring(*args)
+        with pytest.raises(TypeError):
+            witt.WittRing(*args)
+    with pytest.raises(TypeError):
+        FieldDescriptor(3.0, 2)
+    assert list(witt._RING_CACHE) == [(3, 41, 1), (3, 2, 2)]
+    A = WittMat.from_ints(witt_ring(2, True), [[1]])
+    assert mat_from_obj(json.loads(json.dumps(mat_to_obj(A)))) == A
+    assert witt_ring(2, True) is witt_ring(2, 1)
+
+
+def test_one_modulus_search_per_field(monkeypatch):
+    # every WittRing builds its FieldDescriptor, which asks default_modulus;
+    # the candidate search runs for the first ring of the field alone
+    tested = []
+
+    def counting_is_irreducible(f, p):
+        tested.append(f)
+        return is_irreducible(f, p)
+    monkeypatch.setattr(field, "is_irreducible", counting_is_irreducible)
+    monkeypatch.setattr(witt, "_RING_CACHE", {})
+    field.default_modulus.cache_clear()
+    witt_ring(5, 1, 3)
+    first = len(tested)
+    assert first > 0 and tested[-1] == field.default_modulus(5, 3)
+    for N in (2, 3):
+        assert witt_ring(5, N, 3).field.modulus == tested[-1]
+    assert len(tested) == first
 
 
 # -- digit tables and exact-stream draws -------------------------------------------
