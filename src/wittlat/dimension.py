@@ -14,7 +14,8 @@ divisor_histogram is the one divisor-type counting loop, shared with the
 
 from collections import Counter
 from dataclasses import dataclass, field
-from operator import index, mul
+from itertools import accumulate
+from operator import index
 
 from .matrix import GroupShape, WittMat, in_group, p_power_diagonal
 from .snf import Cochar, _new, _setattr, divisor_type
@@ -147,10 +148,10 @@ def dim_report(gamma, r):
     if exps[0] > N:  # the largest, as exponents decrease
         raise ValueError("exponents must lie in [0, N]")
     s0 = sum(exps)
-    s1 = sum(map(mul, range(n), exps))
+    s1 = sum(accumulate(exps[:0:-1]))  # the tail sums s_k + ... + s_{n-1}, k = 1..n-1
     nnN, codim = n * n * N, 2 * s1 + s0
     matrix_source = "linear-oracle"
-    if not any(exps[2:]) and exps[1] <= nr // 2:
+    if (n == 2 or not exps[2]) and exps[1] <= nr // 2:  # subregular, as exponents decrease
         if dim_matrix_orbit_closed_form(exps[1], n, r) != nnN - codim:
             raise RuntimeError("oracle disagrees with the closed form")
         matrix_source = "closed-form+linear-oracle"

@@ -20,6 +20,7 @@ from .errors import BoundError
 
 
 def is_prime(n):
+    n = operator.index(n)  # a float, even 3.0, raises TypeError
     return n >= 2 and _prime_factors(n) == [n]
 
 

@@ -17,15 +17,20 @@ _new, _setattr = object.__new__, object.__setattr__
 
 
 def _record(cls, **fields):
-    """The frozen dataclass cls from all its fields, unchecked, as pickle restores it, the
-    fresh keyword dict installed uncopied as its __dict__: only for values the library
-    built itself and knows valid, as with WittElem._make."""
+    """The frozen dataclass cls from all its fields, unchecked, as pickle restores it: only
+    for values the library built itself and knows valid, as with WittElem._make.  A
+    dict-backed record gets the fresh keyword dict installed uncopied as its __dict__, a
+    slotted one (Cochar) each slot in turn."""
     self = _new(cls)
-    _setattr(self, "__dict__", fields)
+    if cls.__dictoffset__:  # nonzero iff instances carry a __dict__
+        _setattr(self, "__dict__", fields)
+    else:
+        for name, value in fields.items():
+            _setattr(self, name, value)
     return self
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Cochar:
     """A dominant exponent vector (r_1 >= ... >= r_n >= 0)."""
 

@@ -172,8 +172,9 @@ def _ordered_strata(n, r):
     _check_bound("nr", nr)
     strata = []
     for exps in _partitions(nr, n, nr):
-        c = _new(Cochar)  # _record inline: one per stratum
-        _setattr(c, "__dict__", {"n": n, "exponents": exps})
+        c = _new(Cochar)  # _record inline: one per stratum, its two slots
+        _setattr(c, "n", n)
+        _setattr(c, "exponents", exps)
         strata.append(c)
     return strata
 

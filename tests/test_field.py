@@ -10,6 +10,10 @@ from wittlat.field import FieldDescriptor, default_modulus, is_irreducible, is_p
 def test_is_prime_small():
     primes = [n for n in range(40) if is_prime(n)]
     assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
+    # n is read through operator.index: a float is refused, even an integral one
+    for n in (2.5, 3.0):
+        with pytest.raises(TypeError):
+            is_prime(n)
 
 
 def test_default_modulus_irreducible():

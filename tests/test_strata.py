@@ -1,4 +1,5 @@
 import collections
+import gc
 import itertools
 import json
 import pickle
@@ -302,6 +303,29 @@ def test_enumerate_strata_large_counts():
     elapsed = time.perf_counter() - start
     assert len(poset.strata) == 17977 and len(poset.hasse) == 58339
     assert elapsed < 1.0, elapsed
+
+
+def test_poset_allocations_are_pinned():
+    # CPython's gen-0 count with gc off is the net number of GC-tracked objects
+    # a call leaves alive: noise-free, unlike a timing.  A stratum is one tuple
+    # and one slotted Cochar (no instance dict), plus its share of the cover
+    # pairs; its dim_report is the record, its dict and its sources dict
+    assert not hasattr(Cochar(2, (1, 1)), "__dict__")
+    enumerate_strata(6, 4)  # warm any lazy state first
+    gc.collect()
+    gc.disable()
+    try:
+        before = gc.get_count()[0]
+        poset = enumerate_strata(6, 4)
+        mid = gc.get_count()[0]
+        reports = [dim_report(g, 4) for g in poset.strata]
+        after = gc.get_count()[0]
+    finally:
+        gc.enable()
+    k = len(poset.strata)
+    assert k == len(reports) == 532
+    assert (mid - before) / k <= 4.6, (mid - before) / k  # 5.53 with a dict per Cochar
+    assert (after - mid) / k <= 3.01, (after - mid) / k
 
 
 def test_poset_records_hold_plain_ints():
