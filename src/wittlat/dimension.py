@@ -148,6 +148,11 @@ def dim_report(gamma, r):
     if exps[0] > N:  # the largest, as exponents decrease
         raise ValueError("exponents must lie in [0, N]")
     s0 = sum(exps)
+    # dim_lattice_orbit's checks, in its order, before the closed form is compared
+    if s0 != nr:
+        raise ValueError("exponents must sum to nr")
+    if exps[0] > nr:
+        raise ValueError("leading exponent exceeds nr")
     s1 = sum(accumulate(exps[:0:-1]))  # the tail sums s_k + ... + s_{n-1}, k = 1..n-1
     nnN, codim = n * n * N, 2 * s1 + s0
     matrix_source = "linear-oracle"
@@ -155,11 +160,6 @@ def dim_report(gamma, r):
         if dim_matrix_orbit_closed_form(exps[1], n, r) != nnN - codim:
             raise RuntimeError("oracle disagrees with the closed form")
         matrix_source = "closed-form+linear-oracle"
-    # dim_lattice_orbit's checks, in its order
-    if s0 != nr:
-        raise ValueError("exponents must sum to nr")
-    if exps[0] > nr:
-        raise ValueError("leading exponent exceeds nr")
     report = _new(DimReport)  # _record inline: one per stratum
     _setattr(report, "__dict__", {
         "gamma": gamma, "n": n, "r": nr // n,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .errors import NotInCoverError, ParameterMismatchError, ShapeError
 from .field import _check_bound
 from .matrix import GroupShape, WittMat, _det, _minor, in_group
-from .snf import Cochar, _new, _record, _setattr, divisor_type
+from .snf import Cochar, _new, _record, divisor_type
 from .witt import _draw_below
 
 
@@ -153,7 +153,7 @@ def _partitions(total, parts, cap):
 class StrataPoset:
     n: int
     r: int
-    strata: tuple          # Cochar, ordered by stratum index then lex
+    strata: tuple          # Cochar, in reverse-lex order: by stratum index, then lex-larger first
     hasse: tuple           # pairs (lo, hi) of indices: strata[lo] is covered by strata[hi]
 
     def to_obj(self):
@@ -171,10 +171,11 @@ def _ordered_strata(n, r):
     nr = _height(n, r)
     _check_bound("nr", nr)
     strata = []
+    set_n, set_exps = Cochar.n.__set__, Cochar.exponents.__set__  # the two slots' setters
     for exps in _partitions(nr, n, nr):
-        c = _new(Cochar)  # _record inline: one per stratum, its two slots
-        _setattr(c, "n", n)
-        _setattr(c, "exponents", exps)
+        c = _new(Cochar)  # _record inline: one per stratum
+        set_n(c, n)
+        set_exps(c, exps)
         strata.append(c)
     return strata
 
@@ -188,28 +189,30 @@ def _cover_strata(n, r):
 
 def enumerate_strata(n, r):
     """All dominant exponent vectors summing to nr, with the Hasse covers of
-    dominance from Brylawski's rule (Discrete Math. 6, 1973): lam covers mu iff
-    mu = lam - e_i + e_j, i < j, and j = i + 1 or lam_i = lam_j + 2.  Partitions
-    with at most n parts form an up-set, so these are the covers here too.  As mu
-    must decrease weakly, i ends a block of equal parts and j is i + 1 when
-    lam_{i+1} <= lam_i - 2, else the start of the block after next if it holds lam_i - 2.
-    The scan stops at the first lam_i below 2: only ones and zeros follow it, so no cover."""
+    dominance from Brylawski's rule (Discrete Math. 6, 1973), read from below: lam
+    covers mu iff lam = mu + e_i - e_k, i < k, and k = i + 1 or mu_i = mu_k.  Partitions
+    with at most n parts form an up-set, so these are the covers here too.  As lam must
+    decrease weakly, i starts a block of equal parts of mu and k ends one, so each nonzero
+    block gives at most one cover: raise its first part and lower its last (two or more
+    parts), or else the next part when that is nonzero and single.  A cover raising an
+    earlier part is lex-larger, so earlier in stratum order: the pairs come out sorted."""
     n, r = operator.index(n), operator.index(r)
     strata = _ordered_strata(n, r)
     index = {c.exponents: k for k, c in enumerate(strata)}
     hasse = []
-    for lam, hi in index.items():
-        for i, top in enumerate(lam):
-            if top < 2:
-                break
-            j = i + 1
-            while j < n and lam[j] == top - 1:  # a block of top - 1 follows i
-                j += 1
-            if j < n and lam[j] < top and (j == i + 1 or lam[j] == top - 2):
-                mu = list(lam)
-                mu[i], mu[j] = top - 1, lam[j] + 1
-                hasse.append((index[tuple(mu)], hi))
-    return StrataPoset(n=n, r=r, strata=tuple(strata), hasse=tuple(sorted(hasse)))
+    for mu, lo in index.items():
+        i = 0
+        while i < n and (v := mu[i]):
+            k = i + 1
+            while k < n and mu[k] == v:  # the block mu[i:k] of v
+                k += 1
+            j = k - 1 if k - i > 1 else k  # lower the block's last part, or else the next
+            if j < k or j < n and (w := mu[j]) and (j + 1 == n or mu[j + 1] < w):
+                lam = list(mu)
+                lam[i], lam[j] = v + 1, mu[j] - 1
+                hasse.append((lo, index[tuple(lam)]))
+            i = k
+    return StrataPoset(n=n, r=r, strata=tuple(strata), hasse=tuple(hasse))
 
 
 # -- seeded sampling ------------------------------------------------------------

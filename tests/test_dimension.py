@@ -248,14 +248,16 @@ def test_dim_report_rejects_exponent_above_N():
         dim_report(gamma, 1)
 
 
-def test_dim_report_raises_lattice_orbit_errors_after_closed_form():
+def test_dim_report_raises_lattice_orbit_errors_before_closed_form():
     # dim_report computes the lattice-orbit dimension itself but keeps
-    # dim_lattice_orbit's errors, after the closed-form cross-check
+    # dim_lattice_orbit's errors, checked before the closed-form cross-check:
+    # a subregular-shaped vector with the wrong total is a bad input, not an
+    # oracle disagreement
     negative = _record(Cochar, n=3, exponents=(4, 0, -1))  # past Cochar's own checks
-    for gamma, r in ((Cochar(3, (1, 1, 1)), 2), (negative, 1)):
+    cases = [(Cochar(3, (1, 1, 1)), 2), (negative, 1),
+             (Cochar(2, (3, 0)), 1), (Cochar(2, (1, 0)), 1), (Cochar(3, (2, 1, 0)), 2)]
+    for gamma, r in cases:
         with pytest.raises(ValueError) as want:
             dim_lattice_orbit(gamma, r)
         with pytest.raises(ValueError, match=str(want.value)):
             dim_report(gamma, r)
-    with pytest.raises(RuntimeError, match="closed form"):
-        dim_report(Cochar(2, (1, 0)), 1)  # total 1, not nr = 2

@@ -267,6 +267,47 @@ def test_enumerate_strata_block_covers_match_all_pairs():
             assert c == checked and hash(c) == hash(checked), c
 
 
+def _brylawski_down_covers(poset):
+    """Oracle in O(S n): Brylawski's rule read from above, one candidate per block
+    end i of each lam: j = i + 1 when lam_{i+1} <= lam_i - 2, else the start of the
+    block after next if it holds lam_i - 2 (the block between holds lam_i - 1)."""
+    n = poset.n
+    index = {c.exponents: k for k, c in enumerate(poset.strata)}
+    hasse = []
+    for lam, hi in index.items():
+        for i, top in enumerate(lam):
+            if top < 2:
+                break
+            j = i + 1
+            while j < n and lam[j] == top - 1:
+                j += 1
+            if j < n and lam[j] < top and (j == i + 1 or lam[j] == top - 2):
+                mu = list(lam)
+                mu[i], mu[j] = top - 1, lam[j] + 1
+                hasse.append((index[tuple(mu)], hi))
+    return tuple(sorted(hasse))
+
+
+def test_enumerate_strata_up_covers_match_down_covers_on_large_posets():
+    # sizes where the all-pairs oracle is too slow; the covers come out sorted
+    # as built, one up-scan per stratum
+    for n, r in ((12, 3), (18, 2), (36, 1)):
+        poset = enumerate_strata(n, r)
+        assert poset.hasse == _brylawski_down_covers(poset), (n, r)
+
+
+def test_enumerate_strata_up_covers_by_hand():
+    def up_covers(n, r, exps):
+        poset = enumerate_strata(n, r)
+        lo = [c.exponents for c in poset.strata].index(exps)
+        return [poset.strata[hi].exponents for low, hi in poset.hasse if low == lo]
+
+    # a block of two: raise its first part, lower its last; a lone 1 before zeros: none
+    assert up_covers(5, 1, (2, 2, 1, 0, 0)) == [(3, 1, 1, 0, 0)]
+    # single parts: raise one, lower the next; the lex-larger cover comes first
+    assert up_covers(3, 2, (3, 2, 1)) == [(4, 1, 1), (3, 3, 0)]
+
+
 def _partitions_recursive(total, parts, cap):
     """Oracle: the first entry from the largest down, then the tail recursively."""
     if parts == 1:
