@@ -10,10 +10,14 @@ outputs do not change.  Rings are shared instances, so everything is restored
 on exit.  A call made inside another counted one is counted too (the product
 inside a `divide`, say); code that bound a slot before the context was entered
 calls the original and is not counted.
+
+`CountingRandom` counts the draws a sampler takes from its generator, at
+`getrandbits` and at `randrange`.
 """
 
 import collections
 import contextlib
+import random
 
 from wittlat import field
 from wittlat.witt import WittRing
@@ -62,6 +66,28 @@ def counting(*rings):
         WittRing._divider, WittRing._matrix_kernels = divider, kernels
         for ring, name, fn in saved:
             setattr(ring, name, fn)
+
+
+class CountingRandom(random.Random):
+    """random.Random that counts its `getrandbits` and `randrange` calls.  The
+    randrange wrapper is an instance attribute, so `type(rng).randrange` stays
+    random.Random's and witt._draw_below keeps its getrandbits path: a draw
+    routed through randrange shows in `randrange_calls` (and its getrandbits
+    calls in `getrandbits_calls`, as randrange makes them too)."""
+
+    def __init__(self, seed=None):
+        self.getrandbits_calls = self.randrange_calls = 0
+        super().__init__(seed)
+        randrange = super().randrange
+
+        def counted_randrange(*args, **kwargs):
+            self.randrange_calls += 1
+            return randrange(*args, **kwargs)
+        self.randrange = counted_randrange
+
+    def getrandbits(self, k):
+        self.getrandbits_calls += 1
+        return super().getrandbits(k)
 
 
 def compiles(monkeypatch):

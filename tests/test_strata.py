@@ -1,5 +1,6 @@
 import collections
 import gc
+import hashlib
 import itertools
 import json
 import pickle
@@ -25,7 +26,7 @@ from wittlat.strata import (_ordered_strata, _partitions, classify, dominance_le
                             subregular_cochar, valuation_predicate)
 from wittlat.witt import WittElem, witt_ring
 
-from counting import counting
+from counting import CountingRandom, counting
 
 
 def test_cochar_families():
@@ -437,6 +438,50 @@ def test_sample_orbit_contract():
         A = sample_orbit(R, gamma, rng)
         assert divisor_type(WittMat._from_raw(R, A._raw)) == gamma == divisor_type(A)
     assert sample_orbit(R, strata[0], 11) == sample_orbit(R, strata[0], 11)
+
+
+# SHA-256 of the structural sampler streams: the raw entries of sample_group for
+# B, B_MINUS, P and P_MINUS, each from a fresh Random(seed), and the next
+# rng.random() after each, for p in (2, 3), m in (1, 2), n = 1..4 and seeds
+# 0..2 over W_3.  A change to what is drawn, in what order, or to how many
+# draws a sample takes moves it.
+_SAMPLER_STREAM_SHA256 = "980b8edfdcb5b02f49c624c52be201d89c6e58a32d4f3a789beab8735b3d56dd"
+
+
+def test_structural_sampler_streams_are_pinned():
+    shapes = (GroupShape.B, GroupShape.B_MINUS, GroupShape.P, GroupShape.P_MINUS)
+    digest = hashlib.sha256()
+    for p, m, n, seed in itertools.product((2, 3), (1, 2), range(1, 5), range(3)):
+        ring = witt_ring(p, 3, m)
+        for shape in shapes:
+            rng = random.Random(seed)
+            digest.update(repr((sample_group(ring, n, shape, rng)._raw, rng.random())).encode())
+    assert digest.hexdigest() == _SAMPLER_STREAM_SHA256
+
+
+# (getrandbits, randrange) calls of five successive draws from one
+# CountingRandom(7), over W_4(F_3) and W_4(F_9) at n = 3 (r = 1 for the
+# cover).  The samplers draw through getrandbits alone: the one randrange
+# per cover sample picks its stratum.  A draw routed through randrange
+# raises the second count.
+_SAMPLER_DRAW_COUNTS = {
+    (1, "full"): (91, 0), (1, "b"): (57, 0), (1, "p"): (59, 0), (1, "cover"): (198, 5),
+    (2, "full"): (116, 0), (2, "b"): (109, 0), (2, "p"): (99, 0), (2, "cover"): (283, 5),
+}
+
+
+def test_sampler_draw_counts_are_pinned():
+    samplers = {"full": lambda ring, rng: sample_group(ring, 3, GroupShape.FULL, rng),
+                "b": lambda ring, rng: sample_group(ring, 3, GroupShape.B, rng),
+                "p": lambda ring, rng: sample_group(ring, 3, GroupShape.P, rng),
+                "cover": lambda ring, rng: sample_cover(ring, 3, 1, rng)}
+    got = {}
+    for m, (name, draw) in itertools.product((1, 2), samplers.items()):
+        ring, rng = witt_ring(3, 4, m), CountingRandom(7)
+        for _ in range(5):
+            draw(ring, rng)
+        got[m, name] = (rng.getrandbits_calls, rng.randrange_calls)
+    assert got == _SAMPLER_DRAW_COUNTS
 
 
 class _NoDraws(random.Random):
