@@ -12,7 +12,7 @@ import operator
 from dataclasses import dataclass
 
 from .matrix import WittMat, identity, p_power_diagonal
-from .snf import Cochar, _record
+from .snf import Cochar, _cochar, _record
 from .strata import dominance_leq
 
 
@@ -25,7 +25,7 @@ def _nonzero_parameter(ring, t):
 
 def _deformation(ring, exponents, j, b, xi, i):
     raw, r = list(p_power_diagonal(ring, exponents)._raw), exponents[j] - b
-    raw[j] = raw[j][:i] + (ring._mul(ring.p_power(r)._v, xi),) + raw[j][i + 1:]  # the one new row
+    raw[j] = raw[j][:i] + (ring._mul(ring._p_power(r), xi),) + raw[j][i + 1:]  # the one new row
     return WittMat._from_raw(ring, tuple(raw))
 
 
@@ -41,7 +41,7 @@ def deformation_matrix(ring, exponents, j, b, t, i=0):
         raise ValueError("need 0 <= i < j < n")
     if not 0 <= b <= exponents[j]:
         raise ValueError("need 0 <= b <= exponents[j]")
-    return _deformation(ring, exponents, j, b, ring.teichmuller(t)._v, i)
+    return _deformation(ring, exponents, j, b, ring._teichmuller(t), i)
 
 
 @dataclass(frozen=True)
@@ -74,7 +74,7 @@ def transfer_witness(ring, r1, rj, b, t):
         raise ValueError("need 0 <= b <= rj")
     if r1 + b - rj < 0:
         raise ValueError("need r1 + b >= rj")
-    xi = ring.teichmuller(t)._v
+    xi = ring._teichmuller(t)
     return _transfer(ring, r1, rj, b, t, xi, ring._inv(xi))[0]
 
 
@@ -86,8 +86,8 @@ def _transfer(ring, r1, rj, b, t, xi, xi_inv):
     adjugate, as det g = 1.  The check products run on the 2 x 2 kernel."""
     mul, sub, one, zero = ring._mul, ring._sub, ring._one, ring._zero
     matmul = ring._matrix_kernels(2)[0]
-    c = mul(sub(ring.p_power(b)._v, one), xi_inv)
-    f0 = ((one, sub(zero, mul(ring.p_power(r1 + b - rj)._v, c))), (zero, one))
+    c = mul(sub(ring._p_power(b), one), xi_inv)
+    f0 = ((one, sub(zero, mul(ring._p_power(r1 + b - rj), c))), (zero, one))
     f1 = p_power_diagonal(ring, (r1 + b, rj - b))
     f2, f3 = ((one, zero), (xi, one)), ((one, c), (zero, one))
     target = _deformation(ring, (r1, rj), 1, b, xi, 0)
@@ -125,7 +125,7 @@ def embed_witness(w, n, j, ambient, i=0):
         raise ValueError("need 0 <= i < j < n")
     if ambient[i] != w.r1 or ambient[j] != w.rj:
         raise ValueError("ambient slots must carry the witness exponents")
-    xi = ring.teichmuller(w.t)._v
+    xi = ring._teichmuller(w.t)
     _, g, g_inv = _transfer(ring, w.r1, w.rj, w.b, w.t, xi, ring._inv(xi))
     return _embed(w, n, j, ambient, i, _deformation(ring, ambient, j, w.b, xi, i), g, g_inv)
 
@@ -189,11 +189,11 @@ def degeneration_chain(ring, src, dst, t=None):
         raise ValueError("source must be dominated by destination")
     if ring.N < dst.total + 1:
         raise ValueError("ring length must exceed the exponent total")
-    xi = ring.teichmuller(t)._v
+    xi = ring._teichmuller(t)
     xi_inv = ring._inv(xi)
     n = src.n
     steps = []
-    upper = _record(Cochar, n=n, exponents=tuple(dst.exponents))
+    upper = _cochar(n, tuple(dst.exponents))
     tgt = src.exponents
     while upper.exponents != tgt:
         i, j = _transfer_slots(upper.exponents, tgt)
@@ -206,7 +206,7 @@ def degeneration_chain(ring, src, dst, t=None):
         w, g, g_inv = _transfer(ring, lower[i], lower[j], 1, t, xi, xi_inv)
         deformed = _deformation(ring, lower, j, 1, xi, i)
         x, eta_prime, y = _embed(w, n, j, lower, i, deformed, g, g_inv)
-        steps.append(_record(ChainStep, upper=upper, lower=_record(Cochar, n=n, exponents=lower),
+        steps.append(_record(ChainStep, upper=upper, lower=_cochar(n, lower),
                              i=i, j=j, b=1, witness=w, x=x, eta_prime=eta_prime, y=y,
                              deformed=deformed))
         upper = steps[-1].lower

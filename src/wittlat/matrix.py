@@ -350,7 +350,7 @@ def p_power_diagonal(ring, exponents):
     key = tuple(map(operator.index, exponents))
     A = ring._diagonals.get(key)
     if A is None:
-        A = _diagonal(ring, [ring.p_power(e)._v for e in key])
+        A = _diagonal(ring, [ring._p_power(e) for e in key])
         if max(key) <= ring.N:
             ring._diagonals[key] = A
     return A

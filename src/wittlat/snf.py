@@ -17,16 +17,11 @@ _new, _setattr = object.__new__, object.__setattr__
 
 
 def _record(cls, **fields):
-    """The frozen dataclass cls from all its fields, unchecked, as pickle restores it: only
-    for values the library built itself and knows valid, as with WittElem._make.  A
-    dict-backed record gets the fresh keyword dict installed uncopied as its __dict__, a
-    slotted one (Cochar) each slot in turn."""
+    """The dict-backed frozen dataclass cls from all its fields, unchecked, as pickle
+    restores it: only for values the library built itself and knows valid, as with
+    WittElem._make.  The fresh keyword dict is installed uncopied as its __dict__."""
     self = _new(cls)
-    if cls.__dictoffset__:  # nonzero iff instances carry a __dict__
-        _setattr(self, "__dict__", fields)
-    else:
-        for name, value in fields.items():
-            _setattr(self, name, value)
+    _setattr(self, "__dict__", fields)
     return self
 
 
@@ -69,6 +64,18 @@ class Cochar:
         return cls(obj["n"], tuple(obj["exponents"]))
 
 
+_set_n, _set_exponents = Cochar.n.__set__, Cochar.exponents.__set__  # the two slots' setters
+
+
+def _cochar(n, exponents):
+    """Cochar(n, exponents) for an int n and a dominant tuple of n ints that the library
+    built: the one unchecked way to the slotted Cochar, which _record cannot fill."""
+    c = _new(Cochar)
+    _set_n(c, n)
+    _set_exponents(c, exponents)
+    return c
+
+
 @dataclass(frozen=True)
 class SnfResult:
     """left * A * right = diag(p^{r_1}, ..., p^{r_n}), exactly."""
@@ -84,7 +91,7 @@ def snf(A):
     exps, _, _, L, R = _eliminate(ring, A._raw, with_transforms=True)
     left = WittMat._from_raw(ring, tuple(map(tuple, L)))
     right = WittMat._from_raw(ring, tuple(map(tuple, R)))
-    divisors = _record(Cochar, n=A.n, exponents=tuple(reversed(exps)))  # exps ascend
+    divisors = _cochar(A.n, tuple(reversed(exps)))  # exps ascend
     matmul, target = ring._matrix_kernels(A.n)[0], p_power_diagonal(ring, divisors.exponents)
     if matmul(matmul(left._raw, A._raw), right._raw) != target._raw:
         raise RuntimeError("diagonalization self-check failed")
@@ -98,7 +105,7 @@ def divisor_type(A):
     div = A._divisors
     if div is None:
         exps = _eliminate(A.ring, A._raw, with_transforms=False)[0]
-        div = A._divisors = _record(Cochar, n=A.n, exponents=tuple(reversed(exps)))
+        div = A._divisors = _cochar(A.n, tuple(reversed(exps)))
     return div
 
 

@@ -16,8 +16,7 @@ from dataclasses import dataclass
 from .errors import NotInCoverError, ParameterMismatchError, ShapeError
 from .field import _check_bound
 from .matrix import GroupShape, WittMat, _det, _minor, in_group
-from .snf import Cochar, _new, _record, divisor_type
-from .witt import _draw_below
+from .snf import Cochar, _cochar, _record, divisor_type
 
 
 def _height(n, r):
@@ -170,14 +169,7 @@ def _ordered_strata(n, r):
     """Dominant vectors summing to nr in stratum order, as _partitions yields them."""
     nr = _height(n, r)
     _check_bound("nr", nr)
-    strata = []
-    set_n, set_exps = Cochar.n.__set__, Cochar.exponents.__set__  # the two slots' setters
-    for exps in _partitions(nr, n, nr):
-        c = _new(Cochar)  # _record inline: one per stratum
-        set_n(c, n)
-        set_exps(c, exps)
-        strata.append(c)
-    return strata
+    return [_cochar(n, exps) for exps in _partitions(nr, n, nr)]
 
 
 @functools.lru_cache(maxsize=8)
@@ -224,12 +216,8 @@ def _as_rng(seed_or_rng):
 
 
 def _random_raw(ring, n, rng):
-    """n x n bare values, drawn row by row as ring.random draws entries."""
-    m = ring.m
-    vals = _draw_below(rng, ring.pN, n * n * m)
-    if m > 1:
-        vals = zip(*[iter(vals)] * m)
-    return tuple(zip(*[iter(vals)] * n))
+    """n x n bare values, drawn row by row in one batch of ring._random."""
+    return tuple(zip(*[iter(ring._random(rng, n * n))] * n))
 
 
 def sample_group(ring, n, shape, seed):
@@ -251,21 +239,19 @@ def sample_group(ring, n, shape, seed):
         raise RuntimeError("unit-determinant rejection sampling did not converge")
     if shape in (GroupShape.B, GroupShape.B_MINUS):
         lower = shape is GroupShape.B  # the side whose entries are multiples of p
+        unit, small, draw = ring._random_unit, ring._random_multiple_of_p, ring._random
         A = WittMat._from_raw(ring, tuple([tuple([
-            (ring.random_unit if i == j else ring.random_multiple_of_p if (i > j) == lower
-             else ring.random)(rng)._v for j in range(n)]) for i in range(n)]))
+            unit(rng) if i == j else small(rng) if (i > j) == lower else draw(rng, 1)[0]
+            for j in range(n)]) for i in range(n)]))
     elif shape in (GroupShape.P, GroupShape.P_MINUS):
-        corner = ring.random_unit(rng)._v
+        corner, zero = ring._random_unit(rng), ring._zero
         block = sample_group(ring, n - 1, GroupShape.FULL, rng)._raw if n > 1 else ()
-        zero = ring._zero
-        raw = [[corner] + [zero] * (n - 1)] + [[zero, *r] for r in block]
-        for k in range(1, n):
-            edge = ring.random(rng)._v
-            if shape is GroupShape.P:
-                raw[0][k] = edge
-            else:
-                raw[k][0] = edge
-        A = WittMat._from_raw(ring, tuple(map(tuple, raw)))
+        edges = ring._random(rng, n - 1)  # row 0 of P, column 0 of P_MINUS
+        if shape is GroupShape.P:
+            raw = [(corner, *edges)] + [(zero, *r) for r in block]
+        else:
+            raw = [(corner,) + (zero,) * (n - 1)] + [(e, *r) for e, r in zip(edges, block)]
+        A = WittMat._from_raw(ring, tuple(raw))
     else:
         raise ValueError(f"unknown shape {shape!r}")
     if not in_group(A, shape):
@@ -285,10 +271,10 @@ def sample_orbit(ring, gamma, seed):
     y = sample_group(ring, n, GroupShape.FULL, rng)
     # diag(p^gamma) * y scales row i of y by p^gamma_i (0 once gamma_i >= N; kept if 1);
     # x and that product are n x n over ring, so the kernel needs no operand check
-    mul, one, scale = ring._mul, ring._one, [ring.p_power(e)._v for e in exps]
+    mul, one, scale = ring._mul, ring._one, [ring._p_power(e) for e in exps]
     A = WittMat._from_raw(ring, ring._matrix_kernels(n)[0](x._raw, tuple(
         [r if f == one else tuple([mul(f, c) for c in r]) for r, f in zip(y._raw, scale)])))
-    A._divisors = _record(Cochar, n=n, exponents=tuple([min(e, ring.N) for e in exps]))
+    A._divisors = _cochar(n, tuple([min(e, ring.N) for e in exps]))
     return A
 
 

@@ -21,6 +21,28 @@ the Witt digits a_i = F^i(b_i) of sum_i p^i xi(b_i), and from_digits sums
 p^i xi(F^-i(a_i)), since sigma^-i(xi(a)) = xi(F^-i(a)), from a second memo
 of those N terms per residue, also at most q entries.  For m = 1 sigma is
 the identity and the whole ring is Z/p^N under the integer codec.
+
+Inside WittElem and WittMat a value is bare: an int mod p^N (m = 1), a tuple
+of m such ints (m > 1).  The engine reads a ring's parameters p, m, N, pN,
+key and field, and asks it for bare values through this table alone:
+
+    slot                        m = 1                           m > 1
+    _zero                       0                               (0, ..., 0)
+    _one                        1                               (1, 0, ..., 0)
+    _add(a, b)                  (a + b) % p^N                   coefficientwise, generated
+    _sub(a, b)                  (a - b) % p^N                   coefficientwise, generated
+    _mul(a, b)                  a * b % p^N                     a * b mod (p^N, Phi), generated
+    _submul(x, a, b)            (x - a * b) % p^N               x - a * b in one kernel
+    _val(a)                     v_p(a); N for a == 0            v_p(gcd of a); N for zero
+    _inv(u)                     pow(u, -1, p^N)                 the generated norm inverse
+    _divider(b)                 (divide, w): b * divide(a) == a, w * (b / p^v(b)) == 1
+    _p_power(e)                 p^e; 0 for e >= N               (p^e, 0, ..., 0); zero for e >= N
+    _teichmuller(a)             xi(a) = a[0]^(p^(N-1)) % p^N    xi(a) of the field element a
+    _random(rng, count)         count ints below p^N            count tuples of m such ints
+    _random_unit(rng)           _random(rng, 1) until v == 0    as for m = 1
+    _random_multiple_of_p(rng)  p * (an int below p^(N-1))      a tuple of m such ints
+    _matrix_kernels(n)          (matmul, det) on n x n rows of bare values, generated per (m, n)
+    _diagonals                  memo of matrix.p_power_diagonal, keyed by exponent tuple
 """
 
 import functools
@@ -71,7 +93,7 @@ def _codec_factory(m, N):
     straight-line in the N digits: tdigits(v) peels b_i = z mod p off z = v,
     z -> (z - xi(b_i)) // p (exact), xi(b_i) from `teich` or `entry(b_i)`;
     digits(v) reads a_i = F^i(b_i) off the same entries; fsum sums term i of
-    the row of digit i, then checks the length; lift(a) is xi(a).  Only
+    the row of digit i, then checks the length; lift(a) is the bare xi(a).  Only
     canonical values (tuples of m ints) are looked up in the memos `rows` and
     `teich`; the field checks any other, in `row` or through `elem`."""
     z, t = ", ".join(f"z{j}" for j in range(m)), _tup(f"t{j}" for j in range(m))
@@ -92,7 +114,7 @@ def _codec_factory(m, N):
            f"        if len(out) != {N}:", f"            raise ValueError('expected {N} digits')",
            f"        {_tup(f'r{i}' for i in range(N))} = out",
            f"        return {_tup(sums) if m > 1 else sums[0]}", "    def lift(d):",
-           f"        return ({canonical} and teich.get(d) or entry(elem(d)))[0]",
+           f"        return ({canonical} and teich.get(d) or entry(elem(d)))[0]{'[0]' * (m == 1)}",
            "    return tdigits, digits, fsum, lift"]
     return _compiled(f"<codec m={m} N={N}>", "p, pN, teich, entry, rows, row, elem", src)
 
@@ -113,15 +135,8 @@ def _draw_below(rng, bound, count):
 
 
 class WittRing:
-    """Descriptor and operation table for W_N(F_{p^m}).
-
-    `_mul`, `_add`, `_sub`, `_submul` (x - a*b), `_val`, `_inv`, `_divider`,
-    `_one` and `_zero` are the ring on bare values: ints mod p^N for m = 1,
-    coefficient tuples (the generated kernels, the norm inverse among them) for
-    m > 1.  A WittElem wraps one bare value, and `_elem` is the one way in from
-    a coefficient tuple.  `_matrix_kernels(n)`
-    binds the n x n product and determinant on first use, `_codec()` the digit
-    codecs; `_diagonals` is the memo of matrix.p_power_diagonal."""
+    """W_N(F_{p^m}) on bare values, by the module's table: `p_power`, `teichmuller`
+    and the `random` draws wrap their bare twins, `_bare` reads a coefficient tuple."""
 
     __slots__ = ("field", "p", "m", "N", "pN", "key", "phi", "_mul", "_add", "_sub", "_submul",
                  "_val", "_inv", "_red", "_matrix", "_diagonals", "_sigma_p", "_sigma_N", "_teich",
@@ -152,10 +167,9 @@ class WittRing:
             self._sigma_p = tuple(linear(images, p) for images in sigma)
             self._sigma_N = tuple(linear(images, self.pN) for images in sigma)
         self._teich, self._digit_rows, self._matrix, self._diagonals = {}, {}, {}, {}
-        self._p_powers = tuple(self._elem((p ** e,) + (0,) * (m - 1)) for e in range(N))
-        self.zero = self._elem((0,) * m)
-        self.one = self._p_powers[0]
-        self._zero, self._one = self.zero._v, self.one._v
+        self._p_powers = tuple(self._bare((p ** e,) + (0,) * (m - 1)) for e in range(N))
+        self._zero, self._one = self._bare((0,) * m), self._p_powers[0]
+        self.zero, self.one = WittElem._make(self, self._zero), WittElem._make(self, self._one)
 
     def __eq__(self, other):
         return isinstance(other, WittRing) and self.key == other.key
@@ -239,10 +253,10 @@ class WittRing:
 
     # -- element construction --------------------------------------------------
 
-    def _elem(self, coeffs):
-        """The element of a reduced coefficient tuple: its bare value is the
-        int coeffs[0] for m = 1 and the tuple itself for m > 1."""
-        return WittElem._make(self, coeffs[0] if self.m == 1 else coeffs)
+    def _bare(self, coeffs):
+        """The bare value of a reduced coefficient tuple: the int coeffs[0] for
+        m = 1, the tuple itself for m > 1."""
+        return coeffs[0] if self.m == 1 else tuple(coeffs)
 
     def from_coeffs(self, coeffs):
         if isinstance(coeffs, int):
@@ -251,16 +265,22 @@ class WittRing:
 
     def from_int(self, k):
         """Canonical map Z -> W_N (an isomorphism onto Z/p^N for m = 1)."""
-        return self._elem((operator.index(k) % self.pN,) + (0,) * (self.m - 1))
+        return WittElem(self, (k,) + (0,) * (self.m - 1))
 
-    def p_power(self, e):
+    def _p_power(self, e):
         if e < 0:
             raise ValueError("negative p-power exponent")
-        return self._p_powers[e] if e < self.N else self.zero
+        return self._p_powers[e] if e < self.N else self._zero
+
+    def p_power(self, e):
+        return WittElem._make(self, self._p_power(e))
+
+    def _teichmuller(self, a):
+        return self._codec()[3](a)
 
     def teichmuller(self, a):
         """The multiplicative representative of a field element."""
-        return self._elem(self._codec()[3](a))
+        return WittElem._make(self, self._teichmuller(a))
 
     def from_digits(self, digits):
         """Inverse of WittElem.digits(): sum_i p^i xi(F^-i(a_i)), by the codec's
@@ -279,19 +299,29 @@ class WittRing:
                 for i in range(self.N))
         return row
 
-    def random(self, rng):
-        return self._elem(tuple(_draw_below(rng, self.pN, self.m)))
+    def _random(self, rng, count):  # one batch: a seed draws one stream at any count
+        vals = _draw_below(rng, self.pN, count * self.m)
+        return vals if self.m == 1 else list(zip(*[iter(vals)] * self.m))
 
-    def random_unit(self, rng):
+    def random(self, rng):
+        return WittElem._make(self, self._random(rng, 1)[0])
+
+    def _random_unit(self, rng):
         # unit iff the residue is nonzero; redraw the whole element until it is
         while True:
-            a = self.random(rng)
-            if a.is_unit():
-                return a
+            v = self._random(rng, 1)[0]
+            if not self._val(v):
+                return v
+
+    def random_unit(self, rng):
+        return WittElem._make(self, self._random_unit(rng))
+
+    def _random_multiple_of_p(self, rng):
+        p = self.p
+        return self._bare([p * c for c in _draw_below(rng, self.pN // p, self.m)])
 
     def random_multiple_of_p(self, rng):
-        p = self.p
-        return self._elem(tuple([p * c for c in _draw_below(rng, self.pN // p, self.m)]))
+        return WittElem._make(self, self._random_multiple_of_p(rng))
 
     def divider(self, b):
         """`_divider(b)[0]` on WittElems: a -> some q with q*b == a."""
@@ -326,7 +356,7 @@ class WittRing:
 
 
 class WittElem:
-    """Immutable element of a WittRing: `_v` is its bare value (see WittRing),
+    """Immutable element of a WittRing: `_v` is its bare value (see the module),
     and `coeffs` the coefficient tuple on the power basis, (v,) for m = 1."""
 
     __slots__ = ("ring", "_v")
@@ -337,7 +367,7 @@ class WittElem:
         coeffs = tuple([operator.index(c) % ring.pN for c in coeffs])
         if len(coeffs) != ring.m:
             raise ValueError(f"expected {ring.m} coefficients")
-        self.ring, self._v = ring, ring._elem(coeffs)._v
+        self.ring, self._v = ring, ring._bare(coeffs)
 
     @classmethod
     def _make(cls, ring, v):

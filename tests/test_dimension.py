@@ -14,7 +14,7 @@ from wittlat.dimension import (DimReport, complete_intersection_check, dim_latti
 from wittlat.cli import _census_matrix
 from wittlat.degeneration import degeneration_chain
 from wittlat.matrix import GroupShape, WittMat, _eliminate, p_power_diagonal, zeros
-from wittlat.snf import Cochar, _record, divisor_type, snf
+from wittlat.snf import Cochar, _cochar, divisor_type, snf
 from wittlat.strata import (StratumReport, classify, enumerate_strata, regular_cochar,
                             sample_orbit, subregular_cochar)
 from wittlat.witt import witt_ring
@@ -253,7 +253,7 @@ def test_dim_report_raises_lattice_orbit_errors_before_closed_form():
     # dim_lattice_orbit's errors, checked before the closed-form cross-check:
     # a subregular-shaped vector with the wrong total is a bad input, not an
     # oracle disagreement
-    negative = _record(Cochar, n=3, exponents=(4, 0, -1))  # past Cochar's own checks
+    negative = _cochar(3, (4, 0, -1))  # past Cochar's own checks
     cases = [(Cochar(3, (1, 1, 1)), 2), (negative, 1),
              (Cochar(2, (3, 0)), 1), (Cochar(2, (1, 0)), 1), (Cochar(3, (2, 1, 0)), 2)]
     for gamma, r in cases:

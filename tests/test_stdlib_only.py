@@ -1,6 +1,7 @@
 """The runtime code imports only the standard library and wittlat itself."""
 
 import ast
+import re
 import sys
 from pathlib import Path
 
@@ -74,20 +75,20 @@ def test_corner_minor_is_taken_only_in_corner_valuations():
 
 
 def _scopes(node, match, scope=()):
-    """The enclosing scope, as dotted class and function names, of every node
-    under node for which match(node) holds."""
+    """(scope, child) for every node `child` under node for which match(child)
+    holds, scope being the enclosing class and function names, dotted."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
             yield from _scopes(child, match, scope + (child.name,))
             continue
         if match(child):
-            yield ".".join(scope)
+            yield ".".join(scope), child
         yield from _scopes(child, match, scope)
 
 
 def _sites(match):
     return sorted({f"{path.stem}.{scope}" for path in sorted(SRC.glob("*.py"))
-                   for scope in _scopes(ast.parse(path.read_text(), str(path)), match)})
+                   for scope, _ in _scopes(ast.parse(path.read_text(), str(path)), match)})
 
 
 def test_divisor_memo_is_filled_only_where_the_type_is_known():
@@ -103,13 +104,47 @@ def test_divisor_memo_is_filled_only_where_the_type_is_known():
 
 def test_unchecked_constructors_are_the_pinned_few():
     # an object built by object.__new__ (or snf's _new binding of it) skips its
-    # class's checks: _record is the one such constructor for records, inlined
-    # only where a record is built once per stratum; a new site is a decision
+    # class's checks: _record is the one such constructor for dict-backed
+    # records, inlined only in dim_report (once per stratum), and _cochar the
+    # one for the slotted Cochar; a new site is a decision
     def builds_unchecked(node):
         func = getattr(node, "func", None) if isinstance(node, ast.Call) else None
         return (isinstance(func, ast.Name) and func.id == "_new"
                 or isinstance(func, ast.Attribute) and func.attr == "__new__"
                 and isinstance(func.value, ast.Name) and func.value.id == "object")
     assert _sites(builds_unchecked) == ["dimension.dim_report", "matrix.WittMat._from_raw",
-                                        "snf._record", "strata._ordered_strata",
-                                        "witt.WittElem._make"]
+                                        "snf._cochar", "snf._record", "witt.WittElem._make"]
+
+
+def protocol_slots():
+    """The slot names of the bare-value protocol table in witt.py's module
+    docstring: its rows are the lines indented four spaces that start with _."""
+    doc = ast.get_docstring(ast.parse((SRC / "witt.py").read_text()))
+    return re.findall(r"^    (_\w+)", doc, re.MULTILINE)
+
+
+# The engine modules, the ring parameters they may read besides the table, and
+# the reads outside it that stay: matrix._values is the WittElem -> bare
+# boundary of the matrix constructors, and _eliminate's working matrix M of
+# WittElems (with ring.zero, its zero entry) and _det's read of M's diagonal
+# go with M's move onto bare values
+_ENGINE = ("matrix", "snf", "strata", "degeneration", "dimension")
+_PARAMETERS = {"p", "m", "N", "pN", "key", "field"}
+_OUTSIDE_THE_TABLE = {("matrix._values", "_v"), ("matrix._eliminate", "_v"),
+                      ("matrix._eliminate", "zero"), ("matrix._det", "_v")}
+
+
+def test_engine_reads_the_ring_only_through_the_protocol_table():
+    # a ring read is x.attr with x a name `ring` or an expression's `.ring`
+    def is_read(node):
+        if not isinstance(node, ast.Attribute):
+            return False
+        x = node.value
+        return (node.attr == "_v" or isinstance(x, ast.Name) and x.id == "ring"
+                or isinstance(x, ast.Attribute) and x.attr == "ring")
+    allowed = set(protocol_slots()) | _PARAMETERS
+    assert {"_p_power", "_teichmuller", "_random", "_random_unit", "_random_multiple_of_p",
+            "_mul", "_val", "_divider", "_matrix_kernels"} <= allowed
+    reads = {(f"{stem}.{scope}", node.attr) for stem in _ENGINE
+             for scope, node in _scopes(ast.parse((SRC / f"{stem}.py").read_text()), is_read)}
+    assert {read for read in reads if read[1] not in allowed} == _OUTSIDE_THE_TABLE

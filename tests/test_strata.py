@@ -19,6 +19,7 @@ from wittlat.field import BOUNDS
 from wittlat.matrix import (GroupShape, WittMat, identity, in_group, mat_to_obj,
                             p_power_diagonal)
 from wittlat import strata as strata_mod
+from wittlat.degeneration import degeneration_chain
 from wittlat.snf import Cochar, divisor_type, minor_valuations
 from wittlat.strata import (_ordered_strata, _partitions, classify, dominance_leq, enumerate_strata,
                             in_cover, in_orbit_closure, regular_cochar,
@@ -655,10 +656,10 @@ def test_sample_orbit_stamp_matches_elimination(p, m):
 
 @pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 2), (3, 2)])
 def test_internal_readers_build_no_witt_elem(p, m, monkeypatch):
-    # the stratum readers, the minor oracle, the adjugate inverse and
-    # mat_to_obj read bare values through the ring protocol; once the divisor
-    # type is memoised they build no WittElem (n <= 4, so no determinant runs
-    # _eliminate)
+    # the stratum readers, the minor oracle, the adjugate inverse, mat_to_obj,
+    # the samplers and the degeneration chains read bare values through the
+    # ring protocol; once the divisor type is memoised they build no WittElem
+    # (n <= 4, so no determinant runs _eliminate)
     rng = random.Random(500 + 10 * p + m)
     cases = []
     for n in range(2, 5):
@@ -686,6 +687,10 @@ def test_internal_readers_build_no_witt_elem(p, m, monkeypatch):
         inverses.append(G.inverse())
         with pytest.raises(NotAUnitError):
             A.inverse()
+        for shape in GroupShape:
+            sample_group(A.ring, A.n, shape, rng)
+        sample_cover(A.ring, A.n, 1, rng)
+        degeneration_chain(A.ring, A._divisors, regular_cochar(A.n, 1))
     assert built == []
     cases[0][0].det()  # the public reader builds its one element
     assert len(built) == 1

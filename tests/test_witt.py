@@ -7,11 +7,12 @@ import time
 import numpy as np
 import pytest
 from counting import compiles
+from test_stdlib_only import protocol_slots
 
 from wittlat import field, witt
 from wittlat.errors import CodecUnsupportedError, NotAUnitError, RingMismatchError
 from wittlat.field import BOUNDS, FieldDescriptor, is_irreducible, is_prime
-from wittlat.matrix import WittMat, mat_from_obj, mat_to_obj
+from wittlat.matrix import WittMat, mat_from_obj, mat_to_obj, p_power_diagonal
 from wittlat.snf import divisor_type
 from wittlat.witt import elem_from_obj, elem_to_obj, witt_ring
 
@@ -523,6 +524,123 @@ def test_bare_protocol_on_every_element(p, m, N):
             else:
                 with pytest.raises(ValueError, match="^exact division requires"):
                     divide(a)
+
+
+def _slot_checks(R, elems):
+    """slot -> check() of that slot of the bare-value protocol table (witt.py)
+    against the checked WittElem API, on the WittElems `elems` of R."""
+    p, m, N, pN, make, elem = R.p, R.m, R.N, R.pN, witt.WittElem._make, witt.WittElem
+    pairs = list(itertools.product(elems, repeat=2))
+
+    def checked_draw(rng, bound):  # the element of m randrange draws below bound, times pN/bound
+        return elem(R, [rng.randrange(bound) * (pN // bound) for _ in range(m)])
+
+    def draws(bare, checked):  # seeded bare draws against checked ones, then the next draw
+        for seed in range(6):
+            rng, ref = random.Random(seed), random.Random(seed)
+            assert bare(rng) == [x._v for x in checked(ref)] and rng.random() == ref.random()
+
+    def zero():
+        assert R._zero == elem(R, (0,) * m)._v
+
+    def one():
+        assert R._one == R.from_int(1)._v
+
+    def add():
+        for x, y in pairs:
+            assert R._add(x._v, y._v) == elem(R, [a + b for a, b in zip(x.coeffs, y.coeffs)])._v
+
+    def sub():
+        for x, y in pairs:
+            assert R._sub(x._v, y._v) == elem(R, [a - b for a, b in zip(x.coeffs, y.coeffs)])._v
+
+    def mul():
+        for x, y in pairs:
+            assert R._mul(x._v, y._v) == (y * x)._v
+
+    def submul():
+        for (x, y), z in itertools.product(pairs, elems[:3]):
+            assert R._submul(z._v, x._v, y._v) == (z - x * y)._v
+
+    def val():
+        for x in elems:  # the index of the first nonzero Witt digit
+            assert R._val(x._v) == next((i for i, d in enumerate(x.digits()) if any(d)), N)
+
+    def inv():
+        for u in elems:
+            if u.is_unit():
+                assert make(R, R._inv(u._v)) * u == R.one
+
+    def divider():
+        for x, y in pairs:
+            if y.is_zero():
+                continue
+            divide, w = R._divider(y._v)
+            if x.valuation() >= y.valuation():
+                assert make(R, divide(x._v)) * y == x
+            assert make(R, w) * elem(R, [c // p ** y.valuation() for c in y.coeffs]) == R.one
+
+    def p_power():
+        for e in range(N + 2):
+            assert R._p_power(e) == R.from_int(p ** e)._v
+
+    def teichmuller():
+        for a in itertools.product(range(p), repeat=m):  # xi(a) has the digits (a, 0, ..., 0)
+            assert R._teichmuller(a) == R.from_digits([a] + [(0,) * m] * (N - 1))._v
+
+    def random_values():
+        draws(lambda rng: R._random(rng, 5), lambda rng: [checked_draw(rng, pN) for _ in "abcde"])
+
+    def random_unit():
+        def first_unit(rng):
+            x = checked_draw(rng, pN)
+            while not x.is_unit():
+                x = checked_draw(rng, pN)
+            return [x]
+        draws(lambda rng: [R._random_unit(rng)], first_unit)
+
+    def random_multiple_of_p():
+        draws(lambda rng: [R._random_multiple_of_p(rng)], lambda rng: [checked_draw(rng, pN // p)])
+
+    def matrix_kernels():
+        rng = random.Random(7)
+        for n in range(1, 5):
+            A, B = ([[rng.choice(elems) for _ in range(n)] for _ in range(n)] for _ in "AB")
+            matmul, det = R._matrix_kernels(n)
+            rawA, rawB = (tuple(tuple(x._v for x in r) for r in X) for X in (A, B))
+            assert matmul(rawA, rawB) == tuple(tuple(
+                sum((A[i][k] * B[k][j] for k in range(n)), R.zero)._v for j in range(n))
+                for i in range(n))
+            leibniz = R.zero
+            for perm in itertools.permutations(range(n)):
+                term = R.from_int((-1) ** sum(a > b for a, b in itertools.combinations(perm, 2)))
+                for i, j in enumerate(perm):
+                    term = term * A[i][j]
+                leibniz = leibniz + term
+            assert det(rawA) == leibniz._v
+
+    def diagonals():
+        for e in ((0, 1), (N, 0), (1, N + 1)):
+            D = p_power_diagonal(R, e)
+            assert [D[i, i] for i in range(2)] == [R.p_power(k) for k in e]
+            assert R._diagonals.get(e) is (D if max(e) <= N else None)
+
+    return {"_zero": zero, "_one": one, "_add": add, "_sub": sub, "_mul": mul, "_submul": submul,
+            "_val": val, "_inv": inv, "_divider": divider, "_p_power": p_power,
+            "_teichmuller": teichmuller, "_random": random_values, "_random_unit": random_unit,
+            "_random_multiple_of_p": random_multiple_of_p, "_matrix_kernels": matrix_kernels,
+            "_diagonals": diagonals}
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 2), (3, 2), (2, 3)])
+def test_every_protocol_slot_agrees_with_the_checked_api(p, m):
+    R, rng = witt_ring(p, 3, m), random.Random(31 * p + m)
+    elems = [R.random(rng) for _ in range(5)] + [R.zero, R.one, R.p_power(1),
+                                                  R.p_power(2) * R.random_unit(rng)]
+    checks = _slot_checks(R, elems)
+    assert sorted(checks) == sorted(protocol_slots())  # a new slot needs a check here
+    for check in checks.values():
+        check()
 
 
 def _inverse_and_divider_cases():
