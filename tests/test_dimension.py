@@ -146,7 +146,7 @@ def test_dim_report():
 
 
 def _assert_matches_checked_record(x):
-    # x, filled by snf._record, is the record that the checked constructor builds
+    # x, filled by snf._record or snf._cochar, is the record the checked constructor builds
     # (read through fields and getattr, as a slotted record such as Cochar has no __dict__)
     names = [f.name for f in dataclasses.fields(x)]
     checked = type(x)(*[getattr(x, name) for name in names])
@@ -161,9 +161,9 @@ def _assert_matches_checked_record(x):
 
 
 def test_unchecked_records_match_checked_ones():
-    # the strata, dim_report, snf and chain records are filled by snf._record,
-    # not by the dataclass __init__; each must be the record that the checked
-    # constructor builds
+    # the strata, dim_report, snf and chain records are filled by snf._record and
+    # snf._cochar, not by the dataclass __init__; each must be the record that
+    # the checked constructor builds
     for n in range(2, 9):
         for r in range(1, 24 // n + 1):
             for g in enumerate_strata(n, r).strata:
