@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import pickle
@@ -225,6 +226,27 @@ def test_in_group_checks_the_shape_before_the_determinant():
         for shape in ("bogus", GroupShape.FULL.value, None):
             with pytest.raises(ValueError, match="^unknown shape"):
                 in_group(A, shape)
+
+
+# SHA-256 of in_group's verdict for every shape on every 2 x 2 matrix over Z/8,
+# Z/9 and W_2(F_4) and on every 3 x 3 matrix over Z/2, one byte per matrix and
+# shape in row-major enumeration order.  A wrong entry rule for any shape moves it.
+_MEMBERSHIP_SHA256 = "b24fa9b6f8baa5754dd1dd7396ea67bd1d0f946df5664d66afa8921aaab4b09d"
+
+
+def test_membership_of_every_small_matrix_is_pinned():
+    digest = hashlib.sha256()
+    for p, N, m, n in ((2, 3, 1, 2), (3, 2, 1, 2), (2, 2, 2, 2), (2, 1, 1, 3)):
+        ring = witt_ring(p, N, m)
+        values = range(ring.pN) if m == 1 else list(itertools.product(range(ring.pN), repeat=m))
+        bits = {shape: bytearray() for shape in GroupShape}
+        for entries in itertools.product(values, repeat=n * n):
+            A = WittMat._from_raw(ring, tuple(zip(*[iter(entries)] * n)))
+            for shape, out in bits.items():
+                out.append(in_group(A, shape))
+        for shape, out in bits.items():
+            digest.update(repr((p, N, m, n, shape.value)).encode() + bytes(out))
+    assert digest.hexdigest() == _MEMBERSHIP_SHA256
 
 
 def test_full_group_closed_under_product_and_inverse():
