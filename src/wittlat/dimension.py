@@ -4,12 +4,12 @@ Closed-form dimensions are checked against a per-entry linear-algebra
 oracle: for gamma = diag(p^{s_1}, ..., p^{s_n}), the stabilizer condition
 X gamma = gamma Y decouples into one equation p^{s_j} x = p^{s_i} y per
 entry, whose solution space has a computable k-dimension even under the
-per-entry constraints (zero, or valuation >= 1) imposed by the subgroup
-shapes; dim_report sums these per-entry dimensions grouped by max(i, j).  A
-tiny exhaustive census over W_3(F_2) validates the orbit-stabilizer arithmetic
-with the library's own matrix products, determinants and divisor types.
-divisor_histogram is the one divisor-type counting loop, shared with the
-`census` command.
+per-entry constraints of the subgroup shapes (matrix._confined's one table: an
+entry zero, or of valuation >= 1); dim_report sums these per-entry dimensions
+grouped by max(i, j).  A tiny exhaustive census over W_3(F_2) validates the
+orbit-stabilizer arithmetic with the library's own matrix products, determinants
+and divisor types.  divisor_histogram is the one divisor-type counting loop,
+shared with the `census` command.
 """
 
 from collections import Counter
@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 from operator import index
 
-from .matrix import GroupShape, WittMat, in_group, p_power_diagonal
+from .matrix import GroupShape, WittMat, _confined, in_group, p_power_diagonal
 from .snf import Cochar, _new, _setattr, divisor_type
 from .strata import _height, _index, in_cover, subregular_cochar
 from .witt import witt_ring
@@ -47,43 +47,27 @@ def dim_matrix_orbit_closed_form(i, n, r):
     return n * n * (nr + 1) - (nr + 2 * _index(nr, i))
 
 
-def _constraint_exponent(shape, i, j, N):
-    """Per-entry constraint for a shape: entries live in p^alpha * W_N."""
-    if shape is GroupShape.FULL:
-        return 0
-    if shape is GroupShape.P:
-        return N if (j == 0 and i > 0) else 0
-    if shape is GroupShape.P_MINUS:
-        return N if (i == 0 and j > 0) else 0
-    if shape is GroupShape.B:
-        return 1 if i > j else 0
-    if shape is GroupShape.B_MINUS:
-        return 1 if i < j else 0
-    raise ValueError(f"unknown shape {shape!r}")
-
-
 def shape_space_dim(shape, n, N):
-    """k-dimension of the matrix space underlying a subgroup shape."""
-    return sum(N - _constraint_exponent(shape, i, j, N)
-               for i in range(n) for j in range(n))
+    """k-dimension of the matrix space underlying a subgroup shape: N per entry, less
+    e for each entry that matrix._confined holds in p^e W_N."""
+    return n * n * N - sum(_confined(shape, n, N).values())
 
 
 def stabilizer_dim(gamma, shapes, N):
     """k-dimension of {(X, Y) in S_X x S_Y : X gamma = gamma Y}.
 
-    Entry (i, j) contributes the dimension of the solution space of
-    p^{s_j} x = p^{s_i} y with x in p^aX * W_N, y in p^aY * W_N:
-    (N - aX) + (N - aY) - N + min(s_j + aX, s_i + aY, N).
+    Entry (i, j) contributes the dimension of the solution space of p^{s_j} x =
+    p^{s_i} y with x in p^aX W_N, y in p^aY W_N (matrix._confined's exponents, 0
+    for a free entry): (N - aX) + (N - aY) - N + min(s_j + aX, s_i + aY, N).
     """
     s, n, N = gamma.exponents, gamma.n, index(N)
     if any(e > N for e in s):
         raise ValueError("exponents must lie in [0, N]")
-    shape_x, shape_y = shapes
+    cx, cy = [_confined(shape, n, N) for shape in shapes]
     total = 0
     for i in range(n):
         for j in range(n):
-            ax = _constraint_exponent(shape_x, i, j, N)
-            ay = _constraint_exponent(shape_y, i, j, N)
+            ax, ay = cx.get((i, j), 0), cy.get((i, j), 0)
             total += (N - ax) + (N - ay) - N + min(s[j] + ax, s[i] + ay, N)
     return total
 

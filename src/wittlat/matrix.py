@@ -8,12 +8,13 @@ Provides the one full-pivot elimination behind both the elementary-divisor
 type (snf.py) and the m > 1, n > 4 determinant (for m = 1, fraction-free
 Bareiss elimination over Z on the integer lifts), minors, the corner
 functions (the (0,0) entry and its complementary minor), inverses via the
-adjugate, and membership tests for the classical subgroup shapes of GL_n.
+adjugate, and membership in the subgroup shapes of GL_n, read from one per-entry table.
 """
 
 import enum
 import functools
 import operator
+from types import MappingProxyType
 
 from .errors import NotAUnitError, RingMismatchError, ShapeError
 from .witt import WittElem, _int_fields, _value_to_obj, elem_from_obj, witt_ring
@@ -25,6 +26,29 @@ class GroupShape(enum.Enum):
     P_MINUS = "p_minus"      # block lower: first row zero right of (0,0)
     B = "b"                  # Iwahori: subdiagonal entries divisible by p
     B_MINUS = "b_minus"      # opposite Iwahori: superdiagonal divisible by p
+
+
+_ENTRY_RULES = {  # entry (i, j) of a shape over W_N lies in p^e W_N for e = rule(i, j, N)
+    GroupShape.FULL: lambda i, j, N: 0,
+    GroupShape.P: lambda i, j, N: N if j == 0 < i else 0,
+    GroupShape.P_MINUS: lambda i, j, N: N if i == 0 < j else 0,
+    GroupShape.B: lambda i, j, N: 1 if j < i else 0,
+    GroupShape.B_MINUS: lambda i, j, N: 1 if i < j else 0,
+}
+
+
+def _confined(shape, n, N):
+    """The entries of an n x n matrix of `shape` over W_N with e > 0 (e = N: zero), as a
+    read-only map (i, j) -> e in row-major order, cached; ValueError for a non-GroupShape."""
+    if not isinstance(shape, GroupShape):
+        raise ValueError(f"unknown shape {shape!r}")
+    return _confined_entries(shape, n, N)
+
+
+@functools.lru_cache(maxsize=64)
+def _confined_entries(shape, n, N):
+    rule, idx = _ENTRY_RULES[shape], range(n)
+    return MappingProxyType({(i, j): e for i in idx for j in idx if (e := rule(i, j, N))})
 
 
 class WittMat:
@@ -386,20 +410,12 @@ def elementary_matrix(ring, n, i, j, c):
 # -- subgroup membership -----------------------------------------------------------
 
 def in_group(A, shape):
-    """Membership test for the subgroup shapes of GL_n over the ring."""
-    if not isinstance(shape, GroupShape):
-        raise ValueError(f"unknown shape {shape!r}")
-    ring, n = A.ring, A.n
-    if ring._val(_det(A._raw, ring)):
-        return False
-    if shape in (GroupShape.P_MINUS, GroupShape.B_MINUS):
-        A = A.transpose()  # the opposite shapes are those of the transpose
-    raw = A._raw
-    if shape is GroupShape.FULL:
-        return True
-    if shape in (GroupShape.P, GroupShape.P_MINUS):
-        return all(raw[i][0] == ring._zero for i in range(1, n))
-    return all(ring._val(raw[i][j]) >= 1 for i in range(n) for j in range(i))  # B, B_MINUS
+    """Membership in a shape: v(A[i][j]) >= e at each (i, j) -> e of _confined, and a unit det."""
+    ring, raw, val = A.ring, A._raw, A.ring._val
+    for (i, j), e in _confined(shape, A.n, ring.N).items():
+        if val(raw[i][j]) < e:
+            return False
+    return not val(_det(raw, ring))
 
 
 # -- JSON codec ----------------------------------------------------------------------

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .errors import NotInCoverError, ParameterMismatchError, ShapeError
 from .field import _check_bound
-from .matrix import GroupShape, WittMat, _det, _minor, in_group
+from .matrix import GroupShape, WittMat, _confined, _det, _minor, in_group
 from .snf import Cochar, _cochar, _record, divisor_type
 
 
@@ -238,10 +238,10 @@ def sample_group(ring, n, shape, seed):
                 return WittMat._from_raw(ring, raw)
         raise RuntimeError("unit-determinant rejection sampling did not converge")
     if shape in (GroupShape.B, GroupShape.B_MINUS):
-        lower = shape is GroupShape.B  # the side whose entries are multiples of p
+        confined = _confined(shape, n, ring.N)  # e = 1 at each entry it names
         unit, small, draw = ring._random_unit, ring._random_multiple_of_p, ring._random
         A = WittMat._from_raw(ring, tuple([tuple([
-            unit(rng) if i == j else small(rng) if (i > j) == lower else draw(rng, 1)[0]
+            unit(rng) if i == j else small(rng) if (i, j) in confined else draw(rng, 1)[0]
             for j in range(n)]) for i in range(n)]))
     elif shape in (GroupShape.P, GroupShape.P_MINUS):
         corner, zero = ring._random_unit(rng), ring._zero

@@ -19,6 +19,7 @@ from .strata import _height, classify, sample_cover, sample_group, subregular_co
 from .witt import witt_ring
 
 DEFAULT_SEED = 1729
+FAC_MAX_TOTAL = 4  # suite_fac runs every r1 >= rj with r1 + rj <= this
 
 
 def _child_seed(seed, i):
@@ -133,11 +134,11 @@ def suite_snf(p=2, m=1, n=2, r=1, samples=200, seed=DEFAULT_SEED):
                            "samples": samples, "seed": seed}, checks)
 
 
-def suite_fac(p=2, m=1, max_total=4):
+def suite_fac(p=2, m=1):
     ident = _Check("four_factor_identity")
     divs = _Check("deformation_divisor_type")
-    for r1 in range(max_total + 1):
-        for rj in range(min(r1, max_total - r1) + 1):
+    for r1 in range(FAC_MAX_TOTAL + 1):
+        for rj in range(min(r1, FAC_MAX_TOTAL - r1) + 1):
             ring = witt_ring(p, r1 + rj + 1, m)
             nonzero = [t for t in ring.field.elements() if any(t)]
             for b in range(rj + 1):
@@ -151,7 +152,7 @@ def suite_fac(p=2, m=1, max_total=4):
                     divs.record(got == want,
                                 {"r1": r1, "rj": rj, "b": b, "t": list(t),
                                  "got": list(got)})
-    return _report("fac", {"p": p, "m": m, "max_total": max_total}, [ident, divs])
+    return _report("fac", {"p": p, "m": m, "max_total": FAC_MAX_TOTAL}, [ident, divs])
 
 
 def suite_strata(p=2, m=1, n=2, r=1, samples=300, seed=DEFAULT_SEED):

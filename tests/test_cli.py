@@ -249,6 +249,34 @@ def test_dims_by_type(capsys):
         assert captured.out == "" and captured.err == f"error: {err}\n", argv
 
 
+def test_mismatched_or_unsorted_exponents_exit_2_with_one_line(capsys):
+    for argv, err in ((["degenerate", "--from", "1,1", "--to", "2"],
+                       "--from and --to must have the same length"),
+                      (["dims", "--type", "1,3"], "exponents must be weakly decreasing")):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {err}\n", argv
+
+
+def test_pretty_prints_the_same_object_indented(capsys):
+    for argv in (["dims", "--type", "2,0"], ["strata", "--n", "2", "--r", "2"]):
+        code, compact = run(capsys, *argv)
+        code_pretty, pretty = run(capsys, *argv, "--pretty")
+        assert code == code_pretty == 0
+        assert json.loads(pretty) == json.loads(compact)
+        assert pretty == json.dumps(json.loads(compact), sort_keys=True, indent=2) + "\n"
+        assert compact.count("\n") == 1 < pretty.count("\n")
+
+
+def test_verify_tiny_in_process(capsys):
+    code, out = run(capsys, "verify", "--suite", "tiny")
+    report = json.loads(out)
+    assert code == 0 and report["ok"] and report["params"] == {"jobs": 1}
+    assert [c["name"] for c in report["checks"]] == [
+        "group_order", "orbit_stabilizer_counts", "cover_partition", "histogram_total"]
+    assert all(c["passed"] and c["samples"] == 1 for c in report["checks"])
+
+
 def test_dims_rejects_zero_height(capsys):
     for argv in (["dims", "--type", "0,0"], ["dims", "--n", "2", "--r", "0", "--i", "0"]):
         _assert_usage_error(capsys, argv)

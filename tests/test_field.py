@@ -119,6 +119,23 @@ def test_elem_validation():
             G.elem(bad)
 
 
+def test_descriptor_sub_hash_and_repr():
+    F = FieldDescriptor(3, 2)
+    assert F.sub((1, 2), (2, 2)) == (2, 0)
+    for a, b in itertools.product(F.elements(), repeat=2):
+        assert F.add(F.sub(a, b), b) == a
+    assert hash(F) == hash(FieldDescriptor(3, 2)) and len({F, FieldDescriptor(3, 2)}) == 1
+    assert repr(F) == "FieldDescriptor(p=3, m=2)"
+
+
+def test_is_irreducible_refuses_non_monic_and_constant_inputs():
+    # x^2 + 1 is irreducible over Z/3; scaled by 2 it is not monic
+    assert is_irreducible((1, 0, 1), 3)
+    assert not is_irreducible((2, 0, 2), 3)
+    for const in ((1,), (2,), ()):
+        assert not is_irreducible(const, 3)
+
+
 def test_elements_enumeration():
     F = FieldDescriptor(3, 2)
     els = list(F.elements())

@@ -249,6 +249,15 @@ def test_membership_of_every_small_matrix_is_pinned():
     assert digest.hexdigest() == _MEMBERSHIP_SHA256
 
 
+def test_matrix_refuses_scalars_and_foreign_equality():
+    R = witt_ring(2, 3)
+    A = identity(R, 2)
+    with pytest.raises(TypeError, match="^expected a WittMat$"):
+        A * 3
+    for other in (((1, 0), (0, 1)), [[R.one, R.zero], [R.zero, R.one]], R.one, None):
+        assert A != other and not A == other
+
+
 def test_full_group_closed_under_product_and_inverse():
     R = witt_ring(3, 3)
     rng = random.Random(6)

@@ -362,6 +362,20 @@ def test_ring_mismatch():
         a * b
 
 
+def test_elem_constructor_truth_and_foreign_equality():
+    R = witt_ring(3, 2, 2)
+    with pytest.raises(TypeError, match="^ring must be a WittRing$"):
+        witt.WittElem((3, 2, 2), (1, 0))
+    for coeffs in ((1,), (1, 0, 0)):
+        with pytest.raises(ValueError, match="^expected 2 coefficients$"):
+            witt.WittElem(R, coeffs)
+    assert not R.zero and R.one and R.p_power(1) and not R.p_power(2)
+    for other in (1, (1, 0), "1", None):
+        assert R.one != other and not R.one == other
+    assert R.from_coeffs(5) == R.from_int(5) == witt.WittElem(R, (5, 0))
+    assert witt_ring(3, 2).from_coeffs(5).to_int() == 5
+
+
 def test_pow():
     R = witt_ring(3, 3)
     x = R.from_int(5)
